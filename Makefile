@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke bench-smoke bench-baseline bench-suite profile profile-scaling ci
+.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,9 +87,15 @@ shard-smoke:
 service-smoke:
 	$(PYTHON) -m repro.service.smoke
 
+# The end-to-end benchmark's own tests (perfbench/, about 30 s).  They also
+# catch a library change that renames an entry point the benchmark traces.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
+
 # Reproduce the CI pipeline locally: lint, invariant lint, typecheck, tests,
-# examples smoke, serve smoke, shard smoke, service smoke, bench gate.
-ci: lint lint-invariants typecheck test examples-smoke serve-smoke shard-smoke service-smoke bench-smoke
+# examples smoke, serve smoke, shard smoke, service smoke, perfbench tests,
+# bench gate.
+ci: lint lint-invariants typecheck test examples-smoke serve-smoke shard-smoke service-smoke perfbench-smoke bench-smoke
 
 # Weight-update + 10k-request scaling benchmarks per backend; fails on a >2x
 # regression against benchmarks/baseline_bench.json.

@@ -39,6 +39,7 @@ from repro.instances.request import Decision, EdgeId, Request, RequestSequence
 from repro.instances.serialize import decode_edge_id, encode_edge_id
 from repro.utils.mathx import log2_guarded
 from repro.utils.rng import RandomState
+from repro.utils.validation import check_positive
 
 __all__ = ["AlphaSchedule", "DoublingFractionalAdmissionControl", "DoublingAdmissionControl"]
 
@@ -66,6 +67,12 @@ class AlphaSchedule:
     #: per-edge request count and cheapest cost, used to initialise the guess.
     _edge_count: Dict[EdgeId, int] = field(default_factory=dict)
     _edge_min_cost: Dict[EdgeId, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # With a factor <= 0 every positive cost exceeds the limit, so
+        # maybe_double never returns (negative) or drives alpha to inf (zero);
+        # NaN would silently disable doubling.
+        self.threshold_factor = check_positive(self.threshold_factor, "threshold_factor")
 
     def cost_limit(self) -> float:
         """Online cost allowed under the current guess (infinite before the first guess)."""
@@ -140,7 +147,9 @@ def _process_with_schedule(schedule, capacities, inner, request, process_inner):
     if schedule.observe_request(request, capacities):
         inner.update_alpha(schedule.alpha)
     decision = process_inner()
-    if schedule.maybe_double(inner.fractional_cost()):
+    # maybe_double() ignores the cost until there is a guess, so skip reading
+    # it (an O(n) pass) while there is none.
+    if schedule.alpha is not None and schedule.maybe_double(inner.fractional_cost()):
         inner.update_alpha(schedule.alpha)
     return decision
 

@@ -27,6 +27,7 @@ unweighted case and inside the guess-and-double wrapper of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
@@ -171,6 +172,14 @@ class FractionalAdmissionControl:
         self._class_of: Dict[int, str] = {}
         self._small_cost = 0.0
         self._decisions: List[FractionalDecision] = []
+
+        # fractional_cost()'s cache, derived (not checkpointed) and filled
+        # lazily: the original costs of the NORMAL requests in the backend's
+        # registration order.  Its first ``_cost_cache_len`` slots cover the
+        # first ``_cost_cache_scanned`` entries of ``_class_of``.
+        self._cost_cache = np.empty(64, dtype=np.float64)
+        self._cost_cache_len = 0
+        self._cost_cache_scanned = 0
 
         # Compiled-path alignment cache: translation from a compiled
         # instance's dense edge indices to the backend's interning (``None``
@@ -388,7 +397,11 @@ class FractionalAdmissionControl:
 
     def fractions(self) -> Dict[int, float]:
         """Rejected fraction of every processed request."""
-        return {rid: self.fraction_rejected(rid) for rid in self._class_of}
+        normal = self._weights.fractional_rejections()
+        return {
+            rid: normal[rid] if cls == CostClass.NORMAL else float(cls == CostClass.SMALL)
+            for rid, cls in self._class_of.items()
+        }
 
     def fractional_cost(self) -> float:
         """The algorithm's objective: ``sum_i min(f_i, 1) p_i`` in original cost units.
@@ -396,12 +409,52 @@ class FractionalAdmissionControl:
         ``R_small`` requests contribute their full cost, ``R_big``/forced
         requests contribute nothing (they are accepted), and requests in the
         weight mechanism contribute ``min(f_i, 1)`` times their original cost.
+
+        The terms are added one by one, left to right: the ``R_small`` total
+        first, then the weight mechanism's requests in arrival order.
+        ``np.cumsum`` is such a sequential sum, so the result is bit-identical
+        to a Python loop over the requests; ``ndarray.sum`` and ``np.dot`` add
+        in another order, and the guess-and-double threshold test would see
+        the drift.
         """
-        total = self._small_cost
-        for rid, cls in self._class_of.items():
-            if cls == CostClass.NORMAL:
-                total += min(self._weights.weight(rid), 1.0) * self._original_cost[rid]
-        return total
+        weights = self._weights.weight_array()
+        costs = self._normal_costs()
+        if weights.shape[0] != costs.shape[0]:
+            raise RuntimeError(
+                f"weight backend holds {weights.shape[0]} requests, "
+                f"but {costs.shape[0]} were classified NORMAL"
+            )
+        terms = np.empty(costs.shape[0] + 1, dtype=np.float64)
+        terms[0] = self._small_cost
+        np.minimum(weights, 1.0, out=terms[1:])
+        terms[1:] *= costs
+        return float(np.cumsum(terms)[-1])
+
+    def _normal_costs(self) -> np.ndarray:
+        """Original costs of the NORMAL requests, aligned with the backend's weights.
+
+        The backend registers exactly the NORMAL requests, in arrival order,
+        and ``_class_of`` only ever grows at its end, so the requests
+        classified since the last call are its last entries.
+        """
+        new = len(self._class_of) - self._cost_cache_scanned
+        if new:
+            class_of = self._class_of
+            recent = list(islice(reversed(class_of), new))
+            recent.reverse()
+            costs = [
+                self._original_cost[rid] for rid in recent if class_of[rid] == CostClass.NORMAL
+            ]
+            lo = self._cost_cache_len
+            hi = lo + len(costs)
+            if hi > self._cost_cache.shape[0]:
+                grown = np.empty(2 * hi, dtype=np.float64)
+                grown[:lo] = self._cost_cache[:lo]
+                self._cost_cache = grown
+            self._cost_cache[lo:hi] = costs
+            self._cost_cache_len = hi
+            self._cost_cache_scanned += new
+        return self._cost_cache[: self._cost_cache_len]
 
     @property
     def num_augmentations(self) -> int:

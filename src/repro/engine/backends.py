@@ -291,6 +291,14 @@ class WeightBackend:
         """Copy of all weights, in registration order."""
         raise NotImplementedError
 
+    def weight_array(self) -> np.ndarray:
+        """``float64[n]`` of all weights, in registration order.
+
+        May be a view of the backend's storage: read it before the next
+        registration or weight update, and never write to it.
+        """
+        raise NotImplementedError
+
     def is_dead(self, request_id: int) -> bool:
         """True if the request has been fully rejected fractionally (``f_i >= 1``)."""
         raise NotImplementedError
@@ -706,6 +714,9 @@ class PythonWeightBackend(WeightBackend):
     def weights(self) -> Dict[int, float]:
         return dict(self._weights)
 
+    def weight_array(self) -> np.ndarray:
+        return np.fromiter(self._weights.values(), dtype=np.float64, count=len(self._weights))
+
     def is_dead(self, request_id: int) -> bool:
         return request_id in self._dead
 
@@ -1037,6 +1048,9 @@ class NumpyWeightBackend(WeightBackend):
         w = self._w
         return {rid: float(w[slot]) for slot, rid in enumerate(self._ids)}
 
+    def weight_array(self) -> np.ndarray:
+        return self._w[: self._n]
+
     def is_dead(self, request_id: int) -> bool:
         return request_id in self._dead
 
@@ -1071,8 +1085,7 @@ class NumpyWeightBackend(WeightBackend):
         return float((np.minimum(w, 1.0) * self._cost[:n]).sum())
 
     def fractional_rejections(self) -> Dict[int, float]:
-        clipped = np.minimum(self._w[: self._n], 1.0)
-        return {rid: float(clipped[slot]) for slot, rid in enumerate(self._ids)}
+        return dict(zip(self._ids, np.minimum(self._w[: self._n], 1.0).tolist()))
 
     # -- checkpoint primitives ------------------------------------------------------
     def _request_ids_in_order(self) -> List[int]:

@@ -45,6 +45,15 @@ class TestAlphaSchedule:
         schedule.alpha = 1.0
         assert not schedule.maybe_double(0.1)
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    def test_threshold_factor_must_be_positive(self, factor):
+        # -1 used to make maybe_double loop forever, 0 drove alpha to inf.
+        with pytest.raises(ValueError, match="threshold_factor"):
+            AlphaSchedule(m=2, c=1, threshold_factor=factor)
+        for wrapper in (DoublingAdmissionControl, DoublingFractionalAdmissionControl):
+            with pytest.raises(ValueError, match="threshold_factor"):
+                wrapper({"a": 1, "b": 1}, threshold_factor=factor)
+
 
 class TestDoublingFractional:
     def test_no_cost_without_overload(self, free_instance):
