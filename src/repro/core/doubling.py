@@ -266,6 +266,10 @@ class DoublingFractionalAdmissionControl:
         """Decisions appended at or after index ``start`` (a cheap tail read)."""
         return self._inner.decisions_since(start)
 
+    def was_processed(self, request_id: int) -> bool:
+        """True if a request with this id has already arrived (read-only)."""
+        return self._inner.was_processed(request_id)
+
     def check_invariants(self) -> List[str]:
         """Delegate to the wrapped algorithm's invariant checker."""
         return self._inner.check_invariants()

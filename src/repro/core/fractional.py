@@ -36,7 +36,7 @@ from repro.core.weights import ArrivalOutcome, WeightBackend, make_weight_backen
 from repro.engine.backends import BackendSpec, resolve_backend_name, resolve_record_flag
 from repro.engine.registry import ADMISSION_ALGORITHMS
 from repro.instances.admission import AdmissionInstance
-from repro.instances.compiled import CompiledInstance
+from repro.instances.compiled import CompiledInstance, EdgeInterning
 from repro.instances.request import EdgeId, Request, RequestSequence
 from repro.utils.validation import check_positive
 
@@ -181,11 +181,12 @@ class FractionalAdmissionControl:
         self._cost_cache_len = 0
         self._cost_cache_scanned = 0
 
-        # Compiled-path alignment cache: translation from a compiled
-        # instance's dense edge indices to the backend's interning (``None``
-        # when they already coincide, which is the common case).
-        self._compiled_for: Optional[CompiledInstance] = None
-        self._compiled_translate: Optional[np.ndarray] = None
+        # Compiled-path alignment cache: translation from an edge interning's
+        # dense indices to the backend's (``None`` when they already
+        # coincide, which is the common case), keyed on the interning object
+        # so a session's micro-batches, which share one, compute it once.
+        self._translated_for: Optional[EdgeInterning] = None
+        self._translation: Optional[np.ndarray] = None
 
     # -- preprocessing thresholds -------------------------------------------------
     @property
@@ -258,25 +259,28 @@ class FractionalAdmissionControl:
 
         When both were derived from the same capacity mapping (the common
         case) the numberings coincide and no translation is needed; otherwise
-        a dense lookup vector is built once and cached per compiled instance.
+        a dense lookup vector is built.  Either way the answer is cached per
+        :class:`~repro.instances.compiled.EdgeInterning` object, so the O(m)
+        comparison runs once per interning, not once per compiled batch.
         """
-        if compiled is self._compiled_for:
-            return self._compiled_translate
-        if compiled.edge_order == self._weights.edge_order:
+        interning = compiled.interning
+        if interning is self._translated_for:
+            return self._translation
+        if interning.edge_order == self._weights.edge_order:
             translate = None
         else:
             try:
                 translate = np.fromiter(
-                    (self._weights.edge_index_of(e) for e in compiled.edge_order),
+                    (self._weights.edge_index_of(e) for e in interning.edge_order),
                     dtype=np.intp,
-                    count=len(compiled.edge_order),
+                    count=interning.num_edges,
                 )
             except KeyError as err:
                 raise ValueError(
                     f"compiled instance uses edge {err.args[0]!r} unknown to this algorithm"
                 ) from None
-        self._compiled_for = compiled
-        self._compiled_translate = translate
+        self._translated_for = interning
+        self._translation = translate
         return translate
 
     def process_indexed(self, compiled: CompiledInstance, i: int) -> FractionalDecision:
@@ -469,6 +473,10 @@ class FractionalAdmissionControl:
     def cost_class(self, request_id: int) -> str:
         """Cost class assigned to a processed request."""
         return self._class_of[request_id]
+
+    def was_processed(self, request_id: int) -> bool:
+        """True if a request with this id has already arrived (read-only)."""
+        return request_id in self._class_of
 
     def decisions(self) -> List[FractionalDecision]:
         """Chronological fractional decisions."""

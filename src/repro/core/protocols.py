@@ -164,6 +164,10 @@ class OnlineAdmissionAlgorithm(ABC):
         return decision
 
     # -- state queries -----------------------------------------------------------
+    def was_processed(self, request_id: int) -> bool:
+        """True if a request with this id has already arrived (read-only)."""
+        return request_id in self._seen
+
     def capacities(self) -> Dict[EdgeId, int]:
         """Copy of the (original) capacity map the algorithm was built with."""
         return dict(self._capacities)

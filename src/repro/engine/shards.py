@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.engine.backends import BackendSpec, resolve_backend_name, resolve_record_flag
 from repro.engine.registry import Registry
-from repro.instances.compiled import CompiledInstance
+from repro.instances.compiled import CompiledInstance, intern_edges
 from repro.instances.request import EdgeId, Request
 from repro.instances.serialize import (
     CHECKPOINT_SCHEMA,
@@ -444,9 +444,7 @@ def attach_shared_trace(
         tags,
     )
     compiled = CompiledInstance(
-        edge_order=edge_order,
-        edge_index={edge: k for k, edge in enumerate(edge_order)},
-        capacities=arrays["capacities"],
+        interning=intern_edges(dict(zip(edge_order, arrays["capacities"].tolist()))),
         indptr=arrays["indptr"],
         indices=arrays["indices"],
         costs=arrays["costs"],

@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.engine.backends import BackendSpec, resolve_backend_name, resolve_record_flag
 from repro.engine.registry import Registry
-from repro.instances.compiled import compile_sequence
+from repro.instances.compiled import compile_sequence, intern_edges
 from repro.instances.request import EdgeId, Request, RequestSequence
 from repro.instances.serialize import (
     CHECKPOINT_KIND,
@@ -140,6 +140,9 @@ class StreamingSession:
         Edge-capacity mapping.  Its iteration order fixes the interning used
         by the weight backend *and* by every micro-batch compilation, and is
         recorded in checkpoints so a restored session interns identically.
+        The session interns it once (:func:`~repro.instances.compiled.
+        intern_edges`); every micro-batch compiles against that one
+        interning, so a batch costs its own path length, not ``m``.
     algorithm:
         A :data:`STREAMING_ALGORITHMS` key (``"fractional"``,
         ``"randomized"``, ``"doubling"``, ``"doubling-fractional"``) or an
@@ -182,8 +185,8 @@ class StreamingSession:
         vectorized: bool = True,
         name: str = "streaming-session",
     ):
-        self._capacities: Dict[EdgeId, int] = {e: int(c) for e, c in capacities.items()}
-        if not self._capacities:
+        self._interning = intern_edges(capacities)
+        if not self._interning.num_edges:
             raise ValueError("a streaming session needs at least one edge")
         self.backend = resolve_backend_name(backend)
         self.record = resolve_record_flag(backend, record)
@@ -197,7 +200,7 @@ class StreamingSession:
             self.algorithm_key: Optional[str] = algorithm.strip().lower()
             build = STREAMING_ALGORITHMS.get(self.algorithm_key)
             self._algorithm = build(
-                self._capacities,
+                self.capacities(),
                 random_state=as_generator(self.seed),
                 backend=backend if backend is not None else self.backend,
                 record=record,
@@ -218,7 +221,7 @@ class StreamingSession:
 
     def capacities(self) -> Dict[EdgeId, int]:
         """Copy of the session's capacity mapping (interning order preserved)."""
-        return dict(self._capacities)
+        return self._interning.capacities_by_id()
 
     def decision_log(self) -> List[Dict[str, Any]]:
         """The normalized, JSON-able decision log accumulated so far.
@@ -257,12 +260,34 @@ class StreamingSession:
         return fresh
 
     # -- streaming ----------------------------------------------------------------
+    def _reject_processed(self, requests: Iterable[Request]) -> None:
+        """Raise ValueError if any of ``requests`` was processed before.
+
+        A read-only query, run before the algorithm sees the first arrival,
+        so a rejected batch leaves no trace in the engine.  Algorithms
+        without the ``was_processed`` query check ids on their own.
+        """
+        was_processed = getattr(self._algorithm, "was_processed", None)
+        if was_processed is None:
+            return
+        for request in requests:
+            if was_processed(request.request_id):
+                raise ValueError(f"request id {request.request_id} was already processed")
+
     def submit(self, request: Request) -> Dict[str, Any]:
         """Process one arrival; returns the normalized decision entry.
 
         Preemptions triggered by the arrival appear in :meth:`decision_log`
         (they are decisions about *other* requests), not in the return value.
+        Like :meth:`submit_batch`, an edge without a capacity or an id
+        processed before raises :class:`ValueError` before the algorithm
+        sees the arrival.
         """
+        edge_index = self._interning.edge_index
+        unknown = [e for e in request.ordered_edges if e not in edge_index]
+        if unknown:
+            raise ValueError(f"request {request.request_id} uses unknown edges {unknown[:3]!r}")
+        self._reject_processed((request,))
         decision = self._algorithm.process(request)
         self.num_processed += 1
         self._sync_log()
@@ -271,30 +296,30 @@ class StreamingSession:
     def submit_batch(self, requests: Iterable[Request]) -> List[Dict[str, Any]]:
         """Process a micro-batch through the compiled fast path.
 
-        The batch is compiled against the session capacities (same interning
-        as the weight backend, so no per-arrival translation) and streamed
-        through the algorithm's ``process_compiled_range`` (the whole-trace
-        executor when the session is ``vectorized``) or ``process_indexed``;
-        algorithms without an indexed path fall back to per-request
-        processing.  Decisions are identical to submitting one by one —
-        batching is purely mechanical.
+        The batch is compiled against the session's interning (the weight
+        backend's order, so no per-arrival translation; only the batch's own
+        paths are built) and streamed through the algorithm's
+        ``process_compiled_range`` (the whole-trace executor when the session
+        is ``vectorized``) or ``process_indexed``; algorithms without an
+        indexed path fall back to per-request processing.  Decisions are
+        identical to submitting one by one — batching is purely mechanical.
+
+        The batch is atomic: ids repeated within it, ids processed before
+        and edges without a capacity raise :class:`ValueError` before the
+        algorithm sees its first arrival.
         Returns every decision entry the batch produced, preemptions
         included.
         """
-        batch = list(requests)
+        batch = RequestSequence(requests)  # rejects ids repeated in the batch
         if not batch:
             return []
+        compiled = compile_sequence(batch, self._interning, name=f"{self.name}-batch")
+        self._reject_processed(batch)
         if hasattr(self._algorithm, "process_compiled_range"):
-            compiled = compile_sequence(
-                RequestSequence(batch), self._capacities, name=f"{self.name}-batch"
-            )
             self._algorithm.process_compiled_range(
                 compiled, 0, compiled.num_requests, vectorized=self.vectorized
             )
         elif hasattr(self._algorithm, "process_indexed"):
-            compiled = compile_sequence(
-                RequestSequence(batch), self._capacities, name=f"{self.name}-batch"
-            )
             for i in range(compiled.num_requests):
                 self._algorithm.process_indexed(compiled, i)
         else:
@@ -415,7 +440,7 @@ class StreamingSession:
             "num_processed": self.num_processed,
             "capacities": [
                 {"edge": encode_edge_id(e), "capacity": c}
-                for e, c in self._capacities.items()
+                for e, c in self.capacities().items()
             ],
             "algorithm_state": self._algorithm.export_state(),
         }

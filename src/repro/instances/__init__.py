@@ -18,7 +18,13 @@ This subpackage defines the objects the rest of the library operates on:
 """
 
 from repro.instances.admission import AdmissionInstance, FeasibilityReport
-from repro.instances.compiled import CompiledInstance, compile_instance, compile_sequence
+from repro.instances.compiled import (
+    CompiledInstance,
+    EdgeInterning,
+    compile_instance,
+    compile_sequence,
+    intern_edges,
+)
 from repro.instances.request import Decision, DecisionKind, Request, RequestSequence
 from repro.instances.setcover import CoverAssignment, SetCoverInstance, SetSystem
 from repro.instances import canonical, serialize
@@ -28,6 +34,8 @@ __all__ = [
     "CompiledInstance",
     "compile_instance",
     "compile_sequence",
+    "EdgeInterning",
+    "intern_edges",
     "FeasibilityReport",
     "Decision",
     "DecisionKind",

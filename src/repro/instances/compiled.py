@@ -19,6 +19,14 @@ instance
   RequestSequence` so callers that need the rich ``Request`` objects (the
   acceptance bookkeeping, analysis code) can still get them in O(1).
 
+The interning itself is an :class:`EdgeInterning` built by
+:func:`intern_edges`.  It is O(m) to build but independent of the requests,
+so a long-lived caller (a streaming session) builds it once and compiles
+every micro-batch against it: :func:`compile_sequence` given an interning
+builds only the CSR arrays, O(batch path length), and every batch shares the
+one interning object — which also lets the algorithms cache their edge
+translation per interning instead of per batch.
+
 A compiled instance is immutable and read-only, so one compilation is safely
 shared across algorithms, trials, and parallel workers.
 :func:`compile_instance` memoizes per :class:`~repro.instances.admission.
@@ -36,17 +44,71 @@ seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.instances.admission import AdmissionInstance
 from repro.instances.request import EdgeId, Request, RequestSequence
 
-__all__ = ["CompiledInstance", "compile_sequence", "compile_instance"]
+__all__ = [
+    "EdgeInterning",
+    "intern_edges",
+    "CompiledInstance",
+    "compile_sequence",
+    "compile_instance",
+]
 
 #: Attribute used to memoize the compilation on the instance object itself.
 _CACHE_ATTR = "_compiled_instance_cache"
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeInterning:
+    """An edge set interned to dense indices, in capacity-mapping order.
+
+    Identity semantics (``eq=False``), like :class:`CompiledInstance`: the
+    algorithms cache their edge translation on the interning *object*, so
+    every compilation against one interning shares that cache.
+
+    Attributes
+    ----------
+    edge_order:
+        Dense edge index -> original edge id.
+    edge_index:
+        Original edge id -> dense edge index (inverse of ``edge_order``).
+    capacities:
+        Read-only ``int64[m]`` edge capacities, indexed by dense edge index.
+    """
+
+    edge_order: Tuple[EdgeId, ...]
+    edge_index: Dict[EdgeId, int]
+    capacities: np.ndarray
+
+    @property
+    def num_edges(self) -> int:
+        """``m`` — number of interned edges."""
+        return len(self.edge_order)
+
+    def capacities_by_id(self) -> Dict[EdgeId, int]:
+        """Capacity mapping keyed by the original edge ids (interning order)."""
+        return dict(zip(self.edge_order, self.capacities.tolist()))
+
+
+def intern_edges(capacities: Mapping[EdgeId, int]) -> EdgeInterning:
+    """Intern a capacity mapping's edges in its iteration order.
+
+    That order matches every :class:`~repro.engine.backends.WeightBackend`
+    built from the same mapping, so indices compiled against the interning
+    feed the backends directly, with no per-arrival translation.
+    """
+    edge_order: Tuple[EdgeId, ...] = tuple(capacities)
+    edge_index: Dict[EdgeId, int] = {edge: k for k, edge in enumerate(edge_order)}
+    caps = np.fromiter(
+        (int(capacities[e]) for e in edge_order), dtype=np.int64, count=len(edge_order)
+    )
+    caps.setflags(write=False)
+    return EdgeInterning(edge_order=edge_order, edge_index=edge_index, capacities=caps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +121,9 @@ class CompiledInstance:
 
     Attributes
     ----------
-    edge_order:
-        Dense edge index -> original edge id (the interning table).
-    edge_index:
-        Original edge id -> dense edge index (inverse of ``edge_order``).
-    capacities:
-        ``int64[m]`` edge capacities, indexed by dense edge index.
+    interning:
+        The :class:`EdgeInterning` the paths index into; ``edge_order``,
+        ``edge_index`` and ``capacities`` read through to it.
     indptr / indices:
         CSR-style request paths over dense edge indices: request ``i``
         occupies ``indices[indptr[i]:indptr[i+1]]``.
@@ -81,9 +140,7 @@ class CompiledInstance:
         Human-readable name, carried over from the source instance.
     """
 
-    edge_order: Tuple[EdgeId, ...]
-    edge_index: Dict[EdgeId, int]
-    capacities: np.ndarray
+    interning: EdgeInterning
     indptr: np.ndarray
     indices: np.ndarray
     costs: np.ndarray
@@ -91,6 +148,22 @@ class CompiledInstance:
     tags: Tuple[Optional[str], ...]
     requests: RequestSequence
     name: str = "compiled-instance"
+
+    # -- interning accessors -----------------------------------------------------
+    @property
+    def edge_order(self) -> Tuple[EdgeId, ...]:
+        """Dense edge index -> original edge id (the interning table)."""
+        return self.interning.edge_order
+
+    @property
+    def edge_index(self) -> Dict[EdgeId, int]:
+        """Original edge id -> dense edge index (inverse of ``edge_order``)."""
+        return self.interning.edge_index
+
+    @property
+    def capacities(self) -> np.ndarray:
+        """Read-only ``int64[m]`` edge capacities, indexed by dense edge index."""
+        return self.interning.capacities
 
     # -- shape accessors ---------------------------------------------------------
     @property
@@ -101,7 +174,7 @@ class CompiledInstance:
     @property
     def num_edges(self) -> int:
         """``m`` — number of interned edges."""
-        return int(self.capacities.shape[0])
+        return self.interning.num_edges
 
     @property
     def max_capacity(self) -> int:
@@ -131,8 +204,7 @@ class CompiledInstance:
     # -- conversions -------------------------------------------------------------
     def capacities_by_id(self) -> Dict[EdgeId, int]:
         """Capacity mapping keyed by the original edge ids (interning order)."""
-        caps = self.capacities
-        return {edge: int(caps[k]) for k, edge in enumerate(self.edge_order)}
+        return self.interning.capacities_by_id()
 
     def describe(self) -> str:
         """One-line description used in logs and reports."""
@@ -144,23 +216,25 @@ class CompiledInstance:
 
 def compile_sequence(
     requests: RequestSequence,
-    capacities: Dict[EdgeId, int],
+    capacities: Union[Mapping[EdgeId, int], EdgeInterning],
     *,
     name: str = "compiled-instance",
 ) -> CompiledInstance:
-    """Compile a request sequence against a capacity mapping.
+    """Compile a request sequence against a capacity mapping or an interning.
 
-    The interning order is the iteration order of ``capacities`` (dict
-    insertion order), which matches the order every
-    :class:`~repro.engine.backends.WeightBackend` built from the same mapping
-    uses — compiled indices therefore feed the backends directly, with no
-    per-arrival translation.
+    A mapping is interned first (:func:`intern_edges`, O(m)); an
+    :class:`EdgeInterning` is used as is, so only the CSR arrays are built —
+    O(total path length of ``requests``).  Every request is validated before
+    anything is returned: an edge outside the interning raises
+    :class:`ValueError` and the caller has processed nothing yet.
     """
     if not isinstance(requests, RequestSequence):
         requests = RequestSequence(requests)
-    edge_order: Tuple[EdgeId, ...] = tuple(capacities)
-    edge_index: Dict[EdgeId, int] = {edge: k for k, edge in enumerate(edge_order)}
-    caps = np.fromiter((int(capacities[e]) for e in edge_order), dtype=np.int64, count=len(edge_order))
+    if isinstance(capacities, EdgeInterning):
+        interning = capacities
+    else:
+        interning = intern_edges(capacities)
+    edge_index = interning.edge_index
 
     n = len(requests)
     indptr = np.zeros(n + 1, dtype=np.intp)
@@ -187,9 +261,7 @@ def compile_sequence(
         tags.append(request.tag)
     indices = np.asarray(flat, dtype=np.intp)
     return CompiledInstance(
-        edge_order=edge_order,
-        edge_index=edge_index,
-        capacities=caps,
+        interning=interning,
         indptr=indptr,
         indices=indices,
         costs=costs,

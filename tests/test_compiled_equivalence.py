@@ -21,13 +21,14 @@ from repro.core.protocols import run_admission
 from repro.core.randomized import RandomizedAdmissionControl
 from repro.engine.config import EngineConfig
 from repro.engine.runtime import SimulationEngine, make_admission_algorithm
+from repro.engine.streaming import StreamingSession
 from repro.instances.canonical import (
     single_edge_overload,
     star_congestion,
     triangle_weighted,
     two_edge_chain,
 )
-from repro.instances.compiled import compile_instance, compile_sequence
+from repro.instances.compiled import compile_instance, compile_sequence, intern_edges
 from repro.workloads import overloaded_edge_adversary
 
 TOL = 1e-9
@@ -147,15 +148,22 @@ class TestFractionalCompiledEquivalence:
         assert all(d.outcome is None for d in off.decisions())
         assert on.weight_state.history() and not off.weight_state.history()
 
-    def test_translation_fallback_for_misaligned_edge_order(self):
+    @pytest.mark.parametrize("through", ["compiled", "session"])
+    def test_translation_fallback_for_misaligned_edge_order(self, through):
         """A compiled view with a different interning order still matches."""
         instance = random_instance(5)
         reversed_caps = dict(reversed(list(instance.capacities.items())))
-        compiled = compile_sequence(instance.requests, reversed_caps)
         plain = FractionalAdmissionControl.for_instance(instance, backend="numpy")
         plain.process_sequence(instance.requests)
         translated = FractionalAdmissionControl.for_instance(instance, backend="numpy")
-        translated.process_compiled_sequence(compiled)
+        if through == "compiled":
+            compiled = compile_sequence(instance.requests, reversed_caps)
+            translated.process_compiled_sequence(compiled)
+        else:
+            # A session interning the reversed order around the externally
+            # built algorithm: every micro-batch goes through the translation.
+            session = StreamingSession(reversed_caps, algorithm=translated)
+            session.submit_stream(iter(instance.requests), batch_size=7)
         assert_fractional_equal(plain, translated)
 
 
@@ -238,6 +246,27 @@ class TestCompiledInstanceStructure:
         partial = dict(list(instance.capacities.items())[:2])
         with pytest.raises(ValueError, match="no capacity entry"):
             compile_sequence(instance.requests, partial)
+        with pytest.raises(ValueError, match="no capacity entry"):
+            compile_sequence(instance.requests, intern_edges(partial))
+
+    def test_compile_against_interning_builds_only_paths(self):
+        """Batches compiled against one interning share it and match a full compile."""
+        instance = random_instance(3)
+        requests = list(instance.requests)
+        interning = intern_edges(instance.capacities)
+        assert not interning.capacities.flags.writeable
+        for lo, hi in ((0, 5), (5, 9), (9, 40)):
+            batch = compile_sequence(requests[lo:hi], interning)
+            reference = compile_sequence(requests[lo:hi], instance.capacities)
+            assert batch.interning is interning
+            assert batch.edge_order == reference.edge_order
+            assert batch.capacities_by_id() == instance.capacities
+            for field in ("capacities", "indptr", "indices", "costs", "request_ids"):
+                expected = getattr(reference, field)
+                actual = getattr(batch, field)
+                assert actual.dtype == expected.dtype
+                assert np.array_equal(actual, expected)
+            assert batch.tags == reference.tags
 
 
 class TestEngineCompiledPipeline:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine.streaming import (
     ROUTER_CHECKPOINT_KIND,
+    STREAMING_ALGORITHMS,
     ShardedStreamRouter,
     StreamingSession,
     default_namespace,
@@ -206,12 +207,24 @@ class TestCheckpointValidation:
 
 
 class TestStreamingSessionBasics:
-    def test_submit_matches_submit_batch(self):
+    @pytest.mark.parametrize("order", ["aligned", "misaligned"])
+    def test_submit_matches_submit_batch(self, order):
         instance = make_instance(2)
         one = StreamingSession(instance.capacities, algorithm="fractional")
         for request in instance.requests:
             one.submit(request)
-        batched = run_full(instance, "fractional", "python", batch=16)
+        if order == "aligned":
+            batched = run_full(instance, "fractional", "python", batch=16)
+        else:
+            # The session interns the reverse of the externally built
+            # algorithm's edge order, so every batch runs the translation.
+            from repro.core.fractional import FractionalAdmissionControl
+
+            reversed_caps = dict(reversed(list(instance.capacities.items())))
+            batched = StreamingSession(
+                reversed_caps, algorithm=FractionalAdmissionControl(instance.capacities)
+            )
+            batched.submit_stream(iter(instance.requests), batch_size=16)
         assert_logs_equal(one.decision_log(), batched.decision_log())
 
     def test_duplicate_request_id_rejected(self):
@@ -262,6 +275,113 @@ class TestStreamingSessionBasics:
         assert summary["algorithm"] == "doubling"
         assert summary["backend"] == "numpy"
         assert "rejection_cost" in summary
+
+
+class TestBatchAtomicity:
+    """A rejected micro-batch (or single arrival) leaves no trace in the session."""
+
+    @staticmethod
+    def bad_batch(requests, kind):
+        fresh = requests[4:7]
+        if kind == "unknown-edge":
+            return fresh + [Request(10_000, frozenset(["no-such-edge"]), 1.0)]
+        if kind == "processed-id":
+            return fresh + [requests[0]]
+        return fresh + [requests[4]]  # an id repeated within the batch
+
+    @pytest.mark.parametrize(
+        "via, kind",
+        [
+            ("submit_batch", "unknown-edge"),
+            ("submit_batch", "processed-id"),
+            ("submit_batch", "repeated-id"),
+            ("submit", "unknown-edge"),
+            ("submit", "processed-id"),
+        ],
+    )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("algorithm", STREAMING_ALGORITHMS.keys())
+    def test_rejected_arrivals_leave_no_trace(self, algorithm, backend, via, kind):
+        instance = make_instance(4)
+        requests = list(instance.requests)
+
+        def started():
+            session = StreamingSession(
+                instance.capacities, algorithm=algorithm, backend=backend, seed=3
+            )
+            session.submit_batch(requests[:4])
+            return session
+
+        clean, hit = started(), started()
+        bad = self.bad_batch(requests, kind)
+        with pytest.raises(ValueError):
+            if via == "submit_batch":
+                hit.submit_batch(bad)
+            else:
+                hit.submit(bad[-1])
+        assert hit.num_processed == clean.num_processed == 4
+        assert hit.num_decisions == clean.num_decisions
+        assert_logs_equal(clean.submit_batch(requests[4:12]), hit.submit_batch(requests[4:12]))
+        assert_logs_equal(clean.decision_log(), hit.decision_log())
+
+
+class TestSessionInterning:
+    """A session interns its edges once; each micro-batch compiles only its paths."""
+
+    @pytest.mark.parametrize("algorithm", STREAMING_ALGORITHMS.keys())
+    def test_one_interning_and_translation_per_session(self, algorithm, monkeypatch):
+        import repro.engine.streaming as streaming
+        import repro.instances.compiled as compiled_module
+        from repro.engine.backends import WeightBackend
+
+        interned = []
+        real_intern = compiled_module.intern_edges
+
+        def spy_intern(capacities):
+            interned.append(real_intern(capacities))
+            return interned[-1]
+
+        compiled_against = []
+        real_compile = streaming.compile_sequence
+
+        def spy_compile(requests, capacities, **kwargs):
+            compiled_against.append(capacities)
+            return real_compile(requests, capacities, **kwargs)
+
+        # Only the translation reads the backend's edge order: one read per
+        # comparison of a compiled batch's interning with the backend's.
+        order_reads = []
+        real_order = WeightBackend.edge_order
+
+        def spy_order(self):
+            order_reads.append(self)
+            return real_order.fget(self)
+
+        monkeypatch.setattr(compiled_module, "intern_edges", spy_intern)
+        monkeypatch.setattr(streaming, "intern_edges", spy_intern)
+        monkeypatch.setattr(streaming, "compile_sequence", spy_compile)
+        monkeypatch.setattr(WeightBackend, "edge_order", property(spy_order))
+
+        instance = make_instance(5, num_requests=96)
+        requests = list(instance.requests)
+        session = StreamingSession(
+            instance.capacities, algorithm=algorithm, backend="numpy", seed=2
+        )
+        session.submit_stream(iter(requests[:40]), batch_size=5)
+        assert len(interned) == 1
+        assert len(compiled_against) == 8
+        assert all(against is interned[0] for against in compiled_against)
+        assert len(order_reads) == 1
+
+        resumed = StreamingSession.restore(json.loads(json.dumps(session.checkpoint())))
+        resumed.submit_stream(iter(requests[40:]), batch_size=5)
+        assert len(interned) == 2
+        assert len(compiled_against) == 8 + 12
+        assert all(against is interned[1] for against in compiled_against[8:])
+        assert len(order_reads) == 2
+
+        uninterrupted = run_full(instance, algorithm, "numpy", seed=2, batch=5)
+        assert_logs_equal(uninterrupted.decision_log(), resumed.decision_log())
 
 
 class TestShardedStreamRouter:
