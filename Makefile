@@ -60,27 +60,36 @@ serve-smoke:
 	@rm -rf .serve-smoke
 	@echo "serve smoke passed: resumed decision log identical to uninterrupted run"
 
-# Multi-process pool smoke: serve half a namespaced trace across 2 worker
-# processes with a checkpoint, resume the pool in a fresh process, and verify
-# the combined decision log is byte-for-byte identical to an uninterrupted
-# 2-worker run.  Finishes by asserting no shared-memory segments leaked.
+# Shard-pool smoke across process boundaries and transports.  Serve half a
+# namespaced trace in 2 worker processes with a checkpoint and resume it in a
+# fresh process with in-process shards (no --workers); then checkpoint
+# in-process shards (--shards 2) and resume them in worker processes
+# (--workers 2).  Both combined decision logs must be byte-for-byte identical
+# to an uninterrupted 2-worker run.  Finishes by asserting no shared-memory
+# segments leaked.
 shard-smoke:
 	@rm -rf .shard-smoke && mkdir -p .shard-smoke
 	$(PYTHON) -c "from repro.scenarios.trace import record_trace; \
 	from repro.workloads.admission_traffic import adversarial_mix_workload; \
 	record_trace(adversarial_mix_workload(num_edges=8, capacity=2, random_state=7), '.shard-smoke/t.jsonl')"
 	$(PYTHON) -m repro serve --trace .shard-smoke/t.jsonl --algorithm fractional --seed 5 \
+		--workers 2 --log .shard-smoke/full.jsonl
+	$(PYTHON) -m repro serve --trace .shard-smoke/t.jsonl --algorithm fractional --seed 5 \
 		--workers 2 --checkpoint .shard-smoke/ck.json --checkpoint-every 20 --max-arrivals 35 \
 		--log .shard-smoke/part.jsonl
 	$(PYTHON) -m repro serve --trace .shard-smoke/t.jsonl --resume \
 		--checkpoint .shard-smoke/ck.json --log .shard-smoke/part.jsonl
-	$(PYTHON) -m repro serve --trace .shard-smoke/t.jsonl --algorithm fractional --seed 5 \
-		--workers 2 --log .shard-smoke/full.jsonl
 	cmp .shard-smoke/part.jsonl .shard-smoke/full.jsonl
+	$(PYTHON) -m repro serve --trace .shard-smoke/t.jsonl --algorithm fractional --seed 5 \
+		--shards 2 --checkpoint .shard-smoke/ck-inline.json --checkpoint-every 20 \
+		--max-arrivals 35 --log .shard-smoke/cross.jsonl
+	$(PYTHON) -m repro serve --trace .shard-smoke/t.jsonl --resume --workers 2 \
+		--checkpoint .shard-smoke/ck-inline.json --log .shard-smoke/cross.jsonl
+	cmp .shard-smoke/cross.jsonl .shard-smoke/full.jsonl
 	$(PYTHON) -c "import glob; leaks = glob.glob('/dev/shm/psm_*'); \
 	assert not leaks, 'leaked shared memory segments: %r' % leaks"
 	@rm -rf .shard-smoke
-	@echo "shard smoke passed: 2-worker pool resume identical to uninterrupted run"
+	@echo "shard smoke passed: resumes across both transports identical to uninterrupted run"
 
 # Network admission-service smoke: start `repro serve --listen` as a real
 # subprocess (2-worker pool), drive every arrival over TCP through the

@@ -1,10 +1,11 @@
 """Multi-process shard-pool scale-out benchmark: req/s per worker count.
 
 Runs the same sweep the CLI bench gate times (``shard_scaling_{n}w``): the
-100k-arrival scaling trace compiled once, its CSR arrays published through
-``multiprocessing.shared_memory``, and the arrival range round-robined across
-1/2/4/8 worker processes.  Per-count throughput lands in ``BENCH_engine.json``
-so the pool's scaling trajectory is tracked PR-over-PR.
+100k-arrival scaling shape copied into 64 namespaces, arrivals interleaved
+across them, streamed through ``ProcessShardPool.submit_stream`` with 1/2/4/8
+worker processes.  The trace partitions exactly, so every worker count must
+compute one answer.  Per-count throughput lands in ``BENCH_engine.json`` so
+the pool's scaling trajectory is tracked PR-over-PR.
 
 The >= 2.5x speedup assertion at 4 workers only fires when the host actually
 exposes >= 4 CPUs (``available_cpus()``): on a single-core runner every worker
@@ -25,13 +26,13 @@ from repro.engine.benchmarking import (
     scaling_100k_workload,
 )
 
-#: The canonical gate workload — identical to the scaling_100k single-process
-#: benchmark so pool overhead reads directly off the same trace.
+#: The canonical gate workload — the scaling_100k shape, namespaced by
+#: ``ScalingWorkload.namespaced_instance``.
 SHARD_WORKLOAD = scaling_100k_workload()
 
 
 def test_bench_shard_scaling_sweep(benchmark, bench_recorder):
-    """Aggregate req/s of the shared-memory pool at 1/2/4/8 workers."""
+    """Aggregate req/s of the shard pool at 1/2/4/8 workers, one answer."""
 
     def run():
         return run_shard_scaling_suite("numpy", SHARD_WORKLOAD)
@@ -51,11 +52,14 @@ def test_bench_shard_scaling_sweep(benchmark, bench_recorder):
         assert result.requests == SHARD_WORKLOAD.num_requests
         assert result.fractional_cost > 0.0
 
-    # Replica workers hold independent algorithm state, so aggregate cost is
-    # load-split-dependent by design (decision equivalence is the *namespace*
-    # strategy's contract, pinned in tests/test_shards.py); here every count
-    # just has to produce real work.
-    assert all(r.augmentations > 0 for r in results)
+    # Namespaces partition the edges, so the worker count cannot change a
+    # decision: augmentations match exactly, and the summed cost matches up
+    # to the order the per-shard costs are added in.
+    assert results[0].augmentations > 0
+    reference = results[0].fractional_cost
+    for result in results:
+        assert result.augmentations == results[0].augmentations, result.name
+        assert abs(result.fractional_cost - reference) <= 1e-9 * abs(reference), result.name
 
     lines, failures = check_shard_scaling(results)
     for line in lines:

@@ -9,8 +9,9 @@ This example shows the serving layer end to end:
    restore from the checkpoint, and verify the resumed decision log is
    identical to an uninterrupted run;
 3. partition a namespaced workload across independent per-shard sessions
-   with a :class:`ShardedStreamRouter`, each shard with its own derived seed
-   and its own checkpoint.
+   with a :class:`ProcessShardPool`, each shard with its own derived seed
+   and its own checkpoint — here in-process; ``start_method=None`` runs the
+   same shards in worker processes with the same decisions.
 
 The same loop is available from the shell (with ``--resume`` across real
 process boundaries):
@@ -27,7 +28,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.engine.streaming import ShardedStreamRouter, StreamingSession
+from repro.engine.shards import ProcessShardPool
+from repro.engine.streaming import StreamingSession
 from repro.workloads.admission_traffic import adversarial_mix_workload, bursty_workload
 
 
@@ -65,10 +67,12 @@ def main() -> None:
     #    "b0:e3" namespace by prefix; every namespace maps deterministically
     #    to one shard, and each shard gets its own derived seed.
     mix = adversarial_mix_workload(num_edges=8, capacity=2, random_state=3)
-    router = ShardedStreamRouter(mix.capacities, 3, algorithm="randomized", seed=7)
-    router.submit_batch(list(mix.requests))
-    summary = router.summary()
-    print(f"Sharded {mix.num_requests} arrivals over {len(router.sessions())} live shards:")
+    with ProcessShardPool(
+        mix.capacities, 3, algorithm="randomized", seed=7, start_method="inline"
+    ) as pool:
+        pool.submit_batch(list(mix.requests))
+        summary = pool.summary()
+    print(f"Sharded {mix.num_requests} arrivals over {len(summary['shards'])} live shards:")
     for shard, line in sorted(summary["shards"].items()):
         print(
             f"  shard {shard}: {line['processed']} arrivals, "

@@ -136,12 +136,10 @@ class _TrialSpec:
     #: Optional ``(instance, algorithm) -> mapping`` measurement hook, run in
     #: the worker right after the online run; merged into the record's extras.
     probe: Optional[Callable[[Any, Any], Mapping[str, Any]]] = None
-    #: Streaming scale-out config (shards/workers/strategy + the algorithm
-    #: key and backend knobs needed to build per-shard sessions).  When set,
-    #: the trial runs through :class:`~repro.engine.streaming.
-    #: ShardedStreamRouter` (in-process) or :class:`~repro.engine.shards.
-    #: ProcessShardPool` (worker processes) instead of a single algorithm
-    #: object; the ``algorithm_factory`` is bypassed.
+    #: Streaming scale-out config (shards/workers + the algorithm key and
+    #: backend knobs needed to build per-shard sessions).  When set, the trial
+    #: runs through a :class:`~repro.engine.shards.ProcessShardPool` instead
+    #: of a single algorithm object; the ``algorithm_factory`` is bypassed.
     sharding: Optional[Dict[str, Any]] = None
 
 
@@ -227,67 +225,40 @@ def _evaluate_fractional_trial(
 def _evaluate_sharded_trial(instance: AdmissionInstance, spec: _TrialSpec) -> CompetitiveRecord:
     """Evaluate one trial through the sharded streaming layer.
 
-    Builds a :class:`~repro.engine.streaming.ShardedStreamRouter` (in-process,
-    ``workers == 1``) or a :class:`~repro.engine.shards.ProcessShardPool`
-    (one worker process per shard) over the instance's capacities, streams the
-    arrivals through it, and aggregates the per-shard fractional costs.  Under
-    the ``namespace`` strategy the aggregate equals a single-process router
-    run at 1e-9 (the pool builds the identical sessions), so the reported
-    ratio is independent of worker count.  The comparator is the *global* LP
-    optimum, as in :func:`_evaluate_fractional_trial`.
+    Builds a :class:`~repro.engine.shards.ProcessShardPool` over the
+    instance's capacities (shards in-process when ``workers == 1``, else one
+    worker process per shard), streams the arrivals through it, and
+    aggregates the per-shard fractional costs.  Shard decisions do not
+    depend on where a shard runs, so the reported ratio is independent of
+    worker count.  The comparator is the *global* LP optimum, as in
+    :func:`_evaluate_fractional_trial`.
     """
+    from repro.engine.shards import INLINE, ProcessShardPool
+
     sharding = spec.sharding or {}
     algorithm_key = sharding["algorithm"]
-    strategy = sharding.get("strategy", "namespace")
     workers = int(sharding.get("workers", 1))
     shards = int(sharding.get("shards", 1))
-    kwargs = dict(sharding.get("algorithm_kwargs") or {})
-    vectorized = bool(sharding.get("vectorized", True))
     # The fractional mechanism is deterministic; the session seed is provenance
     # only, but derive it from the trial's seed pair so it stays reproducible.
     seed = int(as_generator(spec.algo_seed).integers(2**31 - 1))
 
     start = time.perf_counter()
-    shard_lines: List[Dict[str, Any]]
-    if workers > 1:
-        from repro.engine.shards import ProcessShardPool
-
-        with ProcessShardPool(
-            instance.capacities,
-            workers,
-            algorithm_key,
-            strategy=strategy,
-            backend=sharding.get("backend"),
-            record=sharding.get("record"),
-            seed=seed,
-            algorithm_kwargs=kwargs,
-            retain_log=False,
-            vectorized=vectorized,
-            name=instance.name,
-        ) as pool:
-            pool.submit_stream(iter(instance.requests))
-            shard_lines = list(pool.summary()["shards"].values())
-    else:
-        from repro.engine.streaming import ShardedStreamRouter
-
-        router = ShardedStreamRouter(
-            instance.capacities,
-            shards,
-            algorithm_key,
-            backend=sharding.get("backend"),
-            record=sharding.get("record"),
-            seed=seed,
-            algorithm_kwargs=kwargs,
-            retain_log=False,
-            vectorized=vectorized,
-            name=instance.name,
-        )
-        router.submit_batch(list(instance.requests))
-        shard_lines = []
-        for _, session in router.sessions():
-            line = session.summary()
-            line["augmentations"] = getattr(session.algorithm, "num_augmentations", None)
-            shard_lines.append(line)
+    with ProcessShardPool(
+        instance.capacities,
+        shards,
+        algorithm_key,
+        backend=sharding.get("backend"),
+        record=sharding.get("record"),
+        seed=seed,
+        algorithm_kwargs=dict(sharding.get("algorithm_kwargs") or {}),
+        retain_log=False,
+        vectorized=bool(sharding.get("vectorized", True)),
+        name=instance.name,
+        start_method=None if workers > 1 else INLINE,
+    ) as pool:
+        pool.submit_stream(iter(instance.requests))
+        shard_lines = list(pool.summary()["shards"].values())
     online_seconds = time.perf_counter() - start
 
     missing = [line["name"] for line in shard_lines if "fractional_cost" not in line]
@@ -320,7 +291,6 @@ def _evaluate_sharded_trial(instance: AdmissionInstance, spec: _TrialSpec) -> Co
             "online_seconds": online_seconds,
             "shards": shards,
             "workers": workers,
-            "strategy": strategy,
         },
     )
 

@@ -82,7 +82,6 @@ class Runner:
         return {
             "shards": spec.shards,
             "workers": spec.workers,
-            "strategy": spec.strategy,
             "algorithm": spec.algorithm,
             "backend": spec.backend,
             "record": spec.record,

@@ -117,15 +117,12 @@ class RunSpec:
         (:mod:`repro.engine.vectorized`) — the ``mode="compiled"`` default
         fast path.  ``RunSpec(vectorized=False)`` is the per-arrival escape
         hatch; like ``record`` it never changes a reported number.
-    shards / workers / strategy:
-        Streaming scale-out (``mode="streaming"`` only).  ``shards`` runs the
-        arrival stream through an in-process
-        :class:`~repro.engine.streaming.ShardedStreamRouter` partition;
-        ``workers`` > 1 promotes the same vector of sessions to a
-        :class:`~repro.engine.shards.ProcessShardPool` (one worker process
-        per shard, shared-memory compiled traces).  ``strategy`` is a
-        :data:`~repro.engine.shards.ROUTING_STRATEGIES` key; ``"namespace"``
-        (the default) is bit-compatible with the single-process router, so
+    shards / workers:
+        Streaming scale-out (``mode="streaming"`` only).  ``shards`` > 1
+        partitions the edges by namespace across a
+        :class:`~repro.engine.shards.ProcessShardPool`, whose sessions run
+        in-process; ``workers`` > 1 runs the same sessions in one worker
+        process per shard.  Decisions do not depend on where a shard runs, so
         reported numbers are independent of ``workers``.  ``shards`` defaults
         to ``workers`` when only ``workers`` is given.
     offline:
@@ -164,7 +161,6 @@ class RunSpec:
     vectorized: bool = True
     shards: int = 1
     workers: int = 1
-    strategy: str = "namespace"
     offline: str = "lp"
     ilp_time_limit: Optional[float] = 20.0
     randomized_bound: bool = True
@@ -317,34 +313,22 @@ class RunSpec:
             value = getattr(self, field_name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise RunSpecError(f"{field_name} must be a positive integer, got {value!r}")
-        if not isinstance(self.strategy, str) or not self.strategy.strip():
-            raise RunSpecError(f"strategy must be a routing-strategy key, got {self.strategy!r}")
-        object.__setattr__(self, "strategy", self.strategy.strip().lower())
         # `workers` alone means "one shard per worker" — normalise before the
         # consistency checks so downstream layers see one shard count.
         if self.workers > 1 and self.shards == 1:
             object.__setattr__(self, "shards", self.workers)
-        if self.shards == 1 and self.workers == 1 and self.strategy == "namespace":
+        if self.shards == 1 and self.workers == 1:
             return  # the default: no scale-out, nothing further to validate
-        from repro.engine.shards import ROUTING_STRATEGIES
-
-        ROUTING_STRATEGIES.get(self.strategy)  # unknown keys raise UnknownKeyError
         if self.mode != "streaming":
             raise RunSpecError(
-                f"shards={self.shards}/workers={self.workers}/strategy={self.strategy!r} "
+                f"shards={self.shards}/workers={self.workers} "
                 f"require mode='streaming'; got mode={self.mode!r}"
             )
         if self.workers > 1 and self.shards != self.workers:
             raise RunSpecError(
                 f"a process pool runs one shard per worker; got shards={self.shards} "
                 f"with workers={self.workers} (pass shards=workers, or shards= alone "
-                f"for the in-process router)"
-            )
-        if self.workers == 1 and self.shards > 1 and self.strategy != "namespace":
-            raise RunSpecError(
-                f"the in-process router supports only strategy='namespace'; "
-                f"strategy={self.strategy!r} needs workers={self.shards} "
-                f"(a process pool with replicated capacity maps)"
+                f"for in-process shards)"
             )
         if not isinstance(self.algorithm, str):
             raise RunSpecError(

@@ -43,8 +43,8 @@ and ``--jobs`` never changes any number at all.
 
 The ``serve`` subcommand is the streaming service front-end: it replays a
 JSONL trace through a long-lived :class:`~repro.engine.streaming.
-StreamingSession` (or a :class:`~repro.engine.streaming.ShardedStreamRouter`
-with ``--shards N``), micro-batching arrivals through the compiled fast path,
+StreamingSession` (or a :class:`~repro.engine.shards.ProcessShardPool` with
+``--shards N``), micro-batching arrivals through the compiled fast path,
 appending decisions to ``--log``, and checkpointing to ``--checkpoint`` every
 ``--checkpoint-every`` arrivals::
 
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "what",
         nargs="?",
         default="all",
-        choices=["all", "experiments", "algorithms", "scenarios", "backends", "strategies", "lint"],
+        choices=["all", "experiments", "algorithms", "scenarios", "backends", "lint"],
         help="which registry section to print (default: all)",
     )
 
@@ -257,14 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=1,
-        help="run the shards in N worker processes (a ProcessShardPool with "
-        "shared-memory traces) instead of in-process (default: 1)",
+        help="run the shards in N worker processes instead of in-process; same "
+        "decisions either way (default: 1)",
     )
+    # Reaches no code: edges always partition by namespace.  The flag still
+    # parses because perfbench's service_window workload pins
+    # `--strategy namespace` (perfbench/service.py).
     serve_parser.add_argument(
-        "--strategy", default="namespace",
-        help="routing strategy for --workers pools: namespace (bit-compatible with "
-        "the in-process router), round_robin, least_loaded, cost_aware "
-        "(default: namespace)",
+        "--strategy", choices=["namespace"], default="namespace",
+        help="accepted for compatibility; edges always partition by namespace",
     )
     serve_parser.add_argument(
         "--batch", type=int, default=64, help="micro-batch size through the compiled path"
@@ -423,11 +424,6 @@ def _cmd_list(args, out) -> int:
         sections.append(("scenarios", _scenario_lines()))
     if what in ("all", "backends"):
         sections.append(("weight backends", _backend_choices()))
-    if what in ("all", "strategies"):
-        ensure_builtin_registrations()
-        from repro.engine.shards import ROUTING_STRATEGIES
-
-        sections.append(("routing strategies", ROUTING_STRATEGIES.keys()))
     if what in ("all", "lint"):
         from repro.lint import describe_rules
 
@@ -565,7 +561,6 @@ def _service_config_from_args(args):
         seed=args.seed,
         shards=args.shards,
         workers=args.workers,
-        strategy=args.strategy,
         batch=args.batch,
         batch_wait_ms=args.batch_wait_ms,
         checkpoint=args.checkpoint,
@@ -725,13 +720,13 @@ def _cmd_bench(args, out) -> int:
     shard_results = []
     if not args.quick or args.shard_requests is not None:
         # Multi-process sweep on the numpy backend only: the pool measures
-        # process scale-out, and one compiled trace is shared across counts.
+        # process scale-out, and one namespaced trace is shared across counts.
         shard_results = run_shard_scaling_suite("numpy", shard_workload)
         results.extend(shard_results)
         for result in shard_results:
             print(
                 f"{result.name}[{result.backend}]: {result.seconds:.3f}s "
-                f"({result.requests} requests over the shared-memory pool, "
+                f"({result.requests} namespaced arrivals over worker processes, "
                 f"{result.requests_per_sec:,.0f} req/s)",
                 file=out,
             )

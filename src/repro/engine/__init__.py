@@ -64,10 +64,14 @@ def __getattr__(name: str):
         from repro.engine import sweep
 
         return getattr(sweep, name)
-    if name in ("StreamingSession", "ShardedStreamRouter", "STREAMING_ALGORITHMS"):
+    if name in ("StreamingSession", "STREAMING_ALGORITHMS"):
         from repro.engine import streaming
 
         return getattr(streaming, name)
+    if name == "ProcessShardPool":
+        from repro.engine.shards import ProcessShardPool
+
+        return ProcessShardPool
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -75,7 +79,7 @@ __all__ = [
     "ScenarioSweep",
     "SweepResult",
     "StreamingSession",
-    "ShardedStreamRouter",
+    "ProcessShardPool",
     "STREAMING_ALGORITHMS",
     "ArrivalOutcome",
     "AugmentationRecord",

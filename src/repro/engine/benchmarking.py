@@ -78,6 +78,7 @@ __all__ = [
     "SCALING_THROUGHPUT_FLOOR",
     "SHARD_SCALING_MIN_SPEEDUP",
     "SHARD_SCALING_WORKER_COUNTS",
+    "SHARD_SCALING_NAMESPACES",
     "default_baseline_path",
 ]
 
@@ -108,6 +109,9 @@ SHARD_SCALING_MIN_SPEEDUP = 2.5
 
 #: The worker counts the shard-scaling benchmark sweeps.
 SHARD_SCALING_WORKER_COUNTS: Tuple[int, ...] = (1, 2, 4, 8)
+
+#: Namespaces in the shard-scaling trace, each a copy of the scaling shape.
+SHARD_SCALING_NAMESPACES = 64
 
 
 def available_cpus() -> int:
@@ -262,6 +266,43 @@ class ScalingWorkload:
             capacities,
             RequestSequence(requests),
             name=f"scaling-{self.num_requests // 1000}k",
+        )
+
+    def namespaced_instance(self) -> AdmissionInstance:
+        """The same shape in :data:`SHARD_SCALING_NAMESPACES` disjoint namespaces.
+
+        Namespace ``n{k}`` holds its own ``num_edges`` edges ``"n{k}:{j}"``
+        with the hot/cold capacities above, and every arrival stays inside
+        one namespace, so a shard pool partitions the trace exactly.
+        Consecutive arrivals always change namespace (there are no
+        same-namespace runs); within its namespace an arrival crosses the
+        next hot edge in turn plus ``path_length - 1`` random cold edges.
+        Everything derives from ``seed``.
+        """
+        spaces = SHARD_SCALING_NAMESPACES
+        rng = np.random.default_rng(self.seed)
+        # A walk with steps in 1..spaces-1 never stays in one namespace.
+        namespace = np.cumsum(rng.integers(1, spaces, size=self.num_requests)) % spaces
+        cold = rng.integers(self.num_hot, self.num_edges, size=(self.num_requests, self.path_length - 1))
+        costs = rng.uniform(1.0, 8.0, size=self.num_requests)
+        capacities: Dict[EdgeId, int] = {
+            f"n{k}:{j}": self.capacity if j < self.num_hot else self.num_requests + 1
+            for k in range(spaces)
+            for j in range(self.num_edges)
+        }
+        arrivals_in = [0] * spaces
+        requests = []
+        for rid in range(self.num_requests):
+            k = int(namespace[rid])
+            edges = {arrivals_in[k] % self.num_hot, *cold[rid].tolist()}
+            arrivals_in[k] += 1
+            requests.append(
+                Request(rid, frozenset(f"n{k}:{j}" for j in edges), float(costs[rid]))
+            )
+        return AdmissionInstance(
+            capacities,
+            RequestSequence(requests),
+            name=f"shard-scaling-{self.num_requests // 1000}k",
         )
 
 
@@ -588,37 +629,30 @@ def run_shard_scaling_bench(
     workload: Optional[ScalingWorkload] = None,
     num_workers: int = 1,
     *,
-    strategy: str = "round_robin",
     chunk: int = 4096,
-    compiled=None,
+    instance: Optional[AdmissionInstance] = None,
 ) -> BenchResult:
-    """Time the multi-process shard pool over the (shared-memory) scaling trace.
+    """Time the shard pool's worker processes over the namespaced scaling trace.
 
-    The compiled trace's CSR arrays are published once via shared memory and
-    mapped zero-copy by every worker; arrivals then stream as ``[lo, hi)``
-    ranges (two integers per batch over the pipe) routed by ``strategy``.
-    The measured window covers publish + routing + processing + drain — the
-    steady-state serving cost — but not pool construction (process startup is
-    a one-time service cost, not throughput).  Pass ``compiled`` to share one
-    compilation across worker counts, which is exactly what the pool design
-    pays for.
-
-    The scaling workload's integer edge ids all share the ``default``
-    namespace, so the sweep uses a replica strategy (``round_robin`` by
-    default): every worker holds the full capacity map and whole ranges
-    spread across them.
+    The trace (:meth:`ScalingWorkload.namespaced_instance`) partitions
+    exactly, so every worker count computes one answer: the same
+    augmentations, and the same fractional cost up to summation order.
+    Arrivals stream through :meth:`~repro.engine.shards.ProcessShardPool.
+    submit_stream` in ``chunk``-arrival batches, each reaching a worker as
+    one message holding its arrivals.  The measured window covers routing,
+    processing and drain, but not pool construction (process startup is a
+    one-time service cost, not throughput).  Pass ``instance`` to share one
+    trace across worker counts.
     """
     from repro.engine.shards import ProcessShardPool
 
     workload = workload or scaling_100k_workload()
-    instance = workload.instance()
-    if compiled is None:
-        compiled = compile_instance(instance)
+    if instance is None:
+        instance = workload.namespaced_instance()
     with ProcessShardPool(
         instance.capacities,
         num_workers,
         "fractional",
-        strategy=strategy,
         backend=backend,
         record=False,
         seed=workload.seed,
@@ -627,10 +661,7 @@ def run_shard_scaling_bench(
         name=f"shard-scaling-{num_workers}w",
     ) as pool:
         start = time.perf_counter()
-        pool.publish_trace(compiled)
-        for lo in range(0, compiled.num_requests, chunk):
-            pool.submit_range(lo, min(lo + chunk, compiled.num_requests))
-        pool.drain()
+        pool.submit_stream(iter(instance.requests), batch_size=chunk)
         seconds = time.perf_counter() - start
         summary = pool.summary()
     lines = list(summary["shards"].values())
@@ -649,15 +680,12 @@ def run_shard_scaling_suite(
     workload: Optional[ScalingWorkload] = None,
     *,
     worker_counts: Sequence[int] = SHARD_SCALING_WORKER_COUNTS,
-    strategy: str = "round_robin",
 ) -> List[BenchResult]:
-    """Sweep the shard pool over ``worker_counts``, compiling the trace once."""
+    """Sweep the shard pool over ``worker_counts``, building the trace once."""
     workload = workload or scaling_100k_workload()
-    compiled = compile_instance(workload.instance())
+    instance = workload.namespaced_instance()
     return [
-        run_shard_scaling_bench(
-            backend, workload, n, strategy=strategy, compiled=compiled
-        )
+        run_shard_scaling_bench(backend, workload, n, instance=instance)
         for n in worker_counts
     ]
 

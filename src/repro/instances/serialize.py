@@ -68,8 +68,9 @@ CHECKPOINT_KIND = "streaming-checkpoint"
 #: Current checkpoint schema version.  Versioning rule: additive, optional
 #: fields may ride on the same version; any change that alters the meaning of
 #: an existing field, removes one, or changes the weight-state layout bumps
-#: the version, and loaders reject versions they do not know.
-CHECKPOINT_SCHEMA = 1
+#: the version, and loaders reject versions they do not know.  Schema 2 has
+#: one sharded kind (the shard pool's, without routing-strategy fields).
+CHECKPOINT_SCHEMA = 2
 
 
 class TraceFormatError(ValueError):

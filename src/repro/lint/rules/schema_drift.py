@@ -70,7 +70,6 @@ DEFAULT_SCHEMA_SPECS: Tuple[SchemaSpec, ...] = (
         scopes=(
             ("func", "instances/serialize.py", "request_to_state"),
             ("func", "engine/streaming.py", "StreamingSession.checkpoint"),
-            ("func", "engine/streaming.py", "ShardedStreamRouter.checkpoint"),
             ("func", "engine/shards.py", "ProcessShardPool.checkpoint"),
         ),
     ),

@@ -10,7 +10,7 @@ Everything between a TCP socket and the streaming engine lives here:
   (trace replay or network front door) compiles down to;
 * :mod:`repro.service.server` — :class:`~repro.service.server.
   AdmissionService`, the asyncio front door that micro-batches wire requests
-  into the existing sessions / routers / shard pools;
+  into the existing sessions and shard pools;
 * :mod:`repro.service.client` — :class:`~repro.service.client.
   AdmissionClient`, the blocking client SDK whose method surface mirrors
   :class:`~repro.engine.streaming.StreamingSession`;

@@ -8,7 +8,7 @@ contract mirrors ``RunSpec``'s:
 
 * construction validates everything eagerly — a bad config never gets as far
   as opening a socket or forking a worker;
-* registry lookups (algorithm / backend / strategy) raise the registries'
+* registry lookups (algorithm / backend) raise the registries'
   :class:`~repro.engine.registry.UnknownKeyError`, whose message lists every
   known key;
 * :meth:`ServiceConfig.from_kwargs` rejects unknown keyword arguments with an
@@ -71,7 +71,6 @@ class ServiceConfig:
     seed: int = 0
     shards: Optional[int] = None
     workers: int = 1
-    strategy: str = "namespace"
     batch: int = 64
     batch_wait_ms: float = 2.0
     checkpoint: Optional[str] = None
@@ -86,7 +85,7 @@ class ServiceConfig:
         """Build a config from keyword arguments, rejecting unknown keys.
 
         The error lists every known field — the same exact-listing contract
-        the registries give unknown algorithm/backend/strategy keys.
+        the registries give unknown algorithm/backend keys.
         """
         known = [f.name for f in dataclasses.fields(cls)]
         unknown = sorted(set(kwargs) - set(known))
@@ -113,11 +112,9 @@ class ServiceConfig:
             self._set("checkpoint", str(self.checkpoint))
         if self.log is not None:
             self._set("log", str(self.log))
-        for field in ("algorithm", "strategy"):
-            value = getattr(self, field)
-            if not isinstance(value, str) or not value.strip():
-                raise ServiceConfigError(f"--{field} must be a registry key, got {value!r}")
-            self._set(field, value.strip().lower())
+        if not isinstance(self.algorithm, str) or not self.algorithm.strip():
+            raise ServiceConfigError(f"--algorithm must be a registry key, got {self.algorithm!r}")
+        self._set("algorithm", self.algorithm.strip().lower())
         if self.backend is not None:
             self._set("backend", str(self.backend).strip().lower())
         try:
@@ -160,23 +157,16 @@ class ServiceConfig:
                 f"a worker pool runs one shard per worker; "
                 f"got --shards {self.shards} with --workers {self.workers}"
             )
-        if self.workers == 1 and self.strategy != "namespace":
-            raise ServiceConfigError(
-                f"--strategy {self.strategy} routes across worker processes; "
-                f"it requires --workers >= 2 (the in-process router is namespace-only)"
-            )
 
     def _validate_registries(self) -> None:
         # Unknown keys raise the registries' UnknownKeyError, whose message
         # lists every known key — the library-wide lookup contract.
         from repro.engine.registry import WEIGHT_BACKENDS
         from repro.engine.runtime import ensure_builtin_registrations
-        from repro.engine.shards import ROUTING_STRATEGIES
         from repro.engine.streaming import STREAMING_ALGORITHMS
 
         ensure_builtin_registrations()
         STREAMING_ALGORITHMS.get(self.algorithm)
-        ROUTING_STRATEGIES.get(self.strategy)
         if self.backend is not None:
             WEIGHT_BACKENDS.get(self.backend)
 

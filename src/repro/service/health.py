@@ -1,9 +1,8 @@
 """Per-shard health monitoring for the admission service.
 
 The monitor polls the serving backend's uniform ``shard_stats()`` surface
-(:class:`~repro.engine.streaming.StreamingSession`,
-:class:`~repro.engine.streaming.ShardedStreamRouter` and
-:class:`~repro.engine.shards.ProcessShardPool` all export the same shape) and
+(:class:`~repro.engine.streaming.StreamingSession` and
+:class:`~repro.engine.shards.ProcessShardPool` export the same shape) and
 classifies each shard:
 
 ``healthy``
@@ -13,7 +12,8 @@ classifies each shard:
     counter has not moved for ``stall_after`` seconds — the queue-lag signal
     that a shard is wedged or drowning;
 ``dead``
-    the worker process is gone (only a multi-process pool can report this).
+    the worker process is gone (only a pool with worker processes can
+    report this).
 
 The overall service state is the worst shard state.  Observation is pull
 based and non-blocking — the pool's ``shard_stats`` only reaps replies that

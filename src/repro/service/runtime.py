@@ -6,8 +6,8 @@ need the same three pieces:
 
 * :func:`build_backend` turns a validated
   :class:`~repro.service.config.ServiceConfig` into a live serving object
-  (session / router / process pool), dispatching on the checkpoint's
-  self-describing ``kind`` on ``--resume``;
+  (session or shard pool), dispatching on the checkpoint's self-describing
+  ``kind`` on ``--resume``;
 * :func:`truncate_decision_log` trims a decision log back to the prefix the
   checkpoint attests to (a crash can land between the last durable log flush
   and the next checkpoint; resuming would otherwise append those decisions
@@ -52,52 +52,40 @@ def load_trace_header(trace: str) -> Tuple[Dict[Any, int], Optional[str]]:
 def build_backend(config: ServiceConfig, capacities: Optional[Dict[Any, int]] = None):
     """Build (or resume) the serving backend a config describes.
 
-    Fresh runs build a :class:`~repro.engine.streaming.StreamingSession`
-    (the default), a :class:`~repro.engine.streaming.ShardedStreamRouter`
-    (``shards > 1``) or a :class:`~repro.engine.shards.ProcessShardPool`
-    (``workers > 1``) over ``capacities`` (read from the trace header when
-    not supplied).  ``--resume`` loads the checkpoint and dispatches on its
-    self-describing ``kind``; shard/worker counts repeated on the command
-    line must agree with the checkpoint (a namespace partition is only valid
-    at its own count) and mismatches raise
-    :class:`~repro.service.config.ServiceConfigError` telling the caller the
-    count to resume with.
+    A fresh run builds a :class:`~repro.engine.streaming.StreamingSession`
+    when it has one shard, else a :class:`~repro.engine.shards.
+    ProcessShardPool` over ``capacities`` (read from the trace header when
+    not supplied).  The pool runs its shards in this process when
+    ``workers == 1`` and in worker processes otherwise.  ``--resume`` loads
+    the checkpoint and dispatches on its self-describing ``kind``.  A pool
+    checkpoint resumes under either transport, but a shard count repeated on
+    the command line must agree with it (a namespace partition is only valid
+    at its own count); a mismatch raises
+    :class:`~repro.service.config.ServiceConfigError` naming the count to
+    resume with.
 
     Returns the live service object; ``service.num_processed`` is the resume
     offset (0 for fresh runs).
     """
-    from repro.engine.shards import POOL_CHECKPOINT_KIND, ProcessShardPool
-    from repro.engine.streaming import (
-        ROUTER_CHECKPOINT_KIND,
-        ShardedStreamRouter,
-        StreamingSession,
-    )
+    from repro.engine.shards import INLINE, POOL_CHECKPOINT_KIND, ProcessShardPool
+    from repro.engine.streaming import StreamingSession
     from repro.instances.serialize import load_checkpoint
 
+    start_method = None if config.workers > 1 else INLINE
     if config.resume:
         document = load_checkpoint(config.checkpoint, expected_kind=None)
-        kind = document.get("kind")
-        if kind == POOL_CHECKPOINT_KIND:
-            if config.workers > 1 and int(document["num_workers"]) != config.workers:
+        if document.get("kind") == POOL_CHECKPOINT_KIND:
+            written = int(document["num_shards"])
+            unit = "shard" if config.shards is not None else "worker"
+            if (config.shards is not None or config.workers > 1) and config.num_shards != written:
                 raise ServiceConfigError(
-                    f"checkpoint was written by a {document['num_workers']}-worker "
-                    f"pool; resume with --workers {document['num_workers']} (or omit "
-                    f"--workers to accept the checkpoint's count)"
+                    f"checkpoint was written by a {written}-{unit} pool; resume with "
+                    f"--{unit}s {written} (or omit --{unit}s to accept the checkpoint's count)"
                 )
             return ProcessShardPool.restore(
-                document, backend=config.backend, retain_log=False
+                document, backend=config.backend, retain_log=False, start_method=start_method
             )
-        if kind == ROUTER_CHECKPOINT_KIND:
-            if config.shards is not None and int(document["num_shards"]) != config.shards:
-                raise ServiceConfigError(
-                    f"checkpoint was written by a {document['num_shards']}-shard "
-                    f"router; resume with --shards {document['num_shards']} (or omit "
-                    f"--shards to accept the checkpoint's count)"
-                )
-            return ShardedStreamRouter.restore(
-                document, backend=config.backend, retain_log=False
-            )
-        if config.workers > 1 or (config.shards is not None and config.shards > 1):
+        if config.num_shards > 1:
             raise ServiceConfigError(
                 "checkpoint holds a single un-sharded session; resume "
                 "without --shards/--workers (re-sharding a live run would "
@@ -108,28 +96,18 @@ def build_backend(config: ServiceConfig, capacities: Optional[Dict[Any, int]] = 
     if capacities is None:
         capacities, _ = load_trace_header(config.trace)
     backend = config.backend or "python"
-    if config.workers > 1:
-        return ProcessShardPool(
-            capacities,
-            config.workers,
-            algorithm=config.algorithm,
-            strategy=config.strategy,
-            backend=backend,
-            seed=config.seed,
-            retain_log=False,
-            name=config.name,
-        )
+    # The serve loops stream entries straight to --log; keeping a second
+    # in-memory copy would grow without bound.
     if config.num_shards > 1:
-        return ShardedStreamRouter(
+        return ProcessShardPool(
             capacities,
             config.num_shards,
             algorithm=config.algorithm,
             backend=backend,
             seed=config.seed,
-            # The serve loops stream entries straight to --log; keeping a
-            # second in-memory copy would grow without bound.
             retain_log=False,
             name=config.name,
+            start_method=start_method,
         )
     return StreamingSession(
         capacities,
@@ -172,7 +150,6 @@ def serve_replay(config: ServiceConfig, out) -> int:
     shutdown: the in-flight micro-batch drains, the checkpoint is written,
     and the loop returns 0 — so ``--resume`` continues seamlessly.
     """
-    from repro.engine.shards import ProcessShardPool
     from repro.scenarios.trace import stream_trace
 
     stream = stream_trace(Path(config.trace))
@@ -181,7 +158,6 @@ def serve_replay(config: ServiceConfig, out) -> int:
     except BaseException:
         stream.close()
         raise
-    pool = service if isinstance(service, ProcessShardPool) else None
     skip = service.num_processed if config.resume else 0
 
     if config.resume:
@@ -256,10 +232,8 @@ def serve_replay(config: ServiceConfig, out) -> int:
         if log_fh is not None:
             log_fh.close()
         stream.close()
-        if pool is not None:
-            # Stops the workers and unlinks any shared-memory segments, on
-            # the success and failure paths alike.
-            pool.close()
+        # Stops a pool's workers, on the success and failure paths alike.
+        service.close()
 
     if shutdown_requested:
         print(

@@ -2,8 +2,8 @@
 
 :class:`AdmissionService` binds a TCP socket, speaks the versioned JSON wire
 schema (:mod:`repro.service.wire`), micro-batches admission requests from
-every connection into the existing serving backends (session / router /
-process shard pool, built by :mod:`repro.service.runtime`), and appends
+every connection into the existing serving backends (session or shard
+pool, built by :mod:`repro.service.runtime`), and appends
 every decision to ``--log`` exactly like the replay loop — same entries,
 same ``sort_keys`` JSON, same durability order — which is what makes the
 network path byte-identical to an in-process run over the same arrival
@@ -22,8 +22,7 @@ Graceful drain
     connections, rejects frames that arrive after the cut, flushes
     everything already queued through the engine, fsyncs the decision log,
     writes the checkpoint (the backend's own kind — a pool writes
-    ``shard-pool-checkpoint``), closes the pool (unlinking its shared-memory
-    segments) and exits 0.  ``--resume`` then restores a byte-identical
+    ``shard-pool-checkpoint``), stops a pool's workers and exits 0.  ``--resume`` then restores a byte-identical
     decision log.
 
 Health
@@ -195,14 +194,11 @@ class AdmissionService:
         return 0
 
     def _finalize(self, skip: int) -> None:
-        """Drain the backend, persist, close the pool — then report."""
-        from repro.engine.shards import ProcessShardPool
-
+        """Drain the backend, persist, close it — then report."""
         config = self.config
         service = self._service
         try:
-            if isinstance(service, ProcessShardPool):
-                service.drain()
+            service.drain()
             if config.checkpoint is not None:
                 self._save_checkpoint()
             summary = service.summary()
@@ -212,10 +208,8 @@ class AdmissionService:
                 self._log_fh = None
             for writer in list(self._writers):
                 writer.close()
-            if isinstance(service, ProcessShardPool):
-                # Stops the workers and unlinks any shared-memory segments,
-                # on the success and failure paths alike.
-                service.close()
+            # Stops a pool's workers, on the success and failure paths alike.
+            service.close()
         if self._sigterm:
             self._print(
                 f"SIGTERM: drained in-flight requests and "
@@ -453,8 +447,6 @@ class AdmissionService:
 
     async def _control(self, item: _WorkItem) -> None:
         """Handle a stats/drain frame (already ordered after prior submits)."""
-        from repro.engine.shards import ProcessShardPool
-
         if item.kind == "stats":
             assert self._monitor is not None
             self._monitor.observe()
@@ -467,8 +459,7 @@ class AdmissionService:
                 "summary": self._service.summary(),
             }
         else:  # drain: durability barrier for everything submitted before it
-            if isinstance(self._service, ProcessShardPool):
-                self._service.drain()
+            self._service.drain()
             checkpointed = self.config.checkpoint is not None
             if checkpointed:
                 self._save_checkpoint()

@@ -4,13 +4,13 @@ Run as ``python -m repro.service.smoke`` (the ``make service-smoke`` target):
 
 1. record a namespaced adversarial trace;
 2. **uninterrupted leg** — start ``repro serve --listen`` as a real
-   subprocess (2-worker shard pool, shared-memory segments and all), drive
+   subprocess (a shard pool with 2 worker processes), drive
    every arrival over TCP through :class:`~repro.service.AdmissionClient`
    in trace order, SIGTERM it, and keep its decision log;
 3. **interrupted leg** — same service with a checkpoint, drive half the
    arrivals, SIGTERM mid-stream (the graceful drain writes the
-   ``shard-pool-checkpoint``), restart with ``--resume`` in a fresh
-   process, drive the rest from where the welcome frame says the service
+   ``shard-pool-checkpoint``), restart with ``--resume --workers 2`` in a
+   fresh process, drive the rest from where the welcome frame says the service
    stopped, SIGTERM again;
 4. require the two decision logs to be **byte-identical**, the service
    processes to be gone, and ``/dev/shm`` to hold no leaked segments.
@@ -133,7 +133,7 @@ def main() -> int:
     server = ServerProcess(
         [
             "--trace", str(trace), "--listen", "127.0.0.1:0", "--resume",
-            "--checkpoint", str(checkpoint), "--log", str(part_log),
+            "--workers", "2", "--checkpoint", str(checkpoint), "--log", str(part_log),
         ]
     )
     address = server.wait_listening()

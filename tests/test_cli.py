@@ -40,23 +40,16 @@ class TestListCommand:
         code, output = run_cli(["list"])
         assert code == 0
         for heading in ("[experiments]", "[admission algorithms]", "[set-cover algorithms]",
-                        "[streaming algorithms]", "[scenarios]", "[weight backends]",
-                        "[routing strategies]"):
+                        "[streaming algorithms]", "[scenarios]", "[weight backends]"):
             assert heading in output
         assert "fractional" in output
         assert "bursty" in output
         assert "numpy" in output
-        assert "least_loaded" in output
 
     def test_list_single_section(self):
         code, output = run_cli(["list", "backends"])
         assert code == 0
         assert output.split() == ["numpy", "python"]
-
-    def test_list_strategies_section(self):
-        code, output = run_cli(["list", "strategies"])
-        assert code == 0
-        assert output.split() == ["cost_aware", "least_loaded", "namespace", "round_robin"]
 
     def test_list_algorithms_keeps_registry_headings(self):
         # Keys like "doubling" appear in several registries; the headings are
@@ -254,7 +247,7 @@ class TestServeCommand:
         assert '"num_shards": 3' in output
 
     def test_serve_sharded_resume_log_is_byte_identical(self, tmp_path):
-        # Regression: router decision entries must come out in arrival order,
+        # Regression: sharded decision entries must come out in arrival order,
         # not shard order — shard-grouped emission made the combined log
         # depend on batch boundaries, which shift across a resume.
         from repro.scenarios import record_trace
@@ -324,7 +317,7 @@ class TestServeCommand:
         assert "--checkpoint-every requires --checkpoint" in output
 
     def test_serve_resume_dispatches_on_checkpoint_kind(self, tmp_path):
-        # Regression: a sharded checkpoint must resume as a router even when
+        # Regression: a sharded checkpoint must resume as a shard pool even when
         # --shards is not repeated (the checkpoint is self-describing).
         from repro.scenarios import record_trace
         from repro.workloads import adversarial_mix_workload

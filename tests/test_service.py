@@ -101,10 +101,6 @@ class TestServiceConfig:
                 "a worker pool runs one shard per worker; got --shards 2 with --workers 3",
             ),
             (
-                dict(strategy="round_robin"),
-                "--strategy round_robin routes across worker processes",
-            ),
-            (
                 dict(listen="127.0.0.1:0", max_arrivals=10),
                 "--max-arrivals applies to trace replay",
             ),
@@ -117,8 +113,7 @@ class TestServiceConfig:
         assert message in str(err.value)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(algorithm="nope"), dict(strategy="nope", workers=2),
-                   dict(backend="nope")]
+        "kwargs", [dict(algorithm="nope"), dict(backend="nope")]
     )
     def test_registry_keys_validate_eagerly(self, trace_path, kwargs):
         # Registry lookups fail with the known-key listing, not at first use.

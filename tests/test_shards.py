@@ -1,15 +1,16 @@
-"""Tests for the multi-process shard pool: equivalence, checkpoints, hygiene.
+"""Tests for the shard pool: partition equivalence, transports, checkpoints.
 
 Three contracts are load-bearing:
 
-* **Bit-compatibility** — the pool's ``namespace`` strategy must reproduce
-  the in-process :class:`ShardedStreamRouter` (and, through it, the single
-  session) decision-for-decision: scale-out must never change the answer.
-* **Resume equivalence** — a pool checkpointed, killed, and restored into
-  fresh worker processes must finish the stream with the same decisions as
-  an uninterrupted pool.
-* **Shared-memory hygiene** — every published trace segment must be gone
-  from the host after ``close()``/``terminate()``, pass or fail.
+* **Partition equivalence** — the pool must reproduce, decision for
+  decision, one plain session per namespace shard fed that shard's arrivals
+  in order: scale-out must never change the answer.
+* **Transport independence** — shards in the calling process
+  (``start_method="inline"``) and in worker processes give identical
+  results, and a checkpoint written under one transport resumes under the
+  other.
+* **Resume equivalence** — a pool checkpointed, killed, and restored must
+  finish the stream with the same decisions as an uninterrupted pool.
 """
 
 import json
@@ -17,26 +18,24 @@ import json
 import pytest
 
 from repro.api import RunSpec, Runner
-from repro.api.spec import RunSpecError
-from repro.engine.registry import UnknownKeyError
 from repro.engine.shards import (
     POOL_CHECKPOINT_KIND,
     ProcessShardPool,
-    ROUTING_STRATEGIES,
-    SharedCompiledTrace,
-    attach_shared_trace,
-    make_strategy,
-)
-from repro.engine.streaming import (
-    ShardedStreamRouter,
-    StreamingSession,
+    default_namespace,
     validate_shard_partition,
 )
-from repro.instances.compiled import compile_instance
-from repro.instances.serialize import CheckpointFormatError
-from repro.workloads.admission_traffic import adversarial_mix_workload, bursty_workload
+from repro.engine.streaming import StreamingSession
+from repro.instances.request import Request
+from repro.instances.serialize import CheckpointFormatError, load_checkpoint
+from repro.utils.rng import stable_seed
+from repro.workloads.admission_traffic import adversarial_mix_workload
 
 BACKENDS = ("python", "numpy")
+
+#: Every behavioural test runs under both transports.
+TRANSPORTS = pytest.mark.parametrize(
+    "start_method", ["inline", None], ids=["inline", "process"]
+)
 
 #: Explicit g so every execution path prices fractions identically regardless
 #: of how capacities are partitioned across shards (the default g is 2*m*c,
@@ -49,11 +48,23 @@ def mix_instance(seed=3):
     return adversarial_mix_workload(num_edges=8, capacity=2, random_state=seed)
 
 
-def flat_instance(seed=0, num_requests=60):
-    """Single-namespace workload for replica-strategy tests."""
-    return bursty_workload(
-        num_edges=10, num_requests=num_requests, capacity=3, num_hot_edges=3, random_state=seed
-    )
+def namespace_shard(edge, num_shards):
+    """The partition, spelled out independently of the pool."""
+    return stable_seed(default_namespace(edge), "stream-shard") % num_shards
+
+
+def reference_sessions(capacities, requests, num_shards, *, seed, **kwargs):
+    """One plain session per non-empty shard, fed that shard's arrivals in order."""
+    caps = {}
+    for edge, cap in capacities.items():
+        caps.setdefault(namespace_shard(edge, num_shards), {})[edge] = cap
+    sessions = {
+        k: StreamingSession(shard_caps, seed=stable_seed(seed, "stream-shard", k), **kwargs)
+        for k, shard_caps in caps.items()
+    }
+    for request in requests:
+        sessions[namespace_shard(request.ordered_edges[0], num_shards)].submit(request)
+    return sessions
 
 
 def assert_logs_equal(expected, actual, tol=1e-9):
@@ -63,58 +74,196 @@ def assert_logs_equal(expected, actual, tol=1e-9):
         assert a["event"] == b["event"]
         if "fraction" in a:
             assert abs(a["fraction"] - b["fraction"]) <= tol
+        if "at" in a:
+            assert a.get("at") == b.get("at")
+
+
+def assert_shard_logs_equal(expected, actual):
+    assert set(expected) == set(actual)
+    for shard in expected:
+        assert_logs_equal(expected[shard], actual[shard])
 
 
 def total_cost(summary):
     return sum(line["fractional_cost"] for line in summary["shards"].values())
 
 
+def edges_in_two_shards(pool, capacities):
+    """Two edges the pool places in different shards."""
+    by_shard = {}
+    for edge in capacities:
+        by_shard.setdefault(pool.shard_of(Request(0, frozenset([edge]), 1.0)), edge)
+    assert len(by_shard) >= 2, "the mix should spread over several shards"
+    first, second = list(by_shard.values())[:2]
+    return first, second
+
+
+@TRANSPORTS
 class TestNamespaceEquivalence:
-    """Pool(namespace) == in-process router == single session, per backend."""
+    """Pool == one plain session per namespace shard, per backend and transport."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pool_matches_router_decision_for_decision(self, backend):
+    def test_pool_matches_per_shard_sessions(self, backend, start_method):
         mix = mix_instance()
-        router = ShardedStreamRouter(
-            mix.capacities, 2, algorithm="fractional", backend=backend, seed=7,
-            algorithm_kwargs={"g": G},
+        reference = reference_sessions(
+            mix.capacities, mix.requests, 2, seed=7, algorithm="fractional",
+            backend=backend, algorithm_kwargs={"g": G},
         )
-        router.submit_batch(list(mix.requests))
         with ProcessShardPool(
-            mix.capacities, 2, "fractional", strategy="namespace", backend=backend,
-            seed=7, algorithm_kwargs={"g": G},
+            mix.capacities, 2, "fractional", backend=backend, seed=7,
+            algorithm_kwargs={"g": G}, start_method=start_method,
         ) as pool:
             pool.submit_batch(list(mix.requests))
             pool_logs = pool.decision_logs()
             pool_summary = pool.summary()
-        router_logs = router.decision_logs()
-        assert set(pool_logs) == set(router_logs)
-        for shard in router_logs:
-            assert_logs_equal(router_logs[shard], pool_logs[shard])
-        assert abs(total_cost(pool_summary) - total_cost(router.summary())) <= 1e-9
+        assert_shard_logs_equal({k: s.decision_log() for k, s in reference.items()}, pool_logs)
+        reference_cost = sum(s.summary()["fractional_cost"] for s in reference.values())
+        assert abs(total_cost(pool_summary) - reference_cost) <= 1e-9
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_count_invariance(self, backend):
+    def test_shard_count_invariance(self, backend, start_method):
         mix = mix_instance()
         costs = {}
-        for workers in (1, 2, 4):
+        for shards in (1, 2, 4):
             with ProcessShardPool(
-                mix.capacities, workers, "fractional", strategy="namespace",
-                backend=backend, seed=11, algorithm_kwargs={"g": G}, retain_log=False,
+                mix.capacities, shards, "fractional", backend=backend, seed=11,
+                algorithm_kwargs={"g": G}, retain_log=False, start_method=start_method,
             ) as pool:
                 pool.submit_stream(iter(mix.requests))
-                costs[workers] = total_cost(pool.summary())
+                costs[shards] = total_cost(pool.summary())
         reference = costs[1]
         assert all(abs(c - reference) <= 1e-9 * max(abs(reference), 1.0) for c in costs.values())
 
-    def test_shard_of_matches_router_partition(self):
+    def test_shard_of_matches_namespace_partition(self, start_method):
         mix = mix_instance()
-        router = ShardedStreamRouter(mix.capacities, 3, algorithm="fractional", seed=0)
         with ProcessShardPool(
-            mix.capacities, 3, "fractional", strategy="namespace", seed=0, retain_log=False
+            mix.capacities, 3, "fractional", seed=0, retain_log=False,
+            start_method=start_method,
         ) as pool:
             for request in mix.requests:
-                assert pool.shard_of(request) == router.shard_of(request)
+                assert pool.shard_of(request) == namespace_shard(request.ordered_edges[0], 3)
+
+
+@TRANSPORTS
+class TestShardPoolStreaming:
+    def test_namespace_partition_routes_all_requests(self, start_method):
+        mix = mix_instance()
+        with ProcessShardPool(
+            mix.capacities, 3, "fractional", seed=1, start_method=start_method
+        ) as pool:
+            pool.submit_batch(list(mix.requests))
+            assert pool.num_processed == mix.num_requests
+            document = pool.checkpoint()
+        # Every edge landed in exactly one shard.
+        shard_edges = [
+            {json.dumps(item["edge"]) for item in shard["capacities"]}
+            for shard in document["shards"]
+            if shard is not None
+        ]
+        union = set().union(*shard_edges)
+        assert len(union) == len(mix.capacities)
+        assert sum(len(e) for e in shard_edges) == len(union)
+
+    def test_cross_namespace_request_rejected(self, start_method):
+        mix = mix_instance()
+        with ProcessShardPool(mix.capacities, 2, seed=1, start_method=start_method) as pool:
+            assert len({default_namespace(e) for e in mix.capacities}) > 1
+            a, b = edges_in_two_shards(pool, mix.capacities)
+            with pytest.raises(ValueError, match="spans shards"):
+                pool.submit_batch([Request(999, frozenset([a, b]), 1.0)])
+
+    def test_checkpoint_resume_matches_uninterrupted(self, start_method, tmp_path):
+        mix = mix_instance()
+        requests = list(mix.requests)
+        cut = len(requests) // 2
+        with ProcessShardPool(
+            mix.capacities, 3, "randomized", seed=5, start_method=start_method
+        ) as full:
+            full.submit_batch(requests)
+            full_logs = full.decision_logs()
+        with ProcessShardPool(
+            mix.capacities, 3, "randomized", seed=5, start_method=start_method
+        ) as first:
+            first.submit_batch(requests[:cut])
+            path = first.save(tmp_path / "pool.json")
+        document = load_checkpoint(path, expected_kind=POOL_CHECKPOINT_KIND)
+        assert document["num_shards"] == 3
+        with ProcessShardPool.load(path, start_method=start_method) as resumed:
+            assert resumed.num_processed == cut
+            resumed.submit_batch(requests[cut:])
+            assert_shard_logs_equal(full_logs, resumed.decision_logs())
+
+    def test_entries_in_arrival_order_regardless_of_batching(self, start_method):
+        # Regression: shard-grouped emission ordered entries by shard within
+        # each batch, making the combined stream depend on batch boundaries.
+        mix = mix_instance()
+        requests = list(mix.requests)
+        streams = []
+        for batches in ([requests], [requests[:17], requests[17:]], [[r] for r in requests]):
+            with ProcessShardPool(
+                mix.capacities, 3, "doubling", seed=2, start_method=start_method
+            ) as pool:
+                entries = []
+                for batch in batches:
+                    entries.extend(pool.submit_batch(batch))
+            streams.append(entries)
+        assert streams[0] == streams[1] == streams[2]
+
+    def test_per_shard_seeds_differ(self, start_method):
+        mix = mix_instance()
+        with ProcessShardPool(
+            mix.capacities, 3, "randomized", seed=5, start_method=start_method
+        ) as pool:
+            seeds = [shard["seed"] for shard in pool.checkpoint()["shards"] if shard is not None]
+        assert len(seeds) > 1
+        assert len(set(seeds)) == len(seeds)
+
+    def test_session_checkpoint_rejected_as_pool_checkpoint(self, start_method, tmp_path):
+        mix = mix_instance()
+        session = StreamingSession(mix.capacities, algorithm="fractional")
+        session.submit_batch(list(mix.requests))
+        path = session.save(tmp_path / "ck.json")
+        with pytest.raises(CheckpointFormatError, match="kind"):
+            ProcessShardPool.load(path, start_method=start_method)
+
+    def test_tuple_edge_ids_share_default_namespace(self, start_method):
+        # Tuple edge ids (the network layer) have no declared namespaces, so
+        # they all shard together — multi-edge requests must not be rejected.
+        capacities = {(0, 1): 2, (1, 2): 2, (2, 3): 2}
+        with ProcessShardPool(capacities, 4, "fractional", start_method=start_method) as pool:
+            pool.submit_batch([Request(0, frozenset([(0, 1), (1, 2)]), 1.0)])
+            assert pool.num_processed == 1
+            assert len(pool.shard_stats()) == 1
+
+
+class TestUncollectedBatches:
+    def test_one_message_per_shard_same_decisions(self, monkeypatch):
+        # collect=False hands each shard all its arrivals at once; the
+        # per-shard logs equal the run-by-run (collect=True) split.
+        mix = mix_instance()
+        requests = list(mix.requests)
+        with ProcessShardPool(
+            mix.capacities, 3, "randomized", seed=5, start_method="inline"
+        ) as runs:
+            runs.submit_batch(requests)
+            expected = runs.decision_logs()
+
+        calls = []
+        real_submit_batch = StreamingSession.submit_batch
+
+        def spy(session, batch):
+            calls.append(len(batch))
+            return real_submit_batch(session, batch)
+
+        monkeypatch.setattr(StreamingSession, "submit_batch", spy)
+        with ProcessShardPool(
+            mix.capacities, 3, "randomized", seed=5, start_method="inline"
+        ) as grouped:
+            grouped.submit_batch(requests, collect=False)
+            assert grouped.drain() == len(requests)
+            assert len(calls) == len(grouped.shard_stats())
+            assert sum(calls) == len(requests)
+            assert_shard_logs_equal(expected, grouped.decision_logs())
 
 
 class TestPoolCheckpointResume:
@@ -156,172 +305,64 @@ class TestPoolCheckpointResume:
         with ProcessShardPool(mix.capacities, 2, "fractional", seed=1) as pool:
             pool.submit_stream(iter(mix.requests))
             document = json.loads(json.dumps(pool.checkpoint()))
-        document["num_workers"] = 3
+        document["num_shards"] = 3
         with pytest.raises(CheckpointFormatError):
             ProcessShardPool.restore(document)
 
-    def test_round_robin_cursor_survives_restore(self):
-        flat = flat_instance()
-        requests = list(flat.requests)
-        with ProcessShardPool(
-            flat.capacities, 2, "fractional", strategy="round_robin", seed=2,
-            algorithm_kwargs={"g": G}, retain_log=False,
-        ) as pool:
-            pool.submit_batch(requests[:31])
-            document = json.loads(json.dumps(pool.checkpoint()))
-        assert document["strategy"] == "round_robin"
-        resumed = ProcessShardPool.restore(document, retain_log=False)
-        try:
-            # 31 arrivals in: an even split would leave both depths equal, so a
-            # forgotten cursor would re-route arrival 32 to worker 0 twice.
-            assert resumed._strategy.export_state() == {"cursor": 31 % 2}
-        finally:
-            resumed.close()
-
-
-class TestRoutingStrategies:
-    def test_registry_rejects_unknown_strategy(self):
-        with pytest.raises(UnknownKeyError) as excinfo:
-            make_strategy("fastest", 2)
-        message = str(excinfo.value)
-        assert "fastest" in message
-        for key in ROUTING_STRATEGIES.keys():
-            assert key in message
-
-    def test_pool_constructor_rejects_unknown_strategy(self):
+    @pytest.mark.parametrize(
+        "write, read",
+        [("inline", None), (None, "inline")],
+        ids=["inline-to-process", "process-to-inline"],
+    )
+    def test_checkpoint_resumes_under_the_other_transport(self, write, read):
+        # The transport is not state: the same document resumes either way,
+        # and the logs equal the uninterrupted run's.
         mix = mix_instance()
-        with pytest.raises(UnknownKeyError):
-            ProcessShardPool(mix.capacities, 2, "fractional", strategy="fastest")
-
-    def test_round_robin_cycles(self):
-        strategy = make_strategy("round_robin", 3)
-        picks = [strategy.route([1.0], [0, 0, 0]) for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_least_loaded_picks_min_depth(self):
-        strategy = make_strategy("least_loaded", 3)
-        assert strategy.route([1.0], [4, 1, 2]) == 1
-        assert strategy.route([1.0], [2, 2, 2]) == 0  # ties break to low index
-
-    def test_cost_aware_prefers_fast_shards_for_expensive_work(self):
-        strategy = make_strategy("cost_aware", 2, shard_speeds=(1.0, 4.0))
-        first = strategy.route([32.0], [0, 0])
-        assert first == 1  # 4x-speed shard wins the expensive bucket
-        # Pile enough assigned cost onto shard 1 and the slow shard gets work.
-        for _ in range(8):
-            strategy.route([32.0], [0, 0])
-        assert 0 in {strategy.route([0.5], [0, 0]) for _ in range(12)}
-
-    @pytest.mark.parametrize("strategy", ("round_robin", "least_loaded", "cost_aware"))
-    def test_replica_strategies_process_every_arrival(self, strategy):
-        flat = flat_instance()
+        requests = list(mix.requests)
+        cut = len(requests) // 3
         with ProcessShardPool(
-            flat.capacities, 2, "fractional", strategy=strategy, seed=0,
-            algorithm_kwargs={"g": G}, retain_log=False,
-        ) as pool:
-            # Replica routing is per-batch: small batches give the strategy
-            # enough routing decisions to exercise both workers.
-            pool.submit_stream(iter(flat.requests), batch_size=6)
-            summary = pool.summary()
-        assert summary["processed"] == flat.num_requests
-        processed = [line["processed"] for line in summary["shards"].values()]
-        assert sum(processed) == flat.num_requests
-        if strategy in ("round_robin", "cost_aware"):
-            # Deterministic alternation; least_loaded is timing-dependent
-            # (depths reflect in-flight pipeline state), so only the total
-            # is pinned for it.
-            assert all(count > 0 for count in processed)
-
-
-class TestSharedTrace:
-    def test_attach_maps_identical_arrays(self):
-        compiled = compile_instance(flat_instance())
-        trace = SharedCompiledTrace(compiled)
-        try:
-            mapped, segments = attach_shared_trace(trace.handle())
-            try:
-                assert mapped.num_requests == compiled.num_requests
-                assert (mapped.costs == compiled.costs).all()
-                assert (mapped.indptr == compiled.indptr).all()
-                assert (mapped.indices == compiled.indices).all()
-            finally:
-                for segment in segments:
-                    segment.close()
-        finally:
-            trace.close()
-
-    def test_shared_range_matches_in_process_session(self):
-        flat = flat_instance()
-        compiled = compile_instance(flat)
-        session = StreamingSession(
-            flat.capacities, algorithm="fractional", seed=0, algorithm_kwargs={"g": G}
-        )
-        session.submit_compiled_range(compiled, 0, compiled.num_requests)
+            mix.capacities, 2, "randomized", seed=9, start_method=write
+        ) as full:
+            full.submit_stream(iter(requests), batch_size=5)
+            expected = full.decision_logs()
         with ProcessShardPool(
-            flat.capacities, 1, "fractional", strategy="round_robin", seed=0,
-            algorithm_kwargs={"g": G},
+            mix.capacities, 2, "randomized", seed=9, start_method=write
+        ) as first:
+            first.submit_stream(iter(requests[:cut]), batch_size=5)
+            document = json.loads(json.dumps(first.checkpoint()))
+        with ProcessShardPool.restore(document, start_method=read) as resumed:
+            assert (resumed.start_method == "inline") == (read == "inline")
+            assert resumed.num_processed == cut
+            resumed.submit_stream(iter(requests[cut:]), batch_size=5)
+            assert_shard_logs_equal(expected, resumed.decision_logs())
+
+
+@TRANSPORTS
+class TestPartitionValidation:
+    @staticmethod
+    def checkpoint(start_method):
+        mix = mix_instance()
+        with ProcessShardPool(
+            mix.capacities, 2, "fractional", seed=1, start_method=start_method
         ) as pool:
-            pool.publish_trace(compiled)
-            pool.submit_range(0, compiled.num_requests)
-            pool.drain()
-            pool_logs = pool.decision_logs()
-            pool_cost = total_cost(pool.summary())
-        assert_logs_equal(session.decision_log(), pool_logs[0])
-        assert abs(pool_cost - session.summary()["fractional_cost"]) <= 1e-9
+            pool.submit_batch(list(mix.requests))
+            return json.loads(json.dumps(pool.checkpoint()))
 
-    def test_no_segment_leaks_after_close(self):
-        flat = flat_instance()
-        compiled = compile_instance(flat)
-        pool = ProcessShardPool(
-            flat.capacities, 2, "fractional", strategy="round_robin", retain_log=False
-        )
-        try:
-            pool.publish_trace(compiled)
-            names = pool.trace_segment_names()
-            assert names
-        finally:
-            pool.close()
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_publish_trace_rejected_for_partitioned_strategy(self):
-        mix = mix_instance()
-        compiled = compile_instance(mix)
-        with (
-            ProcessShardPool(mix.capacities, 2, "fractional", retain_log=False) as pool,
-            pytest.raises(TypeError),
-        ):
-            pool.publish_trace(compiled)
-
-
-class TestRouterPartitionValidation:
-    def test_router_restore_rejects_shard_count_mismatch(self):
-        mix = mix_instance()
-        router = ShardedStreamRouter(mix.capacities, 2, algorithm="fractional", seed=1)
-        router.submit_batch(list(mix.requests))
-        document = json.loads(json.dumps(router.checkpoint()))
+    def test_restore_rejects_shard_count_mismatch(self, start_method):
+        document = self.checkpoint(start_method)
         document["num_shards"] = 4
         with pytest.raises(CheckpointFormatError) as excinfo:
-            ShardedStreamRouter.restore(document)
+            ProcessShardPool.restore(document, start_method=start_method)
         assert "num_shards" in str(excinfo.value)
 
-    def test_router_restore_rejects_swapped_shards(self):
-        mix = mix_instance()
-        router = ShardedStreamRouter(mix.capacities, 2, algorithm="fractional", seed=1)
-        router.submit_batch(list(mix.requests))
-        document = json.loads(json.dumps(router.checkpoint()))
+    def test_restore_rejects_swapped_shards(self, start_method):
+        document = self.checkpoint(start_method)
         document["shards"] = list(reversed(document["shards"]))
         with pytest.raises(CheckpointFormatError):
-            ShardedStreamRouter.restore(document)
+            ProcessShardPool.restore(document, start_method=start_method)
 
-    def test_validate_shard_partition_passes_valid_checkpoint(self):
-        mix = mix_instance()
-        router = ShardedStreamRouter(mix.capacities, 2, algorithm="fractional", seed=1)
-        router.submit_batch(list(mix.requests))
-        document = json.loads(json.dumps(router.checkpoint()))
+    def test_validate_shard_partition_passes_valid_checkpoint(self, start_method):
+        document = self.checkpoint(start_method)
         validate_shard_partition(document["shards"], 2)
 
 
@@ -337,20 +378,6 @@ class TestRunSpecSharding:
         pooled = runner.run(RunSpec(**base, shards=2, workers=2)).rows[0].online_cost
         assert abs(routed - pooled) <= 1e-9 * max(abs(routed), 1.0)
         assert abs(plain - pooled) <= 1e-9 * max(abs(plain), 1.0)
-
-    def test_spec_rejects_replica_strategy_without_workers(self):
-        with pytest.raises(RunSpecError):
-            RunSpec(
-                scenario="adversarial_mix", algorithm="fractional",
-                mode="streaming", shards=2, strategy="round_robin",
-            )
-
-    def test_spec_rejects_unknown_strategy(self):
-        with pytest.raises(UnknownKeyError):
-            RunSpec(
-                scenario="adversarial_mix", algorithm="fractional",
-                mode="streaming", workers=2, strategy="fastest",
-            )
 
     def test_spec_normalizes_workers_to_shards(self):
         spec = RunSpec(

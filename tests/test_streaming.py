@@ -14,13 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.streaming import (
-    ROUTER_CHECKPOINT_KIND,
-    STREAMING_ALGORITHMS,
-    ShardedStreamRouter,
-    StreamingSession,
-    default_namespace,
-)
+from repro.engine.shards import ProcessShardPool
+from repro.engine.streaming import STREAMING_ALGORITHMS, StreamingSession
 from repro.instances.request import Request
 from repro.instances.serialize import (
     CHECKPOINT_KIND,
@@ -168,11 +163,13 @@ class TestCheckpointRoundTrip:
 
 
 class TestCheckpointValidation:
-    def test_unknown_schema_rejected(self):
+    # Schema 1 predates the single shard-pool kind; there is no converter.
+    @pytest.mark.parametrize("schema", [99, 1])
+    def test_unknown_schema_rejected(self, schema):
         instance = make_instance(0)
         session = run_full(instance, "fractional", "python")
         document = session.checkpoint()
-        document["schema"] = 99
+        document["schema"] = schema
         with pytest.raises(CheckpointFormatError, match="schema"):
             StreamingSession.restore(document)
 
@@ -258,15 +255,6 @@ class TestStreamingSessionBasics:
         with pytest.raises(RuntimeError, match="retain_log"):
             session.decision_log()
 
-    def test_tuple_edge_ids_share_default_namespace(self):
-        # Tuple edge ids (the network layer) have no declared namespaces, so
-        # they all shard together — multi-edge requests must not be rejected.
-        capacities = {(0, 1): 2, (1, 2): 2, (2, 3): 2}
-        router = ShardedStreamRouter(capacities, 4, algorithm="fractional")
-        router.submit(Request(0, frozenset([(0, 1), (1, 2)]), 1.0))
-        assert router.num_processed == 1
-        assert len(router.sessions()) == 1
-
     def test_summary_shape(self):
         instance = make_instance(2)
         session = run_full(instance, "doubling", "numpy", seed=1)
@@ -323,6 +311,50 @@ class TestBatchAtomicity:
         assert hit.num_decisions == clean.num_decisions
         assert_logs_equal(clean.submit_batch(requests[4:12]), hit.submit_batch(requests[4:12]))
         assert_logs_equal(clean.decision_log(), hit.decision_log())
+
+    @staticmethod
+    def bad_pool_batch(pool, capacities, requests, kind):
+        """Twelve valid arrivals over both shards, then one that must sink the batch."""
+        head = requests[:12]
+        by_shard = {}
+        for edge in capacities:
+            by_shard.setdefault(pool.shard_of(Request(0, frozenset([edge]), 1.0)), edge)
+        assert len(by_shard) == 2 and len({pool.shard_of(r) for r in head}) == 2
+        if kind == "spanning":
+            return head + [Request(10_000, frozenset(by_shard.values()), 1.0)]
+        if kind == "unknown-edge":
+            return head + [Request(10_000, frozenset(["no-such-edge"]), 1.0)]
+        # The first arrival's id again, on an edge of the other shard.
+        other = next(e for k, e in by_shard.items() if k != pool.shard_of(head[0]))
+        return head + [Request(head[0].request_id, frozenset([other]), 1.0)]
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("spanning", "spans shards"),
+            ("unknown-edge", "unknown edge 'no-such-edge'"),
+            ("repeated-across-shards", "duplicate request id"),
+        ],
+        ids=["spanning", "unknown-edge", "repeated-across-shards"],
+    )
+    @pytest.mark.parametrize("start_method", ["inline", None], ids=["inline", "process"])
+    def test_pool_rejected_batch_leaves_no_trace(self, start_method, kind, message):
+        mix = adversarial_mix_workload(num_edges=8, capacity=2, random_state=3)
+        requests = list(mix.requests)
+
+        def pool():
+            return ProcessShardPool(
+                mix.capacities, 2, "randomized", seed=3, start_method=start_method
+            )
+
+        with pool() as clean, pool() as hit:
+            with pytest.raises(ValueError, match=message):
+                hit.submit_batch(self.bad_pool_batch(hit, mix.capacities, requests, kind))
+            assert hit.num_processed == clean.num_processed == 0
+            assert hit.num_decisions == clean.num_decisions == 0
+            assert hit.decision_logs() == clean.decision_logs()
+            assert clean.submit_batch(requests) == hit.submit_batch(requests)
+            assert hit.decision_logs() == clean.decision_logs()
 
 
 class TestSessionInterning:
@@ -382,86 +414,6 @@ class TestSessionInterning:
 
         uninterrupted = run_full(instance, algorithm, "numpy", seed=2, batch=5)
         assert_logs_equal(uninterrupted.decision_log(), resumed.decision_log())
-
-
-class TestShardedStreamRouter:
-    def make_mix(self, seed=3):
-        return adversarial_mix_workload(num_edges=8, capacity=2, random_state=seed)
-
-    def test_namespace_partition_routes_all_requests(self):
-        mix = self.make_mix()
-        router = ShardedStreamRouter(mix.capacities, 3, algorithm="fractional", seed=1)
-        router.submit_batch(list(mix.requests))
-        assert router.num_processed == mix.num_requests
-        # Every edge landed in exactly one shard.
-        shard_edges = [set(s.capacities()) for _, s in router.sessions()]
-        union = set().union(*shard_edges)
-        assert union == set(mix.capacities)
-        assert sum(len(e) for e in shard_edges) == len(union)
-
-    def test_cross_namespace_request_rejected(self):
-        mix = self.make_mix()
-        router = ShardedStreamRouter(mix.capacities, 2, seed=1)
-        edges = list(mix.capacities)
-        spanning = {default_namespace(e) for e in edges}
-        assert len(spanning) > 1  # the mix has several block namespaces
-        # Find two edges in different shards and join them in one request.
-        by_shard = {}
-        for e in edges:
-            by_shard.setdefault(
-                router.shard_of(Request(0, frozenset([e]), 1.0)), []
-            ).append(e)
-        if len(by_shard) < 2:
-            pytest.skip("all namespaces hashed to one shard at this seed")
-        (a, *_), (b, *_) = list(by_shard.values())[:2]
-        with pytest.raises(ValueError, match="spans shards"):
-            router.submit(Request(999, frozenset([a, b]), 1.0))
-
-    def test_router_checkpoint_resume_matches_uninterrupted(self, tmp_path):
-        mix = self.make_mix()
-        requests = list(mix.requests)
-        cut = len(requests) // 2
-        full = ShardedStreamRouter(mix.capacities, 3, algorithm="randomized", seed=5)
-        full.submit_batch(requests)
-        first = ShardedStreamRouter(mix.capacities, 3, algorithm="randomized", seed=5)
-        first.submit_batch(requests[:cut])
-        path = first.save(tmp_path / "router.json")
-        document = load_checkpoint(path, expected_kind=ROUTER_CHECKPOINT_KIND)
-        assert document["num_shards"] == 3
-        resumed = ShardedStreamRouter.load(path)
-        assert resumed.num_processed == cut
-        resumed.submit_batch(requests[cut:])
-        full_logs, resumed_logs = full.decision_logs(), resumed.decision_logs()
-        assert set(full_logs) == set(resumed_logs)
-        for shard in full_logs:
-            assert_logs_equal(full_logs[shard], resumed_logs[shard])
-
-    def test_router_entries_in_arrival_order_regardless_of_batching(self):
-        # Regression: shard-grouped emission ordered entries by shard within
-        # each batch, making the combined stream depend on batch boundaries.
-        mix = self.make_mix()
-        requests = list(mix.requests)
-        streams = []
-        for batches in ([requests], [requests[:17], requests[17:]], [[r] for r in requests]):
-            router = ShardedStreamRouter(mix.capacities, 3, algorithm="doubling", seed=2)
-            entries = []
-            for batch in batches:
-                entries.extend(router.submit_batch(batch))
-            streams.append(entries)
-        assert streams[0] == streams[1] == streams[2]
-
-    def test_per_shard_seeds_differ(self):
-        mix = self.make_mix()
-        router = ShardedStreamRouter(mix.capacities, 3, algorithm="randomized", seed=5)
-        seeds = [s.seed for _, s in router.sessions()]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_session_checkpoint_rejected_as_router_checkpoint(self, tmp_path):
-        instance = make_instance(0)
-        session = run_full(instance, "fractional", "python")
-        path = session.save(tmp_path / "ck.json")
-        with pytest.raises(CheckpointFormatError, match="kind"):
-            ShardedStreamRouter.load(path)
 
 
 class TestStreamingSweepPath:
