@@ -54,6 +54,10 @@ appending decisions to ``--log``, and checkpointing to ``--checkpoint`` every
     python -m repro serve --trace day1.jsonl --checkpoint state.json --resume \
         --log decisions.jsonl                 # continues exactly where it stopped
 
+``--workers N`` runs the shards in worker processes instead.  A checkpoint
+does not record that choice: ``--resume`` runs the shards in worker processes
+only when ``--workers N`` is given again, and in this process otherwise.
+
 With ``--listen HOST:PORT`` the same subcommand becomes a long-lived network
 admission service (the asyncio front door in :mod:`repro.service`): arrivals
 come in over a versioned JSON wire protocol instead of the trace (the trace
@@ -258,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers", type=int, default=1,
         help="run the shards in N worker processes instead of in-process; same "
-        "decisions either way (default: 1)",
+        "decisions either way (default: 1; a checkpoint does not record it, so "
+        "repeat it on --resume to keep worker processes)",
     )
     # Reaches no code: edges always partition by namespace.  The flag still
     # parses because perfbench's service_window workload pins
@@ -285,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--resume", action="store_true",
-        help="restore the session from --checkpoint and continue where it stopped",
+        help="restore the session from --checkpoint and continue where it stopped "
+        "(a shard pool resumes in this process unless --workers N is given again)",
     )
     serve_parser.add_argument(
         "--max-arrivals", type=int, default=None, metavar="N",

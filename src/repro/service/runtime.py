@@ -58,11 +58,12 @@ def build_backend(config: ServiceConfig, capacities: Optional[Dict[Any, int]] = 
     not supplied).  The pool runs its shards in this process when
     ``workers == 1`` and in worker processes otherwise.  ``--resume`` loads
     the checkpoint and dispatches on its self-describing ``kind``.  A pool
-    checkpoint resumes under either transport, but a shard count repeated on
-    the command line must agree with it (a namespace partition is only valid
-    at its own count); a mismatch raises
-    :class:`~repro.service.config.ServiceConfigError` naming the count to
-    resume with.
+    checkpoint does not record its transport: it resumes in worker
+    processes only when ``workers > 1`` is given again, and in this process
+    otherwise.  A shard count repeated on the command line must agree with
+    it (a namespace partition is only valid at its own count); a mismatch
+    raises :class:`~repro.service.config.ServiceConfigError` naming the
+    count to resume with.
 
     Returns the live service object; ``service.num_processed`` is the resume
     offset (0 for fresh runs).
@@ -76,11 +77,13 @@ def build_backend(config: ServiceConfig, capacities: Optional[Dict[Any, int]] = 
         document = load_checkpoint(config.checkpoint, expected_kind=None)
         if document.get("kind") == POOL_CHECKPOINT_KIND:
             written = int(document["num_shards"])
-            unit = "shard" if config.shards is not None else "worker"
-            if (config.shards is not None or config.workers > 1) and config.num_shards != written:
+            flags = ["--shards"] * (config.shards is not None) + ["--workers"] * (config.workers > 1)
+            if flags and config.num_shards != written:
                 raise ServiceConfigError(
-                    f"checkpoint was written by a {written}-{unit} pool; resume with "
-                    f"--{unit}s {written} (or omit --{unit}s to accept the checkpoint's count)"
+                    f"checkpoint holds {written} shards; resume with "
+                    + " ".join(f"{flag} {written}" for flag in flags)
+                    + f" (omitting {' and '.join(flags)} resumes its {written} shards "
+                    "in this process)"
                 )
             return ProcessShardPool.restore(
                 document, backend=config.backend, retain_log=False, start_method=start_method

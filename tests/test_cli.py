@@ -338,6 +338,84 @@ class TestServeCommand:
         assert code == 0
         assert '"num_shards": 3' in output
 
+    @pytest.mark.parametrize(
+        "resume_flags, in_process",
+        [([], True), (["--workers", "2"], False)],
+        ids=["flagless-in-process", "workers-in-processes"],
+    )
+    def test_serve_resume_transport_comes_from_flags(
+        self, tmp_path, monkeypatch, resume_flags, in_process
+    ):
+        # A checkpoint does not record its transport: a --workers 2 checkpoint
+        # resumes in worker processes only when --workers 2 is given again.
+        from repro.engine.shards import INLINE, ProcessShardPool
+        from repro.scenarios import record_trace
+        from repro.workloads import adversarial_mix_workload
+
+        trace = record_trace(
+            adversarial_mix_workload(num_edges=8, capacity=2, random_state=3),
+            tmp_path / "mix.jsonl",
+        )
+        checkpoint = tmp_path / "ck.json"
+        code, _ = run_cli(
+            ["serve", "--trace", str(trace), "--workers", "2", "--algorithm", "fractional",
+             "--checkpoint", str(checkpoint), "--max-arrivals", "30"]
+        )
+        assert code == 0
+        transports = []
+        restore = ProcessShardPool.restore.__func__
+
+        def spy(cls, document, **kwargs):
+            pool = restore(cls, document, **kwargs)
+            transports.append(pool.start_method)
+            return pool
+
+        monkeypatch.setattr(ProcessShardPool, "restore", classmethod(spy))
+        code, output = run_cli(
+            ["serve", "--trace", str(trace), "--resume", "--checkpoint", str(checkpoint)]
+            + resume_flags
+        )
+        assert code == 0
+        assert '"num_shards": 2' in output
+        assert len(transports) == 1
+        assert (transports[0] == INLINE) == in_process
+
+    @pytest.mark.parametrize(
+        "resume_flags, message",
+        [
+            (["--shards", "3"],
+             "resume with --shards 2 (omitting --shards resumes its 2 shards in this process)"),
+            (["--workers", "3"],
+             "resume with --workers 2 (omitting --workers resumes its 2 shards in this process)"),
+            (["--shards", "3", "--workers", "3"],
+             "resume with --shards 2 --workers 2 (omitting --shards and --workers resumes "
+             "its 2 shards in this process)"),
+        ],
+        ids=["shards", "workers", "both"],
+    )
+    def test_serve_resume_shard_count_mismatch_names_the_flags(
+        self, tmp_path, resume_flags, message
+    ):
+        from repro.scenarios import record_trace
+        from repro.workloads import adversarial_mix_workload
+
+        trace = record_trace(
+            adversarial_mix_workload(num_edges=8, capacity=2, random_state=3),
+            tmp_path / "mix.jsonl",
+        )
+        checkpoint = tmp_path / "ck.json"
+        code, _ = run_cli(
+            ["serve", "--trace", str(trace), "--shards", "2", "--algorithm", "fractional",
+             "--checkpoint", str(checkpoint), "--max-arrivals", "30"]
+        )
+        assert code == 0
+        code, output = run_cli(
+            ["serve", "--trace", str(trace), "--resume", "--checkpoint", str(checkpoint)]
+            + resume_flags
+        )
+        assert code == 2
+        assert f"error: checkpoint holds 2 shards; {message}" in output
+
     def test_serve_sharded_plain_string_edges_single_namespace(self, trace_path):
         # Non-namespaced edge ids all share one namespace: sharding degrades
         # to one live shard instead of rejecting multi-edge requests.

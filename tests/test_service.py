@@ -392,7 +392,10 @@ class TestSigtermResumeSubprocess:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2
-        assert "error: checkpoint was written by a 2-worker pool" in proc.stdout
+        assert (
+            "error: checkpoint holds 2 shards; resume with --workers 2 "
+            "(omitting --workers resumes its 2 shards in this process)"
+        ) in proc.stdout
 
 
 class TestLoadtest:
