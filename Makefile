@@ -34,12 +34,16 @@ typecheck:
 		echo "mypy not installed; skipping typecheck (pip install mypy)"; \
 	fi
 
-# The examples double as end-to-end smoke tests of the public API.  CI's
-# "Examples smoke" step calls this target, so the two cannot drift.
+# All six examples double as end-to-end smoke tests of the public API (a few
+# seconds each).  CI's "Examples smoke" step calls this target, so the two
+# cannot drift.
 examples-smoke:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/scenario_sweep.py
 	$(PYTHON) examples/streaming_service.py
+	$(PYTHON) examples/adversarial_showdown.py
+	$(PYTHON) examples/cdn_replica_placement.py
+	$(PYTHON) examples/isp_admission_control.py
 
 # Streaming-service smoke: record a trace, serve half of it with a checkpoint,
 # resume in a fresh process, and verify the combined decision log is byte-for-

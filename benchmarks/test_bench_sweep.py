@@ -13,8 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.benchmarking import run_sweep_bench, sweep_workload
+from repro.engine.config import EngineConfig
 from repro.engine.registry import WEIGHT_BACKENDS
-from repro.engine.sweep import ScenarioSweep
+from repro.engine.sweep import run_sweep_specs
+from repro.scenarios import get_scenario
 
 #: The canonical gate matrix (two scenarios x fractional, one trial each).
 SWEEP_WORKLOAD = sweep_workload()
@@ -44,20 +46,17 @@ def test_bench_sweep_matrix(benchmark, bench_recorder):
     """A wider matrix: three scenarios x (fractional + randomized), numpy backend."""
 
     def run():
-        sweep = ScenarioSweep(
-            ["bursty", "zipf_costs", "flash_crowd"],
+        scenarios = ["bursty", "zipf_costs", "flash_crowd"]
+        return run_sweep_specs(
+            [get_scenario(key) for key in scenarios],
             ["fractional", "randomized"],
-            backend="numpy",
+            config=EngineConfig(backend="numpy"),
             num_trials=1,
             seed=20050718,
             offline="lp",
-            scenario_overrides={
-                "bursty": {"num_requests": 300},
-                "zipf_costs": {"num_requests": 300},
-                "flash_crowd": {"num_requests": 300},
-            },
+            ilp_time_limit=20.0,
+            overrides={key: (("num_requests", 300),) for key in scenarios},
         )
-        return sweep.run()
 
     import time
 

@@ -31,24 +31,23 @@ The algorithm objects remain directly usable for fine-grained control:
 >>> result.feasible
 True
 
-Execution engine (migration note)
----------------------------------
-Since the engine refactor the multiplicative weight mechanism lives in
-:mod:`repro.engine.backends` behind the ``WeightBackend`` protocol:
+Execution engine
+----------------
+The multiplicative weight mechanism lives in :mod:`repro.engine.backends`
+behind the ``WeightBackend`` protocol:
 
-* ``repro.core.weights.FractionalWeightState`` is now an alias of
-  ``repro.engine.backends.PythonWeightBackend`` — existing imports keep
-  working unchanged, as do ``ArrivalOutcome`` / ``AugmentationRecord``;
+* ``PythonWeightBackend`` is the scalar reference code and
+  ``NumpyWeightBackend`` its vectorized twin; ``ArrivalOutcome`` /
+  ``AugmentationRecord`` carry the per-arrival diagnostics;
 * every core algorithm accepts ``backend="numpy"`` (or an
   :class:`~repro.engine.config.EngineConfig`) to run on the vectorized
   NumPy backend, e.g.
   ``RandomizedAdmissionControl.for_instance(instance, backend="numpy")``;
 * algorithms, backends and experiments resolve by string key through
-  :mod:`repro.engine.registry`, and
-  :class:`~repro.engine.runtime.SimulationEngine` /
-  :func:`~repro.analysis.trials.run_admission_trials` (with ``jobs=N``)
-  provide the registry-driven runtime and parallel trial execution.  See
-  ARCHITECTURE.md for the layering.
+  :mod:`repro.engine.registry`
+  (:func:`~repro.engine.runtime.make_admission_algorithm` builds one), and
+  ``RunSpec(..., jobs=N)`` fans trials out in parallel.  See ARCHITECTURE.md
+  for the layering.
 """
 
 from repro.core import (
@@ -70,7 +69,6 @@ from repro.engine import (
     EngineConfig,
     NumpyWeightBackend,
     PythonWeightBackend,
-    SimulationEngine,
     WeightBackend,
 )
 from repro.instances import (
@@ -102,7 +100,6 @@ __all__ = [
     "EngineConfig",
     "NumpyWeightBackend",
     "PythonWeightBackend",
-    "SimulationEngine",
     "WeightBackend",
     "AdmissionInstance",
     "Decision",

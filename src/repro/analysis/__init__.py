@@ -16,12 +16,7 @@ from repro.analysis.invariants import (
 )
 from repro.analysis.report import format_kv, format_records, format_table
 from repro.analysis.stats import SummaryStats, summarize
-from repro.analysis.trials import (
-    TrialSummary,
-    execute_trial_suite,
-    run_admission_trials,
-    run_setcover_trials,
-)
+from repro.analysis.trials import TrialSummary, execute_trial_suite
 
 __all__ = [
     "ascii_line_plot",
@@ -42,6 +37,4 @@ __all__ = [
     "summarize",
     "TrialSummary",
     "execute_trial_suite",
-    "run_admission_trials",
-    "run_setcover_trials",
 ]

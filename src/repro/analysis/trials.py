@@ -1,10 +1,10 @@
 """Multi-seed trial runner with parallel execution.
 
 Randomized algorithms (and randomized workloads) need several independent runs
-before a competitive ratio means anything.  :func:`run_admission_trials` /
-:func:`run_setcover_trials` run ``(workload seed, algorithm seed)`` pairs and
-aggregate the resulting :class:`~repro.analysis.competitive.CompetitiveRecord`
-objects into a :class:`TrialSummary`.
+before a competitive ratio means anything.  :func:`execute_trial_suite` runs
+``(workload seed, algorithm seed)`` pairs and aggregates the resulting
+:class:`~repro.analysis.competitive.CompetitiveRecord` objects into a
+:class:`TrialSummary`.
 
 Every trial's seed pair is derived from the master seed *before* dispatch
 (:func:`repro.engine.executor.derive_seed_pairs`, which matches the historical
@@ -12,21 +12,16 @@ Every trial's seed pair is derived from the master seed *before* dispatch
 whether trials run serially (``jobs=1``), on a thread pool, or — when the
 factories are picklable module-level callables — across processes.
 
-Since the unified run-spec API (:mod:`repro.api`), :func:`execute_trial_suite`
-is the engine room every execution path shares, and the public
-``run_admission_trials`` / ``run_setcover_trials`` wrappers are deprecation
-shims: they behave exactly as before but ask callers to build a
-:class:`~repro.api.spec.RunSpec` instead.
+:func:`execute_trial_suite` is the engine room below the run-spec facade:
+callers describe trials as a :class:`~repro.api.spec.RunSpec` and run them
+with :class:`~repro.api.runner.Runner`, which dispatches every spec here.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
-
-import numpy as np
 
 from repro.analysis.competitive import (
     CompetitiveRecord,
@@ -39,17 +34,11 @@ from repro.core.protocols import run_admission, run_setcover
 from repro.engine.executor import derive_seed_pairs, execute
 from repro.instances.admission import AdmissionInstance
 from repro.instances.compiled import compile_instance
-from repro.instances.setcover import SetCoverInstance
 from repro.offline import solve_admission_lp_cached
 from repro.utils.mathx import safe_ratio
 from repro.utils.rng import as_generator
 
-__all__ = [
-    "TrialSummary",
-    "execute_trial_suite",
-    "run_admission_trials",
-    "run_setcover_trials",
-]
+__all__ = ["TrialSummary", "execute_trial_suite"]
 
 
 @dataclass
@@ -388,9 +377,7 @@ def execute_trial_suite(
     """Run a suite of independent trials and aggregate the records.
 
     This is the shared engine room below the run-spec facade
-    (:class:`repro.api.Runner` dispatches every spec here); the deprecated
-    ``run_admission_trials`` / ``run_setcover_trials`` wrappers delegate to it
-    unchanged, so legacy and facade numbers are identical by construction.
+    (:class:`repro.api.Runner` dispatches every spec here).
     """
     specs = [
         _TrialSpec(
@@ -413,98 +400,3 @@ def execute_trial_suite(
     ]
     records = execute(_run_trial, specs, jobs=jobs)
     return TrialSummary(label=label, records=list(records))
-
-
-def run_admission_trials(
-    instance_factory: Callable[[np.random.Generator], AdmissionInstance],
-    algorithm_factory: Callable[[AdmissionInstance, np.random.Generator], Any],
-    *,
-    num_trials: int = 5,
-    random_state: Any = 0,
-    label: str = "trial",
-    offline: str = "ilp",
-    randomized_bound: bool = True,
-    ilp_time_limit: Optional[float] = 30.0,
-    jobs: int = 1,
-    compile_instances: bool = True,
-    streaming: bool = False,
-) -> TrialSummary:
-    """Run several independent admission-control trials.
-
-    ``instance_factory(rng)`` builds a (possibly random) instance; the
-    ``algorithm_factory(instance, rng)`` builds the online algorithm, seeded
-    independently of the instance.  ``jobs > 1`` fans the trials out over the
-    engine executor without changing any result.  ``compile_instances`` (the
-    default) compiles each trial instance once and streams it through the
-    algorithm's indexed fast path — also without changing any result.
-    ``streaming`` routes each trial through a
-    :class:`~repro.engine.streaming.StreamingSession` micro-batch loop (the
-    serving-layer path) instead — once more without changing any result.
-
-    .. deprecated::
-        Build a :class:`repro.api.RunSpec` and use :class:`repro.api.Runner`
-        instead; this wrapper delegates to the same machinery and will keep
-        producing identical numbers, but new call sites should use the facade.
-    """
-    warnings.warn(
-        "run_admission_trials() is deprecated; build a repro.api.RunSpec and use "
-        "repro.api.Runner instead (numbers are identical)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_trial_suite(
-        "admission",
-        instance_factory,
-        algorithm_factory,
-        num_trials=num_trials,
-        random_state=random_state,
-        label=label,
-        offline=offline,
-        randomized_bound=randomized_bound,
-        bicriteria_bound=False,
-        ilp_time_limit=ilp_time_limit,
-        jobs=jobs,
-        compile_instances=compile_instances,
-        streaming=streaming,
-    )
-
-
-def run_setcover_trials(
-    instance_factory: Callable[[np.random.Generator], SetCoverInstance],
-    algorithm_factory: Callable[[SetCoverInstance, np.random.Generator], Any],
-    *,
-    num_trials: int = 5,
-    random_state: Any = 0,
-    label: str = "trial",
-    offline: str = "ilp",
-    bicriteria_bound: bool = False,
-    ilp_time_limit: Optional[float] = 30.0,
-    jobs: int = 1,
-) -> TrialSummary:
-    """Run several independent set-cover trials (same structure as admission).
-
-    .. deprecated::
-        Build a :class:`repro.api.RunSpec` (``problem="setcover"``) and use
-        :class:`repro.api.Runner` instead.
-    """
-    warnings.warn(
-        "run_setcover_trials() is deprecated; build a repro.api.RunSpec "
-        "(problem='setcover') and use repro.api.Runner instead (numbers are identical)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_trial_suite(
-        "setcover",
-        instance_factory,
-        algorithm_factory,
-        num_trials=num_trials,
-        random_state=random_state,
-        label=label,
-        offline=offline,
-        # The randomized_bound flag only applies to admission evaluation; keep
-        # the unused value False so it never leaks a wrong default.
-        randomized_bound=False,
-        bicriteria_bound=bicriteria_bound,
-        ilp_time_limit=ilp_time_limit,
-        jobs=jobs,
-    )

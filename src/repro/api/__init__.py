@@ -1,11 +1,8 @@
 """The unified run-spec API: one declarative front door for every execution path.
 
-Four PRs of engine growth left the library with four ways to run the same
-algorithm — :func:`repro.analysis.trials.run_admission_trials` (batch trials),
-the compiled fast path, :class:`repro.engine.streaming.StreamingSession`
-(serving), and :class:`repro.engine.sweep.ScenarioSweep` (matrices) — each
-re-spelling the same knobs with different names and defaults.  This package
-replaces those entry points with a single facade:
+The same algorithm can run as batch trials, through the compiled fast path,
+through a :class:`repro.engine.streaming.StreamingSession` (serving), or as a
+scenario matrix.  This package is the one way to ask for any of them:
 
 * :class:`~repro.api.spec.RunSpec` — a frozen, eagerly-validated description
   of one run: *what* to run (a scenario name, a recorded trace, an explicit
@@ -15,9 +12,9 @@ replaces those entry points with a single facade:
   of scenarios x algorithms x backends x modes into a list of specs with
   sweep-compatible per-cell seeds.
 * :class:`~repro.api.runner.Runner` — dispatches every spec through the
-  existing machinery (the parallel trial executor, the compiled fast path,
-  or a :class:`~repro.engine.streaming.StreamingSession`) without changing a
-  single number relative to the legacy entry points.
+  engine's machinery (the parallel trial executor, the compiled fast path,
+  or a :class:`~repro.engine.streaming.StreamingSession`); the choice never
+  changes a number.
 * :class:`~repro.api.results.ResultSet` — one uniform tidy row schema for
   every execution path, with JSON/JSONL round-trip and aggregation /
   comparison helpers.
@@ -35,8 +32,6 @@ Quick start::
                         algorithms=["fractional", "randomized"],
                         trials=3, seed=7)
     print(Runner().run(grid).comparison_table())
-
-The legacy entry points remain as thin deprecation shims over this facade.
 """
 
 from repro.api.results import ResultRow, ResultSet

@@ -1,9 +1,8 @@
 """`Runner`: dispatch validated specs through the engine's execution paths.
 
 The Runner owns no numerics of its own.  Every spec compiles down to one call
-of :func:`repro.analysis.trials.execute_trial_suite` — the same engine room
-the legacy entry points used — with the spec's mode mapped onto the suite's
-knobs:
+of :func:`repro.analysis.trials.execute_trial_suite`, the one trial engine,
+with the spec's mode mapped onto the suite's knobs:
 
 ==============  =====================================================
 spec ``mode``   execution path
@@ -15,8 +14,9 @@ spec ``mode``   execution path
 ==============  =====================================================
 
 Decisions — and therefore every reported number — are identical across modes
-and identical to the legacy entry points; the equivalence is pinned by
-``tests/test_api_equivalence.py`` at 1e-9 on both backends.
+and identical to a hand-driven ``run_admission`` / ``StreamingSession`` loop;
+the equivalence is pinned by ``tests/test_api_equivalence.py`` at 1e-9 on
+both backends.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ class Runner:
     def run_summary(self, spec: RunSpec) -> TrialSummary:
         """Run one spec and return the raw :class:`TrialSummary`.
 
-        Exposed for adapters (the legacy sweep) that still speak the
-        summary shape; :meth:`run` is the normal entry point.
+        Exposed for adapters that speak the summary shape
+        (:func:`~repro.engine.sweep.run_sweep_specs`); :meth:`run` is the
+        normal entry point.
         """
         return execute_trial_suite(
             spec.problem,

@@ -1,11 +1,9 @@
 """Picklable workload-source and algorithm factories used by the Runner.
 
 Everything that crosses the trial-executor boundary must be a module-level
-picklable callable so trials can fan out over *processes*.  These dataclasses
-are the canonical implementations; the legacy
-:class:`~repro.engine.sweep.ScenarioSweep` re-exports
-:class:`ScenarioSource` / :class:`RegistryAlgorithmFactory` under their
-historical names (``ScenarioInstanceFactory`` / ``SweepAlgorithmFactory``).
+picklable callable so trials can fan out over *processes*.  The Runner
+compiles every spec's source and registry-key algorithm into these
+dataclasses.
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ in a worker process.  All validation failures raise :class:`RunSpecError`.
 :meth:`RunSpec.grid` expands scenarios x algorithms x backends x modes into a
 list of specs whose per-cell seeds are derived with
 :func:`repro.utils.rng.stable_seed` from ``(seed, source key, algorithm)`` —
-the exact derivation :class:`~repro.engine.sweep.ScenarioSweep` used, so a
-grid reproduces a legacy sweep bit for bit and adding a scenario never
-perturbs another's numbers.
+the derivation :func:`~repro.engine.sweep.run_sweep_specs` (``repro sweep``)
+uses too, so a grid reproduces a sweep bit for bit and adding a scenario
+never perturbs another's numbers.
 """
 
 from __future__ import annotations
@@ -414,11 +414,11 @@ class RunSpec:
         """Expand scenarios x algorithms x backends x modes into a spec list.
 
         Per-cell seeds derive from ``(seed, scenario key, algorithm)`` via
-        :func:`~repro.utils.rng.stable_seed` — the exact derivation the
-        legacy :class:`~repro.engine.sweep.ScenarioSweep` used — so adding or
+        :func:`~repro.utils.rng.stable_seed` — the derivation
+        :func:`~repro.engine.sweep.run_sweep_specs` uses too — so adding or
         removing a scenario never perturbs another cell's numbers, a single
         cell reproduces in isolation, and a grid over one backend reproduces
-        a legacy sweep bit for bit.  Extra keyword arguments (``trials``,
+        ``repro sweep`` bit for bit.  Extra keyword arguments (``trials``,
         ``jobs``, ``offline``, ``record``, ...) are applied to every spec.
         """
         if not scenarios:

@@ -53,7 +53,7 @@ from repro.core.setcover_reduction import (
     build_reduction,
     element_edge,
 )
-from repro.core.weights import ArrivalOutcome, AugmentationRecord, FractionalWeightState
+from repro.engine.backends import ArrivalOutcome, AugmentationRecord
 
 __all__ = [
     "AugmentationTrace",
@@ -88,5 +88,4 @@ __all__ = [
     "element_edge",
     "ArrivalOutcome",
     "AugmentationRecord",
-    "FractionalWeightState",
 ]

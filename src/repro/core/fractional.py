@@ -7,7 +7,7 @@ cost is ``O(log(mc))`` times the optimal fractional cost (``O(log c)`` in the
 unweighted case).
 
 Besides the weight mechanism itself (delegated to
-:class:`~repro.core.weights.FractionalWeightState`), Section 2 prescribes a
+:class:`~repro.engine.backends.WeightBackend`), Section 2 prescribes a
 preprocessing step parameterised by a guess ``alpha`` of the optimal cost:
 
 * requests with cost greater than ``2*alpha`` (the class ``R_big``) are
@@ -32,8 +32,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.core.weights import ArrivalOutcome, WeightBackend, make_weight_backend
-from repro.engine.backends import BackendSpec, resolve_backend_name, resolve_record_flag
+from repro.engine.backends import (
+    ArrivalOutcome,
+    BackendSpec,
+    WeightBackend,
+    make_weight_backend,
+    resolve_backend_name,
+    resolve_record_flag,
+)
 from repro.engine.registry import ADMISSION_ALGORITHMS
 from repro.instances.admission import AdmissionInstance
 from repro.instances.compiled import CompiledInstance, EdgeInterning

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.weights import FractionalWeightState
+from repro.engine.backends import WeightBackend
 
 __all__ = [
     "lemma1_log_potential",
@@ -123,7 +123,7 @@ def lemma5_log_upper_bound(alpha: float) -> float:
 
 
 def check_lemma1(
-    state: FractionalWeightState,
+    state: WeightBackend,
     optimal_fractions: Mapping[int, float],
     costs: Mapping[int, float],
     alpha: float,

@@ -10,16 +10,17 @@ the library executes it:
   the :class:`~repro.engine.backends.WeightBackend` protocol, as scalar
   reference code (:class:`~repro.engine.backends.PythonWeightBackend`) and as
   vectorized NumPy kernels (:class:`~repro.engine.backends.NumpyWeightBackend`).
-* :mod:`repro.engine.runtime` — :class:`~repro.engine.runtime.SimulationEngine`,
-  which builds algorithms from registry keys, streams instances (optionally
-  batching same-timestep arrivals) and collects results with timings.
+* :mod:`repro.engine.runtime` — :func:`~repro.engine.runtime.make_admission_algorithm`
+  and :func:`~repro.engine.runtime.make_setcover_algorithm`, which build
+  algorithms from registry keys.
 * :mod:`repro.engine.executor` — the parallel trial executor with
   deterministic per-trial seed derivation.
 * :mod:`repro.engine.config` — :class:`~repro.engine.config.EngineConfig`,
   the ``--backend`` / ``--jobs`` knobs as one picklable object.
-* :mod:`repro.engine.sweep` — :class:`~repro.engine.sweep.ScenarioSweep`,
-  the scenarios x algorithms x backends matrix runner (exported lazily: it
-  sits above the analysis layer, so importing it here eagerly would cycle).
+* :mod:`repro.engine.sweep` — :func:`~repro.engine.sweep.run_sweep_specs`,
+  the scenarios x algorithms matrix ``repro sweep`` runs (not re-exported
+  here: it sits above the analysis layer, so importing it eagerly would
+  cycle).
 """
 
 from repro.engine.backends import (
@@ -44,26 +45,16 @@ from repro.engine.registry import (
     RegistryError,
     UnknownKeyError,
 )
-from repro.engine.runtime import (
-    EngineRun,
-    SimulationEngine,
-    make_admission_algorithm,
-    make_setcover_algorithm,
-)
+from repro.engine.runtime import make_admission_algorithm, make_setcover_algorithm
 
 # Registers the optional "numba" backend when numba is installed (a no-op
 # otherwise); must come after the backends import it builds on.
 from repro.engine import numba_backend as _numba_backend  # noqa: E402,F401
 
 def __getattr__(name: str):
-    # Lazy: repro.engine.sweep imports repro.analysis (which imports
-    # repro.core, which imports repro.engine.registry); importing it at the
-    # top of this package would create a cycle.  repro.engine.streaming sits
-    # above repro.core for the same reason.
-    if name in ("ScenarioSweep", "SweepResult"):
-        from repro.engine import sweep
-
-        return getattr(sweep, name)
+    # Lazy: repro.engine.streaming imports repro.core, which imports
+    # repro.engine.registry; importing it at the top of this package would
+    # create a cycle.
     if name in ("StreamingSession", "STREAMING_ALGORITHMS"):
         from repro.engine import streaming
 
@@ -76,8 +67,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ScenarioSweep",
-    "SweepResult",
     "StreamingSession",
     "ProcessShardPool",
     "STREAMING_ALGORITHMS",
@@ -100,8 +89,6 @@ __all__ = [
     "Registry",
     "RegistryError",
     "UnknownKeyError",
-    "EngineRun",
-    "SimulationEngine",
     "make_admission_algorithm",
     "make_setcover_algorithm",
 ]

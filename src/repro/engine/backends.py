@@ -20,8 +20,7 @@ is violated, performs a *weight augmentation*:
 This module implements the mechanism behind the :class:`WeightBackend`
 protocol, twice:
 
-* :class:`PythonWeightBackend` — the scalar reference implementation (the code
-  that used to live in ``repro/core/weights.py`` as ``FractionalWeightState``).
+* :class:`PythonWeightBackend` — the scalar reference implementation.
   One Python statement per paper step; this is the ground truth every other
   backend is tested against.
 * :class:`NumpyWeightBackend` — keeps per-request weights and costs in

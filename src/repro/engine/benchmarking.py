@@ -12,7 +12,7 @@ Four canonical benchmarks cover the library's hot paths:
   end-to-end — compile, intern, classify, augment — on a >= 10k-request
   instance, which is the regime the compiled-instance layer exists for;
 * the *sweep* benchmark runs a small scenario x algorithm matrix through
-  :class:`~repro.engine.sweep.ScenarioSweep` — workload generation, trial
+  :func:`~repro.engine.sweep.run_sweep_specs` — workload generation, trial
   fan-out, LP comparator, aggregation — so regressions anywhere in the
   scenario pipeline (not just the weight mechanism) trip the gate;
 * the *stream-resume* benchmark drives the streaming service loop — 4k

@@ -9,7 +9,7 @@ frozen, picklable dataclass so it can cross process boundaries unchanged.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 __all__ = ["EngineConfig", "DEFAULT_BACKEND", "resolve_jobs"]
@@ -38,11 +38,6 @@ class EngineConfig:
     jobs:
         Worker count for the parallel trial executor; ``1`` runs serially,
         ``0`` (or any non-positive value) means one worker per CPU core.
-    batching:
-        How :class:`repro.engine.runtime.SimulationEngine` groups arrivals
-        into batches: ``"none"`` streams one request per batch, ``"tag"``
-        groups consecutive same-tag arrivals (e.g. the set-cover reduction's
-        phase-1 block) so same-timestep arrivals are dispatched together.
     compile:
         Compile instances once (edge interning + CSR paths, see
         :mod:`repro.instances.compiled`) and stream them through the
@@ -64,23 +59,14 @@ class EngineConfig:
 
     backend: str = DEFAULT_BACKEND
     jobs: int = 1
-    batching: str = "none"
     compile: bool = True
     record: bool = True
     vectorized: bool = True
-
-    def __post_init__(self) -> None:
-        if self.batching not in ("none", "tag"):
-            raise ValueError(f"batching must be 'none' or 'tag', got {self.batching!r}")
 
     @property
     def effective_jobs(self) -> int:
         """The resolved worker count (non-positive ``jobs`` -> CPU count)."""
         return resolve_jobs(self.jobs)
-
-    def with_jobs(self, jobs: int) -> "EngineConfig":
-        """Copy of this config with a different worker count."""
-        return replace(self, jobs=jobs)
 
     @classmethod
     def resolve(cls, value: Union["EngineConfig", str, None]) -> "EngineConfig":

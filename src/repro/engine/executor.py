@@ -4,12 +4,13 @@ The executor runs a function over a list of work items with ``jobs`` workers.
 It prefers :class:`concurrent.futures.ProcessPoolExecutor` (true multi-core
 parallelism), but many call sites build work items from closures — experiment
 sweeps capture grid parameters in lambdas — which cannot cross a process
-boundary.  Those fall back to a thread pool (the offline HiGHS solves release
-the GIL for most of their runtime) and, on any pool-level failure, to plain
-serial execution.  Results always come back in submission order, and because
-every trial's random seed is derived *before* dispatch (see
-:func:`derive_seed_pairs`), the results are bit-identical no matter which lane
-executed them or in what order they finished.
+boundary.  Those run on a thread pool instead (the offline HiGHS solves
+release the GIL for most of their runtime), and so does picklable work when
+the process pool cannot be created or submitted to.  Results always come
+back in submission order, and because every trial's random seed is derived
+*before* dispatch (see :func:`derive_seed_pairs`), the results are
+bit-identical no matter which lane executed them or in what order they
+finished.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def execute(
     normalisation of non-positive values) runs serially.  With multiple
     workers the executor picks the widest lane that can carry the work:
     processes when ``fn`` and the items pickle, otherwise threads.  Worker
-    exceptions propagate to the caller unchanged in both pooled lanes.
+    exceptions propagate to the caller unchanged in both pooled lanes, and
+    every item runs exactly once.
     """
     work = list(items)
     jobs = resolve_jobs(jobs) if jobs is not None and jobs <= 0 else int(jobs or 1)
@@ -88,11 +90,18 @@ def execute(
         return [fn(item) for item in work]
 
     if prefer_processes and is_picklable(fn, work):
+        processes = None
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, work))
+            processes = ProcessPoolExecutor(max_workers=workers)
+            futures = [processes.submit(fn, item) for item in work]
         except (pickle.PicklingError, OSError):
-            # Pool startup can fail in constrained sandboxes; fall through.
-            pass
+            # Creating the pool or starting its workers can fail in
+            # constrained sandboxes; then the items run on threads.  An error
+            # raised by ``fn`` itself comes from its future below instead.
+            if processes is not None:
+                processes.shutdown(cancel_futures=True)
+        else:
+            with processes:
+                return [future.result() for future in futures]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, work))

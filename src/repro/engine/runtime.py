@@ -1,11 +1,12 @@
-"""The simulation runtime: registry-driven algorithm builds, streaming, timing.
+"""Registry-driven algorithm builds: a string key plus an instance -> an algorithm.
 
-:class:`SimulationEngine` is the one place that knows how to turn a string key
-plus an instance into a running algorithm, how to stream an instance's
-arrivals through it (batching same-timestep arrivals when asked to), and how
-to collect the run's result together with its wall-clock cost.  The CLI, the
-experiments and the benchmark suite all sit on top of it, so "add an
-algorithm" now means "register a builder" rather than "edit three call sites".
+:func:`make_admission_algorithm` and :func:`make_setcover_algorithm` are the
+one place that turns a registry key into a running algorithm.  The run-spec
+facade, the CLI and the experiments all build through them, so "add an
+algorithm" means "register a builder" rather than "edit three call sites".
+To run the built algorithm over an instance,
+hand it to :func:`repro.core.protocols.run_admission` /
+:func:`~repro.core.protocols.run_setcover`.
 
 Builders have the uniform signature::
 
@@ -21,17 +22,12 @@ to import first.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, List, Optional, Union
+from typing import Union
 
 from repro.engine.config import EngineConfig
 from repro.engine.registry import ADMISSION_ALGORITHMS, SETCOVER_ALGORITHMS
-from repro.instances.compiled import CompiledInstance, compile_instance
 
 __all__ = [
-    "SimulationEngine",
-    "EngineRun",
     "make_admission_algorithm",
     "make_setcover_algorithm",
     "ensure_builtin_registrations",
@@ -83,192 +79,3 @@ def make_setcover_algorithm(
     ensure_builtin_registrations()
     build = SETCOVER_ALGORITHMS.get(key)
     return build(instance, random_state=random_state, backend=backend, **kwargs)
-
-
-@dataclass
-class EngineRun:
-    """Result collection for one engine-driven run.
-
-    Attributes
-    ----------
-    result:
-        The algorithm's own result object
-        (:class:`~repro.core.protocols.AdmissionResult` or
-        :class:`~repro.core.protocols.SetCoverResult`).
-    algorithm:
-        Display name of the algorithm that ran.
-    backend:
-        The weight backend the engine was configured with.
-    seconds:
-        Wall-clock time spent streaming the instance (excludes build time).
-    num_arrivals / num_batches:
-        How many arrivals were streamed and in how many batches.
-    batch_sizes:
-        Size of each dispatched batch, in order.
-    """
-
-    result: Any
-    algorithm: str
-    backend: str
-    seconds: float
-    num_arrivals: int
-    num_batches: int
-    batch_sizes: List[int] = field(default_factory=list)
-
-
-class SimulationEngine:
-    """Registry-driven runtime for online admission-control / set-cover runs.
-
-    Parameters
-    ----------
-    config:
-        An :class:`~repro.engine.config.EngineConfig`, a backend name, or
-        ``None`` for the defaults.  The engine forwards the backend to every
-        algorithm it builds and uses ``config.batching`` to group arrivals.
-    """
-
-    def __init__(self, config: Union[EngineConfig, str, None] = None):
-        self.config = EngineConfig.resolve(config)
-
-    # -- algorithm construction ---------------------------------------------------
-    def build_admission(self, algorithm, instance, *, random_state=None, **kwargs):
-        """Resolve ``algorithm`` (a registry key or an already-built object).
-
-        The full :class:`EngineConfig` travels as the backend spec so the
-        algorithms can pick up the ``record`` mode along with the backend.
-        """
-        if isinstance(algorithm, str):
-            return make_admission_algorithm(
-                algorithm,
-                instance,
-                random_state=random_state,
-                backend=self.config,
-                **kwargs,
-            )
-        return algorithm
-
-    def build_setcover(self, algorithm, instance, *, random_state=None, **kwargs):
-        """Resolve ``algorithm`` (a registry key or an already-built object)."""
-        if isinstance(algorithm, str):
-            return make_setcover_algorithm(
-                algorithm,
-                instance,
-                random_state=random_state,
-                backend=self.config,
-                **kwargs,
-            )
-        return algorithm
-
-    # -- instance streaming ----------------------------------------------------------
-    def _iter_tag_batches(self, items: Iterable[Any], tag_of) -> Iterator[List[Any]]:
-        """One batching algorithm for both request and index streams.
-
-        With ``batching="none"`` every item is its own batch.  With
-        ``batching="tag"`` consecutive items whose ``tag_of(item)`` agree are
-        dispatched together.  Online order is preserved inside a batch.
-        """
-        if self.config.batching == "none":
-            for item in items:
-                yield [item]
-            return
-        batch: List[Any] = []
-        current_tag: Any = None
-        for item in items:
-            tag = tag_of(item)
-            if batch and tag != current_tag:
-                yield batch
-                batch = []
-            current_tag = tag
-            batch.append(item)
-        if batch:
-            yield batch
-
-    def iter_batches(self, arrivals: Iterable[Any]) -> Iterator[List[Any]]:
-        """Group an arrival stream into dispatch batches.
-
-        With ``batching="tag"`` consecutive arrivals sharing a ``tag``
-        attribute are dispatched together — the set-cover reduction's phase-1
-        block and any workload that stamps same-timestep arrivals with a
-        common tag arrive as one batch.
-        """
-        return self._iter_tag_batches(arrivals, lambda arrival: getattr(arrival, "tag", None))
-
-    def iter_index_batches(self, compiled: CompiledInstance) -> Iterator[List[int]]:
-        """Like :meth:`iter_batches` but over compiled arrival indices."""
-        return self._iter_tag_batches(range(compiled.num_requests), compiled.tags.__getitem__)
-
-    # -- running --------------------------------------------------------------------
-    def run_admission(self, algorithm, instance, *, random_state=None, **kwargs) -> EngineRun:
-        """Build (if needed) and run an admission algorithm over ``instance``.
-
-        With ``config.compile`` (the default) the instance is compiled once —
-        edge ids interned, paths as CSR arrays — and the arrivals stream
-        through the algorithm's ``process_indexed`` fast path when it has
-        one; otherwise the per-request path runs.  Compilation is memoized on
-        the instance, so repeated runs (other algorithms, other trials) reuse
-        the arrays.
-        """
-        algo = self.build_admission(algorithm, instance, random_state=random_state, **kwargs)
-        batch_sizes: List[int] = []
-        start = time.perf_counter()
-        # Compilation happens inside the timed region: it is part of what a
-        # run pays per instance, so compile-on/off timings stay comparable
-        # (memoized re-runs make it O(1) anyway).
-        compiled: Optional[CompiledInstance] = None
-        if self.config.compile and hasattr(algo, "process_indexed"):
-            compiled = compile_instance(instance)
-        if compiled is not None:
-            ranged = hasattr(algo, "process_compiled_range")
-            for index_batch in self.iter_index_batches(compiled):
-                batch_sizes.append(len(index_batch))
-                if ranged:
-                    # Index batches are contiguous by construction, so the
-                    # whole batch goes through the trace executor in one call
-                    # (vectorized per config; the executor is the escape-hatch
-                    # per-arrival loop when config.vectorized is off).
-                    algo.process_compiled_range(
-                        compiled,
-                        index_batch[0],
-                        index_batch[-1] + 1,
-                        vectorized=self.config.vectorized,
-                    )
-                else:
-                    for i in index_batch:
-                        algo.process_indexed(compiled, i)
-        else:
-            for batch in self.iter_batches(instance.requests):
-                batch_sizes.append(len(batch))
-                for request in batch:
-                    algo.process(request)
-        seconds = time.perf_counter() - start
-        result = algo.result()
-        return EngineRun(
-            result=result,
-            algorithm=result.algorithm,
-            backend=self.config.backend,
-            seconds=seconds,
-            num_arrivals=sum(batch_sizes),
-            num_batches=len(batch_sizes),
-            batch_sizes=batch_sizes,
-        )
-
-    def run_setcover(self, algorithm, instance, *, random_state=None, **kwargs) -> EngineRun:
-        """Build (if needed) and run a set-cover algorithm over ``instance``."""
-        algo = self.build_setcover(algorithm, instance, random_state=random_state, **kwargs)
-        batch_sizes: List[int] = []
-        start = time.perf_counter()
-        for batch in self.iter_batches(instance.arrivals):
-            batch_sizes.append(len(batch))
-            for element in batch:
-                algo.process_element(element)
-        seconds = time.perf_counter() - start
-        result = algo.result()
-        return EngineRun(
-            result=result,
-            algorithm=result.algorithm,
-            backend=self.config.backend,
-            seconds=seconds,
-            num_arrivals=sum(batch_sizes),
-            num_batches=len(batch_sizes),
-            batch_sizes=batch_sizes,
-        )

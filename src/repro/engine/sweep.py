@@ -1,12 +1,12 @@
-"""The legacy scenario-sweep entry point, now a shim over the run-spec facade.
+"""The scenario x algorithm matrix behind ``repro sweep``.
 
-:class:`ScenarioSweep` predates the unified run-spec API (:mod:`repro.api`):
-it was the fourth bespoke way to run scenarios x algorithms x backends.  The
-class survives as a deprecation shim — construction emits a
-:class:`DeprecationWarning`, and :meth:`ScenarioSweep.run` compiles the sweep
-into :class:`~repro.api.spec.RunSpec` cells executed by
-:class:`~repro.api.runner.Runner` — so existing call sites keep producing
-bit-identical numbers while new code writes::
+:func:`run_sweep_specs` compiles every (scenario, algorithm) cell into one
+:class:`~repro.api.spec.RunSpec`, runs it with
+:meth:`repro.api.runner.Runner.run_summary`, and gathers the per-cell
+:class:`~repro.analysis.trials.TrialSummary` objects into a
+:class:`SweepResult`, whose :meth:`~SweepResult.report` is what ``repro
+sweep`` prints and whose :meth:`~SweepResult.save` writes ``--out``.  Code that
+wants tidy rows instead writes the same matrix as a grid::
 
     from repro.api import RunSpec, Runner
 
@@ -15,41 +15,27 @@ bit-identical numbers while new code writes::
     results = Runner().run(specs)
     print(results.comparison_table())
 
-Cell seeds still derive with :func:`repro.utils.rng.stable_seed` from
-``(master seed, scenario key, algorithm key)`` — the derivation now lives in
-:meth:`RunSpec.grid` — so adding or removing a scenario never perturbs the
-numbers of the others, and a single cell can be reproduced in isolation.
-
-The picklable factories that cross the executor boundary moved to
-:mod:`repro.api.sources`; their historical names are re-exported here.
+Cell seeds derive with :func:`repro.utils.rng.stable_seed` from
+``(master seed, scenario key, algorithm key)`` — the derivation
+:meth:`RunSpec.grid` uses too — so adding or removing a scenario never
+perturbs the numbers of the others, and a single cell can be reproduced in
+isolation.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.analysis.trials import TrialSummary
-from repro.api.sources import RegistryAlgorithmFactory, ScenarioSource
+from repro.api.sources import RegistryAlgorithmFactory
 from repro.engine.config import EngineConfig
-from repro.engine.runtime import ensure_builtin_registrations
-from repro.scenarios.registry import Scenario, get_scenario
+from repro.scenarios.registry import Scenario
 
-__all__ = [
-    "ScenarioSweep",
-    "SweepResult",
-    "ScenarioInstanceFactory",
-    "SweepAlgorithmFactory",
-]
-
-#: Historical names of the picklable factories (canonical homes are in
-#: :mod:`repro.api.sources`); kept so existing imports and pickles keep working.
-ScenarioInstanceFactory = ScenarioSource
-SweepAlgorithmFactory = RegistryAlgorithmFactory
+__all__ = ["SweepResult", "run_sweep_specs"]
 
 
 @dataclass
@@ -149,10 +135,11 @@ def run_sweep_specs(
 ) -> SweepResult:
     """Compile a sweep into run specs, execute them, and adapt the result.
 
-    Shared by the :class:`ScenarioSweep` shim and the CLI's ``sweep``
-    subcommand (which no longer goes through the deprecated class).  Cell
+    What the CLI's ``sweep`` subcommand and the sweep benchmark run.  Cell
     seeds, factories and the execution path are exactly those of
     :meth:`repro.api.spec.RunSpec.grid` + :class:`repro.api.runner.Runner`.
+    ``overrides`` maps a scenario key to its ``(name, value)`` parameter
+    pairs.
     """
     from repro.api import Runner, RunSpec
 
@@ -177,10 +164,10 @@ def run_sweep_specs(
     for scenario in scenarios:
         for algorithm in algorithms:
             # The facade's eager validation restricts mode="streaming" to the
-            # streaming-capable registry keys; the legacy sweep also streamed
-            # baselines through the session's per-request fallback.  Keep that
-            # behaviour by handing such cells a pre-built (callable) factory,
-            # which the spec accepts for externally-managed algorithms.
+            # streaming-capable registry keys; `repro sweep --streaming` also
+            # streams baselines through the session's per-request fallback, by
+            # handing such cells a pre-built (callable) factory, which the
+            # spec accepts for externally-managed algorithms.
             spec_algorithm: Any = algorithm
             if streaming and algorithm not in STREAMING_ALGORITHMS:
                 spec_algorithm = RegistryAlgorithmFactory(algorithm, config, (), "admission")
@@ -193,7 +180,7 @@ def run_sweep_specs(
                 scenario_params=dict(overrides.get(scenario.key, ())),
                 trials=num_trials,
                 # The spec requires an explicit positive worker count; resolve
-                # the legacy "0 = all cores" convention before building it.
+                # EngineConfig's "0 = all cores" convention before building it.
                 jobs=config.effective_jobs,
                 record=config.record,
                 offline=offline,
@@ -210,111 +197,3 @@ def run_sweep_specs(
         num_trials=num_trials,
         offline=offline,
     )
-
-
-class ScenarioSweep:
-    """Deprecated sweep runner: a shim over ``RunSpec.grid`` + ``Runner``.
-
-    Parameters
-    ----------
-    scenarios:
-        Scenario keys (resolved through the scenario registry) or
-        :class:`~repro.scenarios.registry.Scenario` objects (e.g. from
-        :func:`repro.scenarios.trace.scenario_from_trace`).
-    algorithms:
-        Admission-algorithm registry keys (``"fractional"``,
-        ``"randomized"``, ``"doubling"``, the baselines, ...).
-    backend:
-        Weight-backend key every algorithm is built with.
-    jobs:
-        Parallel workers per cell (trials fan out; 1 = serial, 0 = all
-        cores).  Never changes any number.
-    num_trials:
-        Independent (workload seed, algorithm seed) trials per cell.
-    seed:
-        Master seed; each cell derives its own stable seed from it.
-    offline:
-        Offline comparator for integral algorithms (``"lp"`` — fast, a valid
-        lower bound, the default — or ``"ilp"`` for exact OPT).  Fractional
-        algorithms always compare against the LP.
-    ilp_time_limit:
-        Time limit (s) for exact offline solves when ``offline="ilp"``.
-    compile:
-        Compile each trial instance once and stream the indexed fast path.
-    streaming:
-        Route every trial through the serving layer
-        (:class:`~repro.engine.streaming.StreamingSession` micro-batches)
-        instead of the batch pipeline.  Decisions — and therefore every
-        reported number — are identical.
-    scenario_overrides:
-        Optional per-scenario parameter overrides:
-        ``{"bursty": {"num_requests": 1000}}``.
-
-    .. deprecated::
-        Use :meth:`repro.api.RunSpec.grid` with :class:`repro.api.Runner`;
-        this class delegates to them and produces identical numbers.
-    """
-
-    def __init__(
-        self,
-        scenarios: Sequence[Union[str, Scenario]],
-        algorithms: Sequence[str],
-        *,
-        backend: str = "python",
-        jobs: int = 1,
-        num_trials: int = 3,
-        seed: int = 0,
-        offline: str = "lp",
-        ilp_time_limit: Optional[float] = 20.0,
-        compile: bool = True,
-        record: bool = True,
-        streaming: bool = False,
-        scenario_overrides: Optional[Dict[str, Dict[str, Any]]] = None,
-    ):
-        warnings.warn(
-            "ScenarioSweep is deprecated; use repro.api.RunSpec.grid(...) with "
-            "repro.api.Runner instead (numbers are identical)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not scenarios:
-            raise ValueError("need at least one scenario")
-        if not algorithms:
-            raise ValueError("need at least one algorithm")
-        ensure_builtin_registrations()
-        self.scenarios: List[Scenario] = [get_scenario(s) for s in scenarios]
-        self.algorithms: List[str] = list(algorithms)
-        # Cells are keyed by (scenario key, algorithm key); duplicates would
-        # silently overwrite each other's summaries, so reject them up front
-        # (two --trace files with the same stem are the easy way to hit this).
-        seen_keys = [s.key for s in self.scenarios]
-        dup = sorted({k for k in seen_keys if seen_keys.count(k) > 1})
-        if dup:
-            raise ValueError(f"duplicate scenario keys in sweep: {dup}")
-        dup = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
-        if dup:
-            raise ValueError(f"duplicate algorithm keys in sweep: {dup}")
-        self.config = EngineConfig(backend=backend, jobs=jobs, compile=compile, record=record)
-        self.streaming = bool(streaming)
-        self.num_trials = int(num_trials)
-        self.seed = int(seed)
-        self.offline = offline
-        self.ilp_time_limit = ilp_time_limit
-        overrides = scenario_overrides or {}
-        self._overrides: Dict[str, Tuple[Tuple[str, Any], ...]] = {
-            key: tuple(sorted(params.items())) for key, params in overrides.items()
-        }
-
-    def run(self) -> SweepResult:
-        """Run every (scenario, algorithm) cell through the run-spec facade."""
-        return run_sweep_specs(
-            self.scenarios,
-            self.algorithms,
-            config=self.config,
-            num_trials=self.num_trials,
-            seed=self.seed,
-            offline=self.offline,
-            ilp_time_limit=self.ilp_time_limit,
-            streaming=self.streaming,
-            overrides=self._overrides,
-        )

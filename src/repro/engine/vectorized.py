@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.weights import ArrivalOutcome
+from repro.engine.backends import ArrivalOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.fractional import FractionalAdmissionControl

@@ -6,7 +6,7 @@ over the scenario registry's serving-style families — bursty/MMPP arrivals,
 Zipf cost mixes, diurnal curves, flash crowds, interleaved adversaries,
 topology stress — next to a naive baseline, through
 :meth:`repro.api.RunSpec.grid` and the :class:`~repro.api.Runner` (the same
-cells, seeds and numbers the legacy sweep produced).  The quantity to watch
+cells, seeds and numbers ``repro sweep`` produces).  The quantity to watch
 is the *spread*: the paper's algorithms should stay within a small factor of
 the offline bound on every row, while the baseline's ratio varies wildly
 with the traffic shape.

@@ -6,8 +6,8 @@ The random and adversarial workloads stress the *structure* of an instance
 
 * :func:`bursty_workload` — a two-state Markov-modulated process (MMPP):
   calm traffic spreads over the whole edge set, burst episodes funnel
-  requests through a small hot set.  Bursts are tagged so the engine's tag
-  batching dispatches each episode as one batch;
+  requests through a small hot set.  Bursts are tagged, so each episode
+  stays identifiable in the request stream;
 * :func:`zipf_cost_workload` — Zipf-popular edges times Zipf-heavy rejection
   penalties, the canonical serving mix (a few very popular resources, a few
   very expensive requests);
@@ -79,8 +79,8 @@ def bursty_workload(
     all edges) and *burst* (every request crosses one of ``num_hot_edges``
     hot edges, so their load spikes far beyond capacity).  The stationary
     burst fraction is ``calm_to_burst / (calm_to_burst + burst_to_calm)``.
-    Requests inside burst episode ``k`` carry the tag ``"burst<k>"`` so the
-    engine's tag batching dispatches an episode as one batch.
+    Requests inside burst episode ``k`` carry the tag ``"burst<k>"``, so an
+    episode stays identifiable in the request stream.
     """
     if num_hot_edges < 1 or num_hot_edges > num_edges:
         raise ValueError("need 1 <= num_hot_edges <= num_edges")

@@ -15,10 +15,9 @@ from repro.analysis import (
     format_kv,
     format_records,
     format_table,
-    run_admission_trials,
-    run_setcover_trials,
     summarize,
 )
+from repro.api import Runner, RunSpec
 from repro.baselines import KeepExpensive, CheapestSetOnline
 from repro.core.protocols import AdmissionResult, run_admission, run_setcover
 from repro.core.randomized import RandomizedAdmissionControl
@@ -105,14 +104,18 @@ class TestEvaluate:
 
 class TestTrials:
     def test_admission_trials_aggregate(self):
-        summary = run_admission_trials(
-            instance_factory=lambda rng: overloaded_edge_adversary(8, 2, random_state=rng),
-            algorithm_factory=lambda inst, rng: RandomizedAdmissionControl.for_instance(
-                inst, random_state=rng
-            ),
-            num_trials=3,
-            random_state=0,
-            label="test",
+        summary = Runner().run_summary(
+            RunSpec(
+                factory=lambda rng: overloaded_edge_adversary(8, 2, random_state=rng),
+                algorithm=lambda inst, rng: RandomizedAdmissionControl.for_instance(
+                    inst, random_state=rng
+                ),
+                trials=3,
+                seed=0,
+                label="test",
+                offline="ilp",
+                ilp_time_limit=30.0,
+            )
         )
         assert summary.num_trials == 3
         assert summary.all_feasible()
@@ -124,24 +127,33 @@ class TestTrials:
 
     def test_admission_trials_reproducible(self):
         def run_once():
-            return run_admission_trials(
-                instance_factory=lambda rng: overloaded_edge_adversary(8, 2, random_state=rng),
-                algorithm_factory=lambda inst, rng: RandomizedAdmissionControl.for_instance(
-                    inst, random_state=rng
-                ),
-                num_trials=2,
-                random_state=7,
+            return Runner().run_summary(
+                RunSpec(
+                    factory=lambda rng: overloaded_edge_adversary(8, 2, random_state=rng),
+                    algorithm=lambda inst, rng: RandomizedAdmissionControl.for_instance(
+                        inst, random_state=rng
+                    ),
+                    trials=2,
+                    seed=7,
+                    offline="ilp",
+                    ilp_time_limit=30.0,
+                )
             ).ratios()
 
         assert run_once() == run_once()
 
     def test_setcover_trials(self):
-        summary = run_setcover_trials(
-            instance_factory=lambda rng: random_setcover_instance(15, 8, 25, random_state=rng),
-            algorithm_factory=lambda inst, rng: CheapestSetOnline(inst.system),
-            num_trials=2,
-            random_state=1,
-            label="sc",
+        summary = Runner().run_summary(
+            RunSpec(
+                problem="setcover",
+                factory=lambda rng: random_setcover_instance(15, 8, 25, random_state=rng),
+                algorithm=lambda inst, rng: CheapestSetOnline(inst.system),
+                trials=2,
+                seed=1,
+                label="sc",
+                offline="ilp",
+                ilp_time_limit=30.0,
+            )
         )
         assert summary.num_trials == 2
         assert summary.all_feasible()

@@ -4,10 +4,9 @@ The facade owns no numerics: a spec in ``batch`` / ``compiled`` /
 ``streaming`` mode must reproduce the decision logs and competitive ratios of
 the corresponding legacy entry point (direct ``run_admission``, the compiled
 fast path, a hand-driven :class:`StreamingSession`), and a ``RunSpec.grid``
-must reproduce :class:`ScenarioSweep` — at 1e-9, on both weight backends.
+must reproduce :func:`run_sweep_specs` (what ``repro sweep`` runs) — at
+1e-9, on both weight backends.
 """
-
-import warnings
 
 import pytest
 
@@ -18,7 +17,9 @@ from repro.engine.config import EngineConfig
 from repro.engine.executor import derive_seed_pairs
 from repro.engine.runtime import make_admission_algorithm
 from repro.engine.streaming import StreamingSession
+from repro.engine.sweep import run_sweep_specs
 from repro.instances.compiled import compile_instance
+from repro.scenarios import get_scenario
 from repro.utils.rng import as_generator
 from repro.workloads import bursty_workload
 
@@ -123,31 +124,27 @@ class TestModeCrossEquivalence:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSweepEquivalence:
     def test_grid_reproduces_scenario_sweep(self, backend):
-        kwargs = dict(
-            scenarios=["cheap_expensive", "bursty"],
-            algorithms=["fractional", "randomized"],
-            backend=backend, num_trials=2, seed=13, offline="lp",
+        scenarios = ["cheap_expensive", "bursty"]
+        algorithms = ["fractional", "randomized"]
+        swept = run_sweep_specs(
+            [get_scenario(s) for s in scenarios], algorithms,
+            config=EngineConfig(backend=backend), num_trials=2, seed=13,
+            offline="lp", ilp_time_limit=20.0,
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.engine.sweep import ScenarioSweep
-
-            legacy = ScenarioSweep(**kwargs).run()
         grid = RunSpec.grid(
-            kwargs["scenarios"], kwargs["algorithms"], backends=[backend],
+            scenarios, algorithms, backends=[backend],
             seed=13, trials=2, offline="lp",
         )
         results = Runner().run(grid)
-        for (scenario, algorithm), summary in legacy.summaries.items():
+        for (scenario, algorithm), summary in swept.summaries.items():
             cell = results.filter(source=scenario, algorithm=algorithm)
             assert cell.ratios() == pytest.approx(summary.ratios(), abs=1e-9)
             assert [r.online_cost for r in cell] == pytest.approx(
                 [rec.online_cost for rec in summary.records], abs=1e-9
             )
 
-    def test_trials_deprecated_runner_matches_facade(self, backend):
-        """run_admission_trials (the deprecated batch-trials path) == facade."""
-        from repro.analysis.trials import run_admission_trials
+    def test_trials_hand_loop_matches_facade(self, backend):
+        """A hand-run trial loop (seed pairs, compiled run, evaluation) == facade."""
 
         def factory(rng):
             return bursty_workload(num_edges=10, num_requests=60, capacity=3, random_state=rng)
@@ -158,19 +155,19 @@ class TestSweepEquivalence:
                 backend=EngineConfig(backend=backend),
             )
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_admission_trials(
-                factory, algorithm_factory, num_trials=3, random_state=21,
-                offline="lp", jobs=1,
-            )
+        looped = []
+        for instance_seed, algo_seed in derive_seed_pairs(21, 3):
+            instance = factory(as_generator(instance_seed))
+            algorithm = algorithm_factory(instance, as_generator(algo_seed))
+            result = run_admission(algorithm, instance, compiled=compile_instance(instance))
+            looped.append(evaluate_admission_run(instance, result, offline="lp").ratio)
         results = Runner().run(
             RunSpec(
                 factory=factory, algorithm=algorithm_factory, backend=backend,
                 mode="compiled", trials=3, seed=21, offline="lp",
             )
         )
-        assert results.ratios() == pytest.approx(legacy.ratios(), abs=1e-9)
+        assert results.ratios() == pytest.approx(looped, abs=1e-9)
 
 
 class TestCliRoutesThroughFacade:

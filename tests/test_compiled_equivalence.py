@@ -19,8 +19,7 @@ from repro.core.doubling import DoublingAdmissionControl, DoublingFractionalAdmi
 from repro.core.fractional import FractionalAdmissionControl
 from repro.core.protocols import run_admission
 from repro.core.randomized import RandomizedAdmissionControl
-from repro.engine.config import EngineConfig
-from repro.engine.runtime import SimulationEngine, make_admission_algorithm
+from repro.engine.runtime import make_admission_algorithm
 from repro.engine.streaming import StreamingSession
 from repro.instances.canonical import (
     single_edge_overload,
@@ -274,21 +273,13 @@ class TestEngineCompiledPipeline:
         instance = unit_cost_instance(1)
         runs = {}
         for compile_flag in (True, False):
-            engine = SimulationEngine(EngineConfig(backend="numpy", compile=compile_flag))
-            runs[compile_flag] = engine.run_admission(
-                "randomized", instance, random_state=42, weighted=False
+            algo = make_admission_algorithm(
+                "randomized", instance, random_state=42, backend="numpy", weighted=False
             )
-        assert admission_log(runs[True].result) == admission_log(runs[False].result)
-        assert runs[True].result.rejection_cost == pytest.approx(
-            runs[False].result.rejection_cost, abs=TOL
-        )
-        assert runs[True].num_arrivals == runs[False].num_arrivals
-
-    def test_engine_falls_back_without_indexed_path(self):
-        instance = unit_cost_instance(2)
-        engine = SimulationEngine(EngineConfig(backend="python", compile=True))
-        run = engine.run_admission("reject-when-full", instance)
-        assert run.num_arrivals == instance.num_requests
+            compiled = compile_instance(instance) if compile_flag else None
+            runs[compile_flag] = run_admission(algo, instance, compiled=compiled)
+        assert admission_log(runs[True]) == admission_log(runs[False])
+        assert runs[True].rejection_cost == pytest.approx(runs[False].rejection_cost, abs=TOL)
 
     def test_run_admission_compiled_with_baseline_algorithm(self):
         """run_admission(compiled=...) degrades gracefully for plain algorithms."""
@@ -300,12 +291,3 @@ class TestEngineCompiledPipeline:
             make_admission_algorithm("reject-when-full", instance), instance
         )
         assert admission_log(result) == admission_log(plain)
-
-    def test_tag_batching_over_indices(self):
-        instance = unit_cost_instance(4)
-        engine = SimulationEngine(EngineConfig(batching="tag"))
-        compiled = compile_instance(instance)
-        batches = list(engine.iter_index_batches(compiled))
-        assert sum(len(b) for b in batches) == compiled.num_requests
-        flat = [i for batch in batches for i in batch]
-        assert flat == list(range(compiled.num_requests))

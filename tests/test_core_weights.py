@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.weights import FractionalWeightState
+from repro.engine.backends import PythonWeightBackend
 
 
 def make_state(capacities=None, g=2.0, max_capacity=None):
-    return FractionalWeightState(capacities or {"e": 1}, g=g, max_capacity=max_capacity)
+    return PythonWeightBackend(capacities or {"e": 1}, g=g, max_capacity=max_capacity)
 
 
 class TestRegistration:
@@ -34,12 +34,12 @@ class TestRegistration:
             state.register(0, ["e"], 0.0)
 
     def test_seed_weight_formula(self):
-        state = FractionalWeightState({"e": 4}, g=8.0)
+        state = PythonWeightBackend({"e": 4}, g=8.0)
         assert state.seed_weight == pytest.approx(1.0 / 32.0)
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            FractionalWeightState({"e": -1}, g=1.0)
+            PythonWeightBackend({"e": -1}, g=1.0)
 
 
 class TestExcessAndConstraint:

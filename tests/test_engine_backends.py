@@ -1,10 +1,9 @@
 """Tests for the NumPy weight backend and the cross-backend equivalence gate.
 
 The scalar :class:`~repro.engine.backends.PythonWeightBackend` is already
-covered by ``test_core_weights.py`` (under its historical name
-``FractionalWeightState``); here the vectorized backend is held to the same
-behaviours, and the two backends are pinned to each other within 1e-9 on the
-canonical instances — the honesty check of the whole refactor.
+covered by ``test_core_weights.py``; here the vectorized backend is held to
+the same behaviours, and the two backends are pinned to each other within
+1e-9 on the canonical instances — the honesty check of the whole refactor.
 """
 
 import numpy as np

@@ -1,9 +1,11 @@
 """Tests for the parallel trial executor and deterministic seed derivation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.analysis.trials import run_admission_trials
+from repro.api import Runner, RunSpec
 from repro.engine.executor import derive_seed_pairs, execute, is_picklable
 from repro.utils.rng import spawn_generators
 from repro.workloads import overloaded_edge_adversary
@@ -16,6 +18,16 @@ def _square(x):  # module-level: picklable, process-pool eligible
 def _fail_on_three(x):
     if x == 3:
         raise ValueError("three is right out")
+    return x
+
+
+def _log_call_then_lose_trace_three(item):
+    # Appends one line per call, so calls made in worker processes are counted.
+    log_path, x = item
+    with open(log_path, "a") as log:
+        log.write(f"{x}\n")
+    if x == 3:
+        raise FileNotFoundError(f"trace {x} was deleted")
     return x
 
 
@@ -43,6 +55,33 @@ class TestExecute:
             execute(_fail_on_three, range(5), jobs=2)
         with pytest.raises(ValueError):
             execute(_fail_on_three, range(5), jobs=1)
+
+    def test_worker_oserror_runs_each_item_once(self, tmp_path):
+        """An OSError raised by ``fn`` is the item's error, not a failed pool start."""
+        log_path = tmp_path / "calls.log"
+        items = [(str(log_path), x) for x in range(4)]
+        with pytest.raises(FileNotFoundError):
+            execute(_log_call_then_lose_trace_three, items, jobs=2)
+        calls = sorted(int(line) for line in Path(log_path).read_text().split())
+        assert calls == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("failing_step", ["create", "submit"])
+    def test_process_pool_start_failure_falls_back_to_threads(self, monkeypatch, failing_step):
+        from repro.engine import executor as executor_module
+
+        class UnstartablePool:
+            def __init__(self, max_workers):
+                if failing_step == "create":
+                    raise OSError("no process pool here")
+
+            def submit(self, fn, item):
+                raise OSError("cannot start a worker process")
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", UnstartablePool)
+        assert execute(_square, range(5), jobs=2) == [0, 1, 4, 9, 16]
 
 
 class TestSeedDerivation:
@@ -73,17 +112,19 @@ class TestSeedDerivation:
 
 class TestParallelTrials:
     def _summary(self, jobs):
-        return run_admission_trials(
-            instance_factory=lambda rng: overloaded_edge_adversary(
-                8, 2, num_hot_edges=2, random_state=rng
-            ),
-            algorithm_factory=lambda instance, rng: __import__(
-                "repro.core.randomized", fromlist=["RandomizedAdmissionControl"]
-            ).RandomizedAdmissionControl.for_instance(instance, random_state=rng),
-            num_trials=4,
-            random_state=777,
-            offline="lp",
-            jobs=jobs,
+        return Runner().run_summary(
+            RunSpec(
+                factory=lambda rng: overloaded_edge_adversary(
+                    8, 2, num_hot_edges=2, random_state=rng
+                ),
+                algorithm=lambda instance, rng: __import__(
+                    "repro.core.randomized", fromlist=["RandomizedAdmissionControl"]
+                ).RandomizedAdmissionControl.for_instance(instance, random_state=rng),
+                trials=4,
+                seed=777,
+                offline="lp",
+                jobs=jobs,
+            )
         )
 
     def test_jobs_do_not_change_results(self):

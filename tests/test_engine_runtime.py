@@ -1,12 +1,14 @@
-"""Tests for the SimulationEngine runtime (builds, streaming, batching)."""
+"""Tests for the engine config and the registry-driven algorithm builds."""
 
 import pytest
 
+from repro.core.bicriteria import BicriteriaOnlineSetCover
 from repro.core.protocols import run_admission, run_setcover
 from repro.core.randomized import RandomizedAdmissionControl
 from repro.engine.config import EngineConfig
-from repro.engine.runtime import SimulationEngine
+from repro.engine.runtime import make_admission_algorithm, make_setcover_algorithm
 from repro.instances.canonical import small_set_cover, star_congestion
+from repro.instances.compiled import compile_instance
 
 
 class TestEngineConfig:
@@ -14,7 +16,6 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.backend == "python"
         assert config.jobs == 1
-        assert config.batching == "none"
 
     def test_resolve_accepts_backend_name(self):
         assert EngineConfig.resolve("numpy").backend == "numpy"
@@ -26,70 +27,46 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             EngineConfig.resolve(42)
 
-    def test_invalid_batching_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(batching="bogus")
-
     def test_effective_jobs(self):
         assert EngineConfig(jobs=3).effective_jobs == 3
         assert EngineConfig(jobs=0).effective_jobs >= 1
 
 
-class TestSimulationEngineAdmission:
+class TestRegistryBuiltAdmission:
     def test_registry_key_build_matches_direct_run(self):
         instance = star_congestion(leaves=6, capacity=2)
-        engine = SimulationEngine()
-        run = engine.run_admission("randomized", instance, random_state=0)
+        algo = make_admission_algorithm("randomized", instance, random_state=0)
+        result = run_admission(algo, instance, compiled=compile_instance(instance))
         direct = run_admission(
             RandomizedAdmissionControl.for_instance(instance, random_state=0), instance
         )
-        assert run.result.rejection_cost == direct.rejection_cost
-        assert run.result.accepted_ids == direct.accepted_ids
-        assert run.num_arrivals == len(instance.requests)
-        assert run.seconds >= 0.0
-        assert run.backend == "python"
-
-    def test_prebuilt_algorithm_passes_through(self):
-        instance = star_congestion(leaves=5, capacity=2)
-        algo = RandomizedAdmissionControl.for_instance(instance, random_state=1)
-        engine = SimulationEngine()
-        run = engine.run_admission(algo, instance)
-        assert run.algorithm == "RandomizedAdmissionControl"
+        assert result.rejection_cost == direct.rejection_cost
+        assert result.accepted_ids == direct.accepted_ids
+        assert {d.request_id for d in result.decisions} == {
+            r.request_id for r in instance.requests
+        }
+        assert algo.backend == "python"
 
     def test_numpy_backend_threaded_through(self):
         instance = star_congestion(leaves=6, capacity=2)
-        engine = SimulationEngine(EngineConfig(backend="numpy"))
-        run = engine.run_admission("randomized", instance, random_state=0)
-        assert run.backend == "numpy"
-        reference = SimulationEngine().run_admission("randomized", instance, random_state=0)
-        assert run.result.rejection_cost == pytest.approx(
-            reference.result.rejection_cost, abs=1e-9
+        compiled = compile_instance(instance)
+        algo = make_admission_algorithm("randomized", instance, random_state=0, backend="numpy")
+        result = run_admission(algo, instance, compiled=compiled)
+        assert algo.backend == "numpy"
+        reference = run_admission(
+            make_admission_algorithm("randomized", instance, random_state=0),
+            instance,
+            compiled=compiled,
         )
-
-    def test_batching_none_streams_singletons(self):
-        instance = star_congestion(leaves=4, capacity=2)
-        run = SimulationEngine().run_admission("reject-when-full", instance)
-        assert run.num_batches == run.num_arrivals
-        assert all(size == 1 for size in run.batch_sizes)
-
-    def test_batching_by_tag_groups_consecutive_arrivals(self):
-        from repro.core.setcover_reduction import admission_instance_from_setcover
-
-        sc_instance = small_set_cover()
-        reduced = admission_instance_from_setcover(sc_instance)
-        engine = SimulationEngine(EngineConfig(batching="tag"))
-        run = engine.run_admission("reject-when-full", reduced)
-        # Phase-1 ("set") and phase-2 ("element") requests form two blocks.
-        assert run.num_batches == 2
-        assert run.num_arrivals == len(reduced.requests)
+        assert result.rejection_cost == pytest.approx(reference.rejection_cost, abs=1e-9)
 
 
-class TestSimulationEngineSetCover:
+class TestRegistryBuiltSetCover:
     def test_registry_key_runs_setcover(self):
         instance = small_set_cover()
-        run = SimulationEngine().run_setcover("bicriteria", instance, eps=0.3)
+        result = run_setcover(make_setcover_algorithm("bicriteria", instance, eps=0.3), instance)
         direct_result = run_setcover(
-            SimulationEngine().build_setcover("bicriteria", instance, eps=0.3), instance
+            BicriteriaOnlineSetCover.for_instance(instance, eps=0.3), instance
         )
-        assert run.result.cost == pytest.approx(direct_result.cost)
-        assert run.num_arrivals == len(instance.arrivals)
+        assert result.cost == pytest.approx(direct_result.cost)
+        assert sum(result.demands.values()) == len(instance.arrivals)

@@ -1,37 +1,48 @@
-"""Tests for the scenario sweep runner (engine/sweep.py)."""
+"""Tests for the scenario sweep behind ``repro sweep`` (engine/sweep.py)."""
 
 import json
 
 import pytest
 
+from repro.api.sources import RegistryAlgorithmFactory, ScenarioSource
+from repro.engine.config import EngineConfig
 from repro.engine.registry import UnknownKeyError
-from repro.engine.sweep import ScenarioInstanceFactory, ScenarioSweep, SweepAlgorithmFactory
+from repro.engine.sweep import run_sweep_specs
 from repro.scenarios import get_scenario
 
 #: Small, fast matrix shared by most tests: deterministic trap + tiny bursty.
 SCENARIOS = ["cheap_expensive", "bursty"]
 ALGORITHMS = ["fractional", "reject-when-full"]
-OVERRIDES = {"bursty": {"num_requests": 40, "num_edges": 16}}
+OVERRIDES = {"bursty": (("num_edges", 16), ("num_requests", 40))}
 
 
-def small_sweep(**kwargs):
-    defaults = dict(
-        scenarios=SCENARIOS,
-        algorithms=ALGORITHMS,
-        num_trials=2,
-        seed=3,
+def small_sweep(
+    scenarios=SCENARIOS,
+    algorithms=ALGORITHMS,
+    *,
+    jobs=1,
+    num_trials=2,
+    seed=3,
+    overrides=OVERRIDES,
+    streaming=False,
+):
+    """Resolve the scenario keys as ``repro sweep`` does, then run the matrix."""
+    return run_sweep_specs(
+        [get_scenario(s) for s in scenarios],
+        algorithms,
+        config=EngineConfig(jobs=jobs),
+        num_trials=num_trials,
+        seed=seed,
         offline="lp",
-        scenario_overrides=OVERRIDES,
+        ilp_time_limit=20.0,
+        streaming=streaming,
+        overrides=overrides,
     )
-    defaults.update(kwargs)
-    scenarios = defaults.pop("scenarios")
-    algorithms = defaults.pop("algorithms")
-    return ScenarioSweep(scenarios, algorithms, **defaults)
 
 
-class TestScenarioSweep:
+class TestRunSweepSpecs:
     def test_runs_full_matrix(self):
-        result = small_sweep().run()
+        result = small_sweep()
         rows = result.rows()
         assert len(rows) == len(SCENARIOS) * len(ALGORITHMS)
         assert {(r["scenario"], r["algorithm"]) for r in rows} == {
@@ -41,15 +52,15 @@ class TestScenarioSweep:
         assert all(r["ratio_mean"] >= 1.0 - 1e-9 for r in rows)
 
     def test_jobs_never_change_results(self):
-        serial = small_sweep(jobs=1).run()
-        parallel = small_sweep(jobs=2).run()
+        serial = small_sweep(jobs=1)
+        parallel = small_sweep(jobs=2)
         for key, summary in serial.summaries.items():
             assert summary.ratios() == parallel.summaries[key].ratios(), key
 
     def test_cell_seeds_are_independent_of_grid(self):
         """Removing a scenario must not perturb the remaining cells' numbers."""
-        full = small_sweep().run()
-        just_bursty = small_sweep(scenarios=["bursty"]).run()
+        full = small_sweep()
+        just_bursty = small_sweep(scenarios=["bursty"])
         for algorithm in ALGORITHMS:
             assert (
                 full.summaries[("bursty", algorithm)].ratios()
@@ -57,7 +68,7 @@ class TestScenarioSweep:
             )
 
     def test_fractional_cells_compare_against_lp(self):
-        result = small_sweep(algorithms=["fractional"]).run()
+        result = small_sweep(algorithms=["fractional"])
         for summary in result.summaries.values():
             assert all(r.offline_kind.startswith("lp") for r in summary.records)
 
@@ -66,15 +77,25 @@ class TestScenarioSweep:
 
         path = record_trace(build_scenario("cheap_expensive"), tmp_path / "cell.jsonl")
         scenario = scenario_from_trace(path, register=False)
-        result = ScenarioSweep(
-            [scenario], ["reject-when-full"], num_trials=2, seed=0, offline="lp"
-        ).run()
+        result = small_sweep([scenario], ["reject-when-full"], seed=0, overrides=None)
         summary = result.summaries[(scenario.key, "reject-when-full")]
         # The trace is deterministic, so every trial measures the same ratio.
         assert len(set(summary.ratios())) == 1
 
+    def test_streaming_baseline_fallback_still_works(self):
+        """``repro sweep --streaming`` streams baselines through the session fallback."""
+        batch = small_sweep(["cheap_expensive"], ["reject-when-full"], num_trials=1, overrides=None)
+        streamed = small_sweep(
+            ["cheap_expensive"], ["reject-when-full"], num_trials=1, overrides=None,
+            streaming=True,
+        )
+        cell = ("cheap_expensive", "reject-when-full")
+        assert streamed.summaries[cell].ratios() == pytest.approx(
+            batch.summaries[cell].ratios(), abs=1e-9
+        )
+
     def test_report_and_tables(self):
-        result = small_sweep().run()
+        result = small_sweep()
         report = result.report()
         assert "Cross-scenario comparison" in report
         for scenario in SCENARIOS:
@@ -83,7 +104,7 @@ class TestScenarioSweep:
             assert f"ratio[{algorithm}]" in report
 
     def test_save_round_trips_as_json(self, tmp_path):
-        result = small_sweep().run()
+        result = small_sweep()
         path = result.save(tmp_path / "sweep.json")
         payload = json.loads(path.read_text())
         assert payload["scenarios"] == SCENARIOS
@@ -93,33 +114,30 @@ class TestScenarioSweep:
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError, match="scenario"):
-            ScenarioSweep([], ["fractional"])
+            small_sweep([], ["fractional"])
         with pytest.raises(ValueError, match="algorithm"):
-            ScenarioSweep(["bursty"], [])
+            small_sweep(["bursty"], [])
 
     def test_duplicate_axes_rejected(self):
         with pytest.raises(ValueError, match="duplicate scenario"):
-            ScenarioSweep(["bursty", "bursty"], ["fractional"])
+            small_sweep(["bursty", "bursty"], ["fractional"])
         with pytest.raises(ValueError, match="duplicate algorithm"):
-            ScenarioSweep(["bursty"], ["fractional", "fractional"])
+            small_sweep(["bursty"], ["fractional", "fractional"])
 
-    def test_unknown_scenario_rejected_at_construction(self):
+    def test_unknown_scenario_rejected(self):
         with pytest.raises(UnknownKeyError, match="scenario"):
-            ScenarioSweep(["no-such"], ["fractional"])
+            small_sweep(["no-such"], ["fractional"])
 
     def test_unknown_algorithm_fails_at_run(self):
-        sweep = small_sweep(scenarios=["cheap_expensive"], algorithms=["no-such-algo"])
         with pytest.raises(UnknownKeyError, match="admission algorithm"):
-            sweep.run()
+            small_sweep(scenarios=["cheap_expensive"], algorithms=["no-such-algo"])
 
 
 class TestSweepFactories:
     def test_instance_factory_applies_overrides(self):
         import numpy as np
 
-        factory = ScenarioInstanceFactory(
-            get_scenario("bursty"), (("num_requests", 17), ("num_edges", 8))
-        )
+        factory = ScenarioSource(get_scenario("bursty"), (("num_requests", 17), ("num_edges", 8)))
         instance = factory(np.random.default_rng(0))
         assert instance.num_requests == 17
         assert instance.num_edges == 8
@@ -127,9 +145,7 @@ class TestSweepFactories:
     def test_factories_are_picklable(self):
         import pickle
 
-        from repro.engine.config import EngineConfig
-
-        factory = ScenarioInstanceFactory(get_scenario("bursty"))
-        algo_factory = SweepAlgorithmFactory("fractional", EngineConfig())
+        factory = ScenarioSource(get_scenario("bursty"))
+        algo_factory = RegistryAlgorithmFactory("fractional", EngineConfig())
         pickle.loads(pickle.dumps(factory))
         pickle.loads(pickle.dumps(algo_factory))

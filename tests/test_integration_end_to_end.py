@@ -18,8 +18,8 @@ from repro.analysis import (
     check_admission_result,
     evaluate_admission_run,
     evaluate_setcover_run,
-    run_admission_trials,
 )
+from repro.api import Runner, RunSpec
 from repro.baselines import KeepExpensive, RejectWhenFull
 from repro.network.topologies import grid_graph, line_graph
 from repro.offline import solve_admission_ilp, solve_set_multicover_ilp
@@ -68,12 +68,16 @@ class TestAdmissionPipeline:
         assert paper.rejection_cost <= 3 * max(naive.rejection_cost, 1.0) + 3
 
     def test_trials_runner_end_to_end(self):
-        summary = run_admission_trials(
-            instance_factory=lambda rng: overloaded_edge_adversary(10, 2, random_state=rng),
-            algorithm_factory=lambda inst, rng: KeepExpensive.for_instance(inst),
-            num_trials=3,
-            random_state=4,
-            label="integration",
+        summary = Runner().run_summary(
+            RunSpec(
+                factory=lambda rng: overloaded_edge_adversary(10, 2, random_state=rng),
+                algorithm=lambda inst, rng: KeepExpensive.for_instance(inst),
+                trials=3,
+                seed=4,
+                label="integration",
+                offline="ilp",
+                ilp_time_limit=30.0,
+            )
         )
         assert summary.num_trials == 3
         assert summary.all_feasible()

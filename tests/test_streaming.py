@@ -419,18 +419,21 @@ class TestSessionInterning:
 class TestStreamingSweepPath:
     def test_streaming_sweep_matches_batch_sweep(self):
         # The serving-layer execution path must not change a single number.
-        from repro.engine.sweep import ScenarioSweep
+        from repro.engine.config import EngineConfig
+        from repro.engine.sweep import run_sweep_specs
+        from repro.scenarios import get_scenario
 
         kwargs = dict(
-            scenarios=["cheap_expensive"],
             algorithms=["fractional", "randomized"],
-            backend="numpy",
+            config=EngineConfig(backend="numpy"),
             num_trials=2,
             seed=13,
             offline="lp",
+            ilp_time_limit=20.0,
         )
-        batch = ScenarioSweep(**kwargs).run()
-        streamed = ScenarioSweep(streaming=True, **kwargs).run()
+        scenarios = [get_scenario("cheap_expensive")]
+        batch = run_sweep_specs(scenarios, **kwargs)
+        streamed = run_sweep_specs(scenarios, streaming=True, **kwargs)
         for cell, summary in batch.summaries.items():
             assert streamed.summaries[cell].ratios() == pytest.approx(
                 summary.ratios(), abs=1e-9
