@@ -21,6 +21,7 @@ from repro.api import Runner, RunSpec
 from repro.baselines import KeepExpensive, CheapestSetOnline
 from repro.core.protocols import AdmissionResult, run_admission, run_setcover
 from repro.core.randomized import RandomizedAdmissionControl
+from repro.engine.runtime import make_setcover_algorithm
 from repro.workloads import overloaded_edge_adversary, random_setcover_instance
 
 
@@ -157,6 +158,24 @@ class TestTrials:
         )
         assert summary.num_trials == 2
         assert summary.all_feasible()
+
+    def test_setcover_trials_reproducible(self):
+        def run_once():
+            summary = Runner().run_summary(
+                RunSpec(
+                    problem="setcover",
+                    factory=lambda rng: random_setcover_instance(30, 15, 60, random_state=rng),
+                    algorithm=lambda inst, rng: make_setcover_algorithm(
+                        "reduction", inst, random_state=rng
+                    ),
+                    trials=3,
+                    seed=8,
+                    offline="lp",
+                )
+            )
+            return summary.ratios(), [record.online_cost for record in summary.records]
+
+        assert run_once() == run_once()
 
 
 class TestReportFormatting:

@@ -10,18 +10,18 @@ must reproduce :func:`run_sweep_specs` (what ``repro sweep`` runs) — at
 
 import pytest
 
-from repro.analysis.competitive import evaluate_admission_run
+from repro.analysis.competitive import evaluate_admission_run, evaluate_setcover_run
 from repro.api import Runner, RunSpec
-from repro.core.protocols import run_admission
+from repro.core.protocols import run_admission, run_setcover
 from repro.engine.config import EngineConfig
 from repro.engine.executor import derive_seed_pairs
-from repro.engine.runtime import make_admission_algorithm
+from repro.engine.runtime import make_admission_algorithm, make_setcover_algorithm
 from repro.engine.streaming import StreamingSession
 from repro.engine.sweep import run_sweep_specs
 from repro.instances.compiled import compile_instance
 from repro.scenarios import get_scenario
 from repro.utils.rng import as_generator
-from repro.workloads import bursty_workload
+from repro.workloads import bursty_workload, random_setcover_instance
 
 BACKENDS = ["python", "numpy"]
 SEEDS = [3, 11, 20050718]
@@ -168,6 +168,33 @@ class TestSweepEquivalence:
             )
         )
         assert results.ratios() == pytest.approx(looped, abs=1e-9)
+
+    def test_setcover_trials_hand_loop_matches_facade(self, backend):
+        """The set-cover trial path: hand-run loop (seed pairs, run, evaluation) == facade."""
+
+        def factory(rng):
+            return random_setcover_instance(20, 10, 30, random_state=rng)
+
+        def algorithm_factory(instance, rng):
+            return make_setcover_algorithm(
+                "reduction", instance, random_state=rng,
+                backend=EngineConfig(backend=backend),
+            )
+
+        looped_ratios, looped_costs = [], []
+        for instance_seed, algo_seed in derive_seed_pairs(9, 2):
+            instance = factory(as_generator(instance_seed))
+            result = run_setcover(algorithm_factory(instance, as_generator(algo_seed)), instance)
+            looped_ratios.append(evaluate_setcover_run(instance, result, offline="lp").ratio)
+            looped_costs.append(result.cost)
+        results = Runner().run(
+            RunSpec(
+                problem="setcover", factory=factory, algorithm=algorithm_factory,
+                backend=backend, trials=2, seed=9, offline="lp",
+            )
+        )
+        assert results.ratios() == pytest.approx(looped_ratios, abs=1e-9)
+        assert [r.online_cost for r in results] == pytest.approx(looped_costs, abs=1e-9)
 
 
 class TestCliRoutesThroughFacade:

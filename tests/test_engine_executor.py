@@ -1,5 +1,6 @@
 """Tests for the parallel trial executor and deterministic seed derivation."""
 
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +22,25 @@ def _fail_on_three(x):
     return x
 
 
-def _log_call_then_lose_trace_three(item):
+def _log_call_then_raise_on_three(item):
     # Appends one line per call, so calls made in worker processes are counted.
-    log_path, x = item
+    log_path, x, error_type = item
     with open(log_path, "a") as log:
         log.write(f"{x}\n")
     if x == 3:
-        raise FileNotFoundError(f"trace {x} was deleted")
+        raise error_type(f"item {x} failed")
     return x
+
+
+def _logged_calls(log_path):
+    return sorted(int(line) for line in Path(log_path).read_text().split())
+
+
+def _forbid_pool(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} must not be created here")
+
+    return refuse
 
 
 class TestExecute:
@@ -59,11 +71,48 @@ class TestExecute:
     def test_worker_oserror_runs_each_item_once(self, tmp_path):
         """An OSError raised by ``fn`` is the item's error, not a failed pool start."""
         log_path = tmp_path / "calls.log"
-        items = [(str(log_path), x) for x in range(4)]
+        items = [(str(log_path), x, FileNotFoundError) for x in range(4)]
         with pytest.raises(FileNotFoundError):
-            execute(_log_call_then_lose_trace_three, items, jobs=2)
-        calls = sorted(int(line) for line in Path(log_path).read_text().split())
-        assert calls == [0, 1, 2, 3]
+            execute(_log_call_then_raise_on_three, items, jobs=2)
+        assert _logged_calls(log_path) == [0, 1, 2, 3]
+
+    def test_worker_pickling_error_runs_each_item_once(self, tmp_path):
+        """A PicklingError raised inside ``fn`` does not send the work to threads."""
+        log_path = tmp_path / "calls.log"
+        items = [(str(log_path), x, pickle.PicklingError) for x in range(4)]
+        with pytest.raises(pickle.PicklingError):
+            execute(_log_call_then_raise_on_three, items, jobs=2)
+        assert _logged_calls(log_path) == [0, 1, 2, 3]
+
+    def test_thread_lane_oserror_runs_each_item_once(self):
+        calls = []
+
+        def lose_trace_three(x):  # closure over ``calls``: runs on threads
+            calls.append(x)
+            if x == 3:
+                raise FileNotFoundError(f"trace {x} was deleted")
+            return x
+
+        assert not is_picklable(lose_trace_three)
+        with pytest.raises(FileNotFoundError):
+            execute(lose_trace_three, range(4), jobs=2)
+        assert sorted(calls) == [0, 1, 2, 3]
+
+    def test_prefer_processes_false_stays_on_threads(self, monkeypatch):
+        from repro.engine import executor as executor_module
+
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", _forbid_pool("ProcessPoolExecutor")
+        )
+        assert execute(_square, range(5), jobs=2, prefer_processes=False) == [0, 1, 4, 9, 16]
+
+    def test_single_item_runs_serially(self, monkeypatch):
+        """``jobs`` is capped by the item count: one item never starts a pool."""
+        from repro.engine import executor as executor_module
+
+        for name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            monkeypatch.setattr(executor_module, name, _forbid_pool(name))
+        assert execute(_square, [7], jobs=4) == [49]
 
     @pytest.mark.parametrize("failing_step", ["create", "submit"])
     def test_process_pool_start_failure_falls_back_to_threads(self, monkeypatch, failing_step):

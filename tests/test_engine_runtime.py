@@ -1,5 +1,7 @@
 """Tests for the engine config and the registry-driven algorithm builds."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.bicriteria import BicriteriaOnlineSetCover
@@ -16,6 +18,11 @@ class TestEngineConfig:
         config = EngineConfig()
         assert config.backend == "python"
         assert config.jobs == 1
+
+    def test_fields(self):
+        assert [f.name for f in fields(EngineConfig)] == [
+            "backend", "jobs", "compile", "record", "vectorized",
+        ]
 
     def test_resolve_accepts_backend_name(self):
         assert EngineConfig.resolve("numpy").backend == "numpy"
@@ -70,3 +77,14 @@ class TestRegistryBuiltSetCover:
         )
         assert result.cost == pytest.approx(direct_result.cost)
         assert sum(result.demands.values()) == len(instance.arrivals)
+
+    def test_numpy_backend_threaded_through(self):
+        instance = small_set_cover()
+        algo = make_setcover_algorithm("reduction", instance, random_state=0, backend="numpy")
+        result = run_setcover(algo, instance)
+        assert algo.admission_algorithm.backend == "numpy"
+        reference = run_setcover(
+            make_setcover_algorithm("reduction", instance, random_state=0), instance
+        )
+        assert result.cost == pytest.approx(reference.cost, abs=1e-9)
+        assert result.chosen_sets == reference.chosen_sets

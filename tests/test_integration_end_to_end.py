@@ -109,7 +109,14 @@ class TestSetCoverPipeline:
 
 @pytest.mark.parametrize(
     "script",
-    ["quickstart.py", "adversarial_showdown.py"],
+    [
+        "quickstart.py",
+        "adversarial_showdown.py",
+        "scenario_sweep.py",
+        "streaming_service.py",
+        "cdn_replica_placement.py",
+        "isp_admission_control.py",
+    ],
 )
 class TestExamplesRun:
     def test_example_executes(self, script):
