@@ -5,6 +5,7 @@ from repro.analysis.competitive import (
     CompetitiveRecord,
     evaluate_admission_algorithm,
     evaluate_admission_run,
+    evaluate_fractional_run,
     evaluate_setcover_algorithm,
     evaluate_setcover_run,
 )
@@ -16,7 +17,6 @@ from repro.analysis.invariants import (
 )
 from repro.analysis.report import format_kv, format_records, format_table
 from repro.analysis.stats import SummaryStats, summarize
-from repro.analysis.trials import TrialSummary, execute_trial_suite
 
 __all__ = [
     "ascii_line_plot",
@@ -24,6 +24,7 @@ __all__ = [
     "CompetitiveRecord",
     "evaluate_admission_algorithm",
     "evaluate_admission_run",
+    "evaluate_fractional_run",
     "evaluate_setcover_algorithm",
     "evaluate_setcover_run",
     "InvariantReport",
@@ -35,6 +36,4 @@ __all__ = [
     "format_table",
     "SummaryStats",
     "summarize",
-    "TrialSummary",
-    "execute_trial_suite",
 ]

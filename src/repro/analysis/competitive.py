@@ -24,6 +24,7 @@ from repro.instances.setcover import SetCoverInstance
 from repro.offline import (
     solve_admission_ilp,
     solve_admission_lp,
+    solve_admission_lp_cached,
     solve_set_multicover_ilp,
     solve_set_multicover_lp,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "CompetitiveRecord",
     "evaluate_admission_run",
     "evaluate_admission_algorithm",
+    "evaluate_fractional_run",
     "evaluate_setcover_run",
     "evaluate_setcover_algorithm",
 ]
@@ -148,6 +150,37 @@ def evaluate_admission_algorithm(
     algorithm = algorithm_factory(instance)
     result = run_admission(algorithm, instance)
     return evaluate_admission_run(instance, result, **kwargs)
+
+
+def evaluate_fractional_run(
+    instance: AdmissionInstance,
+    online_cost: float,
+    *,
+    algorithm: str,
+    extra: Dict[str, Any],
+) -> CompetitiveRecord:
+    """Compare a fractional online cost against the fractional optimum (the LP).
+
+    The comparator of the Section-2 algorithm and of sharded fractional runs,
+    whose online cost is a sum over shards.  The LP solve is cached: oracle-
+    alpha factories and invariant probes may solve the same instance's LP in
+    the same worker.  ``feasible`` is not checked here; it is always ``True``.
+    """
+    opt = solve_admission_lp_cached(instance)
+    ratio = safe_ratio(online_cost, opt.cost)
+    bound = bound_for_admission_instance(instance, randomized=False)
+    return CompetitiveRecord(
+        algorithm=algorithm,
+        instance_name=instance.name,
+        online_cost=online_cost,
+        offline_cost=opt.cost,
+        offline_kind=f"lp:{opt.status}",
+        ratio=ratio,
+        bound=bound,
+        normalized_ratio=bound.normalized(ratio),
+        feasible=True,
+        extra=extra,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def format_table(
 
 
 def format_records(records: Iterable, *, title: Optional[str] = None, float_format: str = ".3f") -> str:
-    """Render ``CompetitiveRecord`` / ``TrialSummary`` objects via their ``row()`` method."""
+    """Render :class:`~repro.analysis.competitive.CompetitiveRecord` objects via their ``row()`` method."""
     rows = [record.row() for record in records]
     return format_table(rows, title=title, float_format=float_format)
 

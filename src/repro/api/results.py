@@ -4,8 +4,8 @@ Every trial the :class:`~repro.api.runner.Runner` executes — batch, compiled,
 streaming, grid cell, admission or set cover — lands as one
 :class:`ResultRow` with the same columns.  The set is *tidy* in the dataframe
 sense: one observation (trial) per row, one variable per column, so
-aggregation is a group-by rather than three bespoke result shapes
-(`TrialSummary`, `SweepResult`, session summaries) glued together.
+aggregation is a group-by; ``repro sweep``'s report
+(:class:`~repro.engine.sweep.SweepResult`) renders from it too.
 
 Rows round-trip through JSON (one document) and JSONL (one row per line):
 ``ResultSet.load(ResultSet.save(path))`` is lossless for every serialisable
@@ -146,8 +146,8 @@ class ResultSet:
 
         Returns one flat dict per group, in first-seen order, with ``trials``,
         ``ratio_mean``/``ratio_max``, ``online_mean``/``offline_mean`` and
-        ``feasible`` (the all-trials conjunction) — the exact shape the legacy
-        sweep's long table used.
+        ``feasible`` (the all-trials conjunction) — the rows of ``repro
+        sweep``'s long table, whose ``source`` column it names ``scenario``.
         """
         groups: Dict[Tuple[Any, ...], List[ResultRow]] = {}
         for row in self.rows:

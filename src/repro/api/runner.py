@@ -1,8 +1,9 @@
 """`Runner`: dispatch validated specs through the engine's execution paths.
 
-The Runner owns no numerics of its own.  Every spec compiles down to one call
-of :func:`repro.analysis.trials.execute_trial_suite`, the one trial engine,
-with the spec's mode mapped onto the suite's knobs:
+The Runner owns no numerics of its own.  Every spec compiles its source and
+algorithm into picklable factories (:mod:`repro.api.sources`) and goes, with
+them, to :func:`repro.analysis.trials.run_trials`, the one trial engine, which
+reads the spec's ``mode`` to pick the execution path:
 
 ==============  =====================================================
 spec ``mode``   execution path
@@ -10,7 +11,8 @@ spec ``mode``   execution path
 ``batch``       per-request ``process()`` loop
 ``compiled``    compiled-instance indexed fast path
 ``streaming``   :class:`~repro.engine.streaming.StreamingSession`
-                micro-batches (the serving layer)
+                micro-batches (the serving layer); with ``shards > 1``
+                a :class:`~repro.engine.shards.ProcessShardPool`
 ==============  =====================================================
 
 Decisions — and therefore every reported number — are identical across modes
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Union
 
-from repro.analysis.trials import TrialSummary, execute_trial_suite
+from repro.analysis.competitive import CompetitiveRecord
+from repro.analysis.trials import run_trials
 from repro.api.results import ResultRow, ResultSet
 from repro.api.sources import FixedInstanceSource, RegistryAlgorithmFactory, ScenarioSource
 from repro.api.spec import RunSpec
@@ -46,49 +49,11 @@ class Runner:
             specs = [specs]
         results = ResultSet()
         for spec in specs:
-            results.extend(self._rows_for(spec, self.run_summary(spec)))
+            records = run_trials(
+                spec, self._instance_factory(spec), self._algorithm_factory(spec)
+            )
+            results.extend(self._rows_for(spec, records))
         return results
-
-    def run_summary(self, spec: RunSpec) -> TrialSummary:
-        """Run one spec and return the raw :class:`TrialSummary`.
-
-        Exposed for adapters that speak the summary shape
-        (:func:`~repro.engine.sweep.run_sweep_specs`); :meth:`run` is the
-        normal entry point.
-        """
-        return execute_trial_suite(
-            spec.problem,
-            self._instance_factory(spec),
-            self._algorithm_factory(spec),
-            num_trials=spec.trials,
-            random_state=spec.seed,
-            label=spec.label or f"{spec.source_key} x {spec.algorithm_key}",
-            offline=spec.offline,
-            randomized_bound=spec.randomized_bound,
-            bicriteria_bound=spec.bicriteria_bound,
-            ilp_time_limit=spec.ilp_time_limit,
-            jobs=spec.jobs,
-            compile_instances=spec.mode == "compiled",
-            streaming=spec.mode == "streaming",
-            vectorized=spec.vectorized,
-            probe=spec.probe,
-            sharding=self._sharding(spec),
-        )
-
-    @staticmethod
-    def _sharding(spec: RunSpec):
-        """The trial suite's scale-out config, or ``None`` for plain specs."""
-        if spec.mode != "streaming" or (spec.shards == 1 and spec.workers == 1):
-            return None
-        return {
-            "shards": spec.shards,
-            "workers": spec.workers,
-            "algorithm": spec.algorithm,
-            "backend": spec.backend,
-            "record": spec.record,
-            "algorithm_kwargs": spec.algorithm_param_dict(),
-            "vectorized": spec.vectorized,
-        }
 
     # -- spec compilation --------------------------------------------------------
     @staticmethod
@@ -106,8 +71,7 @@ class Runner:
             return spec.algorithm
         config = EngineConfig(
             backend=spec.backend,
-            jobs=1,  # worker-side: trials already fanned out by the suite
-            compile=spec.mode != "batch",
+            jobs=1,  # worker-side: trials already fanned out by run_trials
             record=spec.record,
             vectorized=spec.vectorized,
         )
@@ -116,32 +80,30 @@ class Runner:
         )
 
     @staticmethod
-    def _rows_for(spec: RunSpec, summary: TrialSummary) -> List[ResultRow]:
-        rows: List[ResultRow] = []
-        for trial, record in enumerate(summary.records):
-            rows.append(
-                ResultRow(
-                    source=spec.source_key,
-                    algorithm=spec.algorithm_key,
-                    backend=spec.backend,
-                    mode=spec.mode or "compiled",
-                    problem=spec.problem,
-                    trial=trial,
-                    label=summary.label,
-                    instance=record.instance_name,
-                    online_cost=record.online_cost,
-                    offline_cost=record.offline_cost,
-                    offline_kind=record.offline_kind,
-                    ratio=record.ratio,
-                    bound=record.bound.value if record.bound is not None else None,
-                    normalized_ratio=record.normalized_ratio,
-                    feasible=record.feasible,
-                    seed=spec.seed,
-                    extra=dict(record.extra),
-                    record=record,
-                )
+    def _rows_for(spec: RunSpec, records: List[CompetitiveRecord]) -> List[ResultRow]:
+        return [
+            ResultRow(
+                source=spec.source_key,
+                algorithm=spec.algorithm_key,
+                backend=spec.backend,
+                mode=spec.mode,  # type: ignore[arg-type]  # set in __post_init__
+                problem=spec.problem,
+                trial=trial,
+                label=spec.label,  # type: ignore[arg-type]  # set in __post_init__
+                instance=record.instance_name,
+                online_cost=record.online_cost,
+                offline_cost=record.offline_cost,
+                offline_kind=record.offline_kind,
+                ratio=record.ratio,
+                bound=record.bound.value if record.bound is not None else None,
+                normalized_ratio=record.normalized_ratio,
+                feasible=record.feasible,
+                seed=spec.seed,
+                extra=dict(record.extra),
+                record=record,
             )
-        return rows
+            for trial, record in enumerate(records)
+        ]
 
 
 def run(specs: Union[RunSpec, Iterable[RunSpec]]) -> ResultSet:

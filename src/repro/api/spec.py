@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.api.sources import FixedSeedAlgorithmFactory, RegistryAlgorithmFactory
 from repro.engine.config import DEFAULT_BACKEND
 from repro.scenarios.registry import Scenario
 from repro.utils.rng import stable_seed
@@ -361,9 +362,12 @@ class RunSpec:
 
     @property
     def algorithm_key(self) -> str:
-        """Display key of the algorithm (registry key, or the callable's name)."""
+        """Display key of the algorithm: the registry key (also of a registry
+        factory), or the callable's name."""
         if isinstance(self.algorithm, str):
             return self.algorithm
+        if isinstance(self.algorithm, (RegistryAlgorithmFactory, FixedSeedAlgorithmFactory)):
+            return self.algorithm.key
         name = getattr(self.algorithm, "__name__", None)
         return name or type(self.algorithm).__name__
 

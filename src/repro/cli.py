@@ -132,6 +132,17 @@ def _backend_choices() -> List[str]:
     return WEIGHT_BACKENDS.keys()
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (``--trials``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed separately for testing)."""
     parser = argparse.ArgumentParser(
@@ -157,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="run one experiment (or 'all') and print its table")
     run_parser.add_argument("experiment", help="experiment id, e.g. E3, or 'all'")
     run_parser.add_argument("--quick", action="store_true", help="use the reduced parameter grid")
-    run_parser.add_argument("--trials", type=int, default=3, help="trials per configuration point")
+    run_parser.add_argument(
+        "--trials", type=_positive_int, default=3, help="trials per configuration point"
+    )
     run_parser.add_argument("--seed", type=int, default=20050718, help="master seed")
     run_parser.add_argument(
         "--ilp-time-limit", type=float, default=20.0, help="time limit (s) for exact offline solves"
@@ -206,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="parallel workers per cell (1 = serial, 0 = all cores); never changes results",
     )
-    sweep_parser.add_argument("--trials", type=int, default=3, help="trials per cell")
+    sweep_parser.add_argument("--trials", type=_positive_int, default=3, help="trials per cell")
     sweep_parser.add_argument("--seed", type=int, default=20050718, help="master seed")
     sweep_parser.add_argument(
         "--offline", choices=["lp", "ilp"], default="lp",

@@ -1,6 +1,6 @@
 """The engine's micro-benchmarks and the perf-regression gate.
 
-Four canonical benchmarks cover the library's hot paths:
+Six canonical benchmarks cover the library's hot paths:
 
 * the *weight-update* micro-benchmark exercises the multiplicative weight
   mechanism — the hottest loop — on an instance with >= 1000 edges whose two
@@ -19,16 +19,24 @@ Four canonical benchmarks cover the library's hot paths:
   arrivals in micro-batches through a
   :class:`~repro.engine.streaming.StreamingSession`, periodic JSON
   checkpoints, and one mid-stream teardown + restore — so serving-layer and
-  checkpoint regressions trip the gate too.
+  checkpoint regressions trip the gate too;
+* the *service load-test* benchmark drives a live
+  :class:`~repro.service.server.AdmissionService` over TCP, so the wire
+  codec and the dispatcher are timed end to end;
+* the *shard-scaling* benchmark streams a namespaced 100k-arrival trace
+  through a :class:`~repro.engine.shards.ProcessShardPool` at 1, 2, 4 and 8
+  workers.
 
-The same workloads drive:
+The scaling, stream-resume and service workloads share one hot/cold
+instance shape (:func:`_hot_cold_instance`).  The same workloads drive:
 
 * ``python -m repro bench`` (the ``make bench-smoke`` target), which runs
-  both benchmarks once per registered backend, prints a comparison table, and
-  fails when a benchmark regresses more than :data:`REGRESSION_FACTOR` x
-  against the committed baseline JSON (``benchmarks/baseline_bench.json``);
-* ``benchmarks/test_bench_micro_core.py``, so pytest-benchmark tracks the
-  same numbers over time (and writes them into ``BENCH_engine.json``).
+  each benchmark once per registered backend (the service and shard
+  benchmarks on numpy only), prints one line per run, and fails when a
+  benchmark regresses more than :data:`REGRESSION_FACTOR` x against the
+  committed baseline JSON (``benchmarks/baseline_bench.json``);
+* the ``benchmarks/test_bench_*.py`` modules, so pytest-benchmark tracks
+  the same numbers over time (and writes them into ``BENCH_engine.json``).
 
 Keeping the workloads in one module guarantees the CLI gate and the pytest
 suite measure the same thing.
@@ -41,7 +49,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -231,6 +239,34 @@ def run_weight_update_bench(
     )
 
 
+def _hot_cold_instance(
+    workload: Union["ScalingWorkload", "StreamResumeWorkload", "ServiceLoadtestWorkload"],
+    name: str,
+) -> AdmissionInstance:
+    """The hot/cold admission instance the scaling, stream-resume and service
+    workloads share.
+
+    Request ``rid`` crosses hot edge ``rid % num_hot`` (capacity
+    ``capacity``) plus ``path_length - 1`` random cold edges (capacity
+    ``num_requests + 1``, so never full), at a cost drawn uniformly from
+    [1, 8).  Everything derives from ``workload.seed``.
+    """
+    rng = np.random.default_rng(workload.seed)
+    capacities: Dict[EdgeId, int] = {
+        j: workload.capacity if j < workload.num_hot else workload.num_requests + 1
+        for j in range(workload.num_edges)
+    }
+    cold = rng.integers(
+        workload.num_hot, workload.num_edges, size=(workload.num_requests, workload.path_length - 1)
+    )
+    costs = rng.uniform(1.0, 8.0, size=workload.num_requests)
+    requests = [
+        Request(rid, frozenset({rid % workload.num_hot, *cold[rid].tolist()}), float(costs[rid]))
+        for rid in range(workload.num_requests)
+    ]
+    return AdmissionInstance(capacities, RequestSequence(requests), name=name)
+
+
 @dataclass(frozen=True)
 class ScalingWorkload:
     """A large-N end-to-end workload for the compiled fractional pipeline.
@@ -251,22 +287,7 @@ class ScalingWorkload:
 
     def instance(self) -> AdmissionInstance:
         """Materialise the deterministic admission instance."""
-        rng = np.random.default_rng(self.seed)
-        capacities: Dict[EdgeId, int] = {
-            j: self.capacity if j < self.num_hot else self.num_requests + 1
-            for j in range(self.num_edges)
-        }
-        cold = rng.integers(self.num_hot, self.num_edges, size=(self.num_requests, self.path_length - 1))
-        costs = rng.uniform(1.0, 8.0, size=self.num_requests)
-        requests = []
-        for rid in range(self.num_requests):
-            edges = {rid % self.num_hot, *cold[rid].tolist()}
-            requests.append(Request(rid, frozenset(edges), float(costs[rid])))
-        return AdmissionInstance(
-            capacities,
-            RequestSequence(requests),
-            name=f"scaling-{self.num_requests // 1000}k",
-        )
+        return _hot_cold_instance(self, f"scaling-{self.num_requests // 1000}k")
 
     def namespaced_instance(self) -> AdmissionInstance:
         """The same shape in :data:`SHARD_SCALING_NAMESPACES` disjoint namespaces.
@@ -445,20 +466,7 @@ class StreamResumeWorkload:
 
     def instance(self) -> AdmissionInstance:
         """Materialise the deterministic admission instance."""
-        rng = np.random.default_rng(self.seed)
-        capacities: Dict[EdgeId, int] = {
-            j: self.capacity if j < self.num_hot else self.num_requests + 1
-            for j in range(self.num_edges)
-        }
-        cold = rng.integers(
-            self.num_hot, self.num_edges, size=(self.num_requests, self.path_length - 1)
-        )
-        costs = rng.uniform(1.0, 8.0, size=self.num_requests)
-        requests = []
-        for rid in range(self.num_requests):
-            edges = {rid % self.num_hot, *cold[rid].tolist()}
-            requests.append(Request(rid, frozenset(edges), float(costs[rid])))
-        return AdmissionInstance(capacities, RequestSequence(requests), name="stream-resume")
+        return _hot_cold_instance(self, "stream-resume")
 
 
 def stream_resume_workload() -> StreamResumeWorkload:
@@ -542,20 +550,7 @@ class ServiceLoadtestWorkload:
 
     def instance(self) -> AdmissionInstance:
         """Materialise the deterministic admission instance."""
-        rng = np.random.default_rng(self.seed)
-        capacities: Dict[EdgeId, int] = {
-            j: self.capacity if j < self.num_hot else self.num_requests + 1
-            for j in range(self.num_edges)
-        }
-        cold = rng.integers(
-            self.num_hot, self.num_edges, size=(self.num_requests, self.path_length - 1)
-        )
-        costs = rng.uniform(1.0, 8.0, size=self.num_requests)
-        requests = []
-        for rid in range(self.num_requests):
-            edges = {rid % self.num_hot, *cold[rid].tolist()}
-            requests.append(Request(rid, frozenset(edges), float(costs[rid])))
-        return AdmissionInstance(capacities, RequestSequence(requests), name="service-loadtest")
+        return _hot_cold_instance(self, "service-loadtest")
 
 
 def service_loadtest_workload() -> ServiceLoadtestWorkload:

@@ -2,8 +2,10 @@
 
 :class:`EngineConfig` is the one object that travels from the command line
 (``--backend numpy --jobs 4``) down through :class:`repro.experiments.base.
-ExperimentConfig` into algorithm constructors and the trial executor.  It is a
-frozen, picklable dataclass so it can cross process boundaries unchanged.
+ExperimentConfig` into algorithm constructors (their ``backend=`` argument)
+and into the backend, jobs and record fields of each
+:class:`~repro.api.spec.RunSpec`.  It is a frozen, picklable dataclass so it
+can cross process boundaries unchanged.
 """
 
 from __future__ import annotations
@@ -38,11 +40,6 @@ class EngineConfig:
     jobs:
         Worker count for the parallel trial executor; ``1`` runs serially,
         ``0`` (or any non-positive value) means one worker per CPU core.
-    compile:
-        Compile instances once (edge interning + CSR paths, see
-        :mod:`repro.instances.compiled`) and stream them through the
-        algorithms' int-indexed fast paths.  Falls back transparently for
-        algorithms without an indexed path.  Never changes a reported number.
     record:
         Materialize per-arrival :class:`~repro.engine.backends.ArrivalOutcome`
         deltas and augmentation records.  ``False`` skips the diagnostics on
@@ -53,13 +50,12 @@ class EngineConfig:
         Route compiled contiguous arrival ranges through the whole-trace
         executor (:mod:`repro.engine.vectorized`), which batches provably
         inert stretches and fuses the rest.  ``False`` is the per-arrival
-        escape hatch.  Only applies where ``compile`` applies; never changes
-        a reported number.
+        escape hatch.  Only applies to compiled runs; never changes a
+        reported number.
     """
 
     backend: str = DEFAULT_BACKEND
     jobs: int = 1
-    compile: bool = True
     record: bool = True
     vectorized: bool = True
 

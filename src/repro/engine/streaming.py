@@ -1,6 +1,6 @@
 """The streaming service layer: long-lived incremental sessions with checkpoints.
 
-The trial engine (:func:`~repro.analysis.trials.execute_trial_suite`) is batch
+The trial engine (:func:`~repro.analysis.trials.run_trials`) is batch
 shaped — build the whole instance, then run it.  The paper's algorithms are
 *online*, though: requests arrive one at a time and decisions are
 irrevocable, which is exactly the shape of a serving system.  This module

@@ -2,11 +2,12 @@
 
 :func:`run_sweep_specs` compiles every (scenario, algorithm) cell into one
 :class:`~repro.api.spec.RunSpec`, runs it with
-:meth:`repro.api.runner.Runner.run_summary`, and gathers the per-cell
-:class:`~repro.analysis.trials.TrialSummary` objects into a
+:meth:`repro.api.runner.Runner.run`, and keeps the trial rows in a
 :class:`SweepResult`, whose :meth:`~SweepResult.report` is what ``repro
-sweep`` prints and whose :meth:`~SweepResult.save` writes ``--out``.  Code that
-wants tidy rows instead writes the same matrix as a grid::
+sweep`` prints and whose :meth:`~SweepResult.save` writes ``--out``.  Both
+read :meth:`repro.api.results.ResultSet.aggregate`, with its ``source``
+column named ``scenario``.  Code that wants the tidy rows directly writes
+the same matrix as a grid::
 
     from repro.api import RunSpec, Runner
 
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
-from repro.analysis.trials import TrialSummary
+from repro.api.results import ResultSet
 from repro.api.sources import RegistryAlgorithmFactory
 from repro.engine.config import EngineConfig
 from repro.scenarios.registry import Scenario
@@ -40,9 +41,9 @@ __all__ = ["SweepResult", "run_sweep_specs"]
 
 @dataclass
 class SweepResult:
-    """Aggregated outcome of one scenario x algorithm sweep."""
+    """The trial rows of one scenario x algorithm sweep, plus its report header."""
 
-    summaries: Dict[Tuple[str, str], TrialSummary]
+    results: ResultSet
     scenarios: List[str]
     algorithms: List[str]
     backend: str
@@ -51,25 +52,8 @@ class SweepResult:
     offline: str
 
     def rows(self) -> List[Dict[str, Any]]:
-        """One flat row per (scenario, algorithm) cell, in grid order."""
-        out: List[Dict[str, Any]] = []
-        for scenario in self.scenarios:
-            for algorithm in self.algorithms:
-                summary = self.summaries[(scenario, algorithm)]
-                ratio = summary.ratio_stats()
-                out.append(
-                    {
-                        "scenario": scenario,
-                        "algorithm": algorithm,
-                        "trials": summary.num_trials,
-                        "ratio_mean": ratio.mean,
-                        "ratio_max": ratio.maximum,
-                        "online_mean": summary.online_cost_stats().mean,
-                        "offline_mean": summary.offline_cost_stats().mean,
-                        "feasible": summary.all_feasible(),
-                    }
-                )
-        return out
+        """One aggregate row per (scenario, algorithm) cell, in grid order."""
+        return [{"scenario": row.pop("source"), **row} for row in self.results.aggregate()]
 
     def table(self, float_format: str = ".3f") -> str:
         """The long-form table: one row per cell."""
@@ -81,15 +65,13 @@ class SweepResult:
 
     def comparison_table(self, float_format: str = ".3f") -> str:
         """The cross-scenario pivot: one row per scenario, one ratio column per algorithm."""
-        rows = []
-        for scenario in self.scenarios:
-            row: Dict[str, Any] = {"scenario": scenario}
-            for algorithm in self.algorithms:
-                summary = self.summaries[(scenario, algorithm)]
-                row[f"ratio[{algorithm}]"] = summary.ratio_stats().mean
-            rows.append(row)
+        pivot: Dict[str, Dict[str, Any]] = {}
+        for row in self.rows():
+            cells = pivot.setdefault(row["scenario"], {"scenario": row["scenario"]})
+            cells[f"ratio[{row['algorithm']}]"] = row["ratio_mean"]
         return format_table(
-            rows, title="Cross-scenario comparison (mean competitive ratio)",
+            list(pivot.values()),
+            title="Cross-scenario comparison (mean competitive ratio)",
             float_format=float_format,
         )
 
@@ -108,7 +90,12 @@ class SweepResult:
             "scenarios": list(self.scenarios),
             "algorithms": list(self.algorithms),
             "cells": [
-                {**row, "ratios": self.summaries[(row["scenario"], row["algorithm"])].ratios()}
+                {
+                    **row,
+                    "ratios": self.results.filter(
+                        source=row["scenario"], algorithm=row["algorithm"]
+                    ).ratios(),
+                }
                 for row in self.rows()
             ],
         }
@@ -133,7 +120,7 @@ def run_sweep_specs(
     streaming: bool = False,
     overrides: Optional[Dict[str, Tuple[Tuple[str, Any], ...]]] = None,
 ) -> SweepResult:
-    """Compile a sweep into run specs, execute them, and adapt the result.
+    """Compile a sweep into run specs, execute them, and collect their rows.
 
     What the CLI's ``sweep`` subcommand and the sweep benchmark run.  Cell
     seeds, factories and the execution path are exactly those of
@@ -154,23 +141,27 @@ def run_sweep_specs(
     dup = sorted({k for k in keys if keys.count(k) > 1})
     if dup:
         raise ValueError(f"duplicate scenario keys in sweep: {dup}")
-    dup = sorted({a for a in algorithms if list(algorithms).count(a) > 1})
+    # Rows (and so the report) carry the registry's canonical lower-case key,
+    # so keys differing only in case are one cell.  Cell seeds still derive
+    # from the key as given, as in RunSpec.grid.
+    canonical = [a.strip().lower() for a in algorithms]
+    dup = sorted({a for a in canonical if canonical.count(a) > 1})
     if dup:
         raise ValueError(f"duplicate algorithm keys in sweep: {dup}")
     overrides = overrides or {}
-    mode = "streaming" if streaming else ("compiled" if config.compile else "batch")
+    mode = "streaming" if streaming else "compiled"
     runner = Runner()
-    summaries: Dict[Tuple[str, str], TrialSummary] = {}
+    results = ResultSet()
     for scenario in scenarios:
-        for algorithm in algorithms:
+        for algorithm, key in zip(algorithms, canonical):
             # The facade's eager validation restricts mode="streaming" to the
             # streaming-capable registry keys; `repro sweep --streaming` also
             # streams baselines through the session's per-request fallback, by
             # handing such cells a pre-built (callable) factory, which the
             # spec accepts for externally-managed algorithms.
-            spec_algorithm: Any = algorithm
-            if streaming and algorithm not in STREAMING_ALGORITHMS:
-                spec_algorithm = RegistryAlgorithmFactory(algorithm, config, (), "admission")
+            spec_algorithm: Any = key
+            if streaming and key not in STREAMING_ALGORITHMS:
+                spec_algorithm = RegistryAlgorithmFactory(key, config, (), "admission")
             spec = RunSpec(
                 scenario=scenario,
                 algorithm=spec_algorithm,
@@ -187,11 +178,11 @@ def run_sweep_specs(
                 ilp_time_limit=ilp_time_limit,
                 label=f"{scenario.key} x {algorithm}",
             )
-            summaries[(scenario.key, algorithm)] = runner.run_summary(spec)
+            results.extend(runner.run(spec))
     return SweepResult(
-        summaries=summaries,
+        results=results,
         scenarios=[s.key for s in scenarios],
-        algorithms=list(algorithms),
+        algorithms=canonical,
         backend=config.backend,
         seed=seed,
         num_trials=num_trials,

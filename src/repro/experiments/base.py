@@ -70,10 +70,11 @@ class ExperimentConfig:
 
     @property
     def engine(self) -> EngineConfig:
-        """The engine view of this configuration (backend + jobs + compile/record)."""
-        return EngineConfig(
-            backend=self.backend, jobs=self.jobs, compile=self.compile, record=self.record
-        )
+        """The engine view of this configuration (backend + jobs + record).
+
+        ``compile`` stays here: the experiments map it onto each spec's mode.
+        """
+        return EngineConfig(backend=self.backend, jobs=self.jobs, record=self.record)
 
 
 @dataclass

@@ -105,7 +105,7 @@ class TestEvaluate:
 
 class TestTrials:
     def test_admission_trials_aggregate(self):
-        summary = Runner().run_summary(
+        results = Runner().run(
             RunSpec(
                 factory=lambda rng: overloaded_edge_adversary(8, 2, random_state=rng),
                 algorithm=lambda inst, rng: RandomizedAdmissionControl.for_instance(
@@ -118,17 +118,17 @@ class TestTrials:
                 ilp_time_limit=30.0,
             )
         )
-        assert summary.num_trials == 3
-        assert summary.all_feasible()
-        assert summary.ratio_stats().count == 3
-        assert summary.max_ratio() >= 1.0
-        row = summary.row()
+        assert len(results) == 3
+        assert results.all_feasible()
+        assert results.ratio_stats().count == 3
+        assert results.ratio_stats().maximum >= 1.0
+        (row,) = results.aggregate(by=("label",))
         assert row["label"] == "test"
         assert row["trials"] == 3
 
     def test_admission_trials_reproducible(self):
         def run_once():
-            return Runner().run_summary(
+            return Runner().run(
                 RunSpec(
                     factory=lambda rng: overloaded_edge_adversary(8, 2, random_state=rng),
                     algorithm=lambda inst, rng: RandomizedAdmissionControl.for_instance(
@@ -144,7 +144,7 @@ class TestTrials:
         assert run_once() == run_once()
 
     def test_setcover_trials(self):
-        summary = Runner().run_summary(
+        results = Runner().run(
             RunSpec(
                 problem="setcover",
                 factory=lambda rng: random_setcover_instance(15, 8, 25, random_state=rng),
@@ -156,12 +156,12 @@ class TestTrials:
                 ilp_time_limit=30.0,
             )
         )
-        assert summary.num_trials == 2
-        assert summary.all_feasible()
+        assert len(results) == 2
+        assert results.all_feasible()
 
     def test_setcover_trials_reproducible(self):
         def run_once():
-            summary = Runner().run_summary(
+            results = Runner().run(
                 RunSpec(
                     problem="setcover",
                     factory=lambda rng: random_setcover_instance(30, 15, 60, random_state=rng),
@@ -173,7 +173,7 @@ class TestTrials:
                     offline="lp",
                 )
             )
-            return summary.ratios(), [record.online_cost for record in summary.records]
+            return results.ratios(), [row.online_cost for row in results]
 
         assert run_once() == run_once()
 

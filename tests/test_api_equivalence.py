@@ -136,11 +136,12 @@ class TestSweepEquivalence:
             seed=13, trials=2, offline="lp",
         )
         results = Runner().run(grid)
-        for (scenario, algorithm), summary in swept.summaries.items():
-            cell = results.filter(source=scenario, algorithm=algorithm)
-            assert cell.ratios() == pytest.approx(summary.ratios(), abs=1e-9)
+        for row in swept.rows():
+            swept_cell = swept.results.filter(source=row["scenario"], algorithm=row["algorithm"])
+            cell = results.filter(source=row["scenario"], algorithm=row["algorithm"])
+            assert cell.ratios() == pytest.approx(swept_cell.ratios(), abs=1e-9)
             assert [r.online_cost for r in cell] == pytest.approx(
-                [rec.online_cost for rec in summary.records], abs=1e-9
+                [r.online_cost for r in swept_cell], abs=1e-9
             )
 
     def test_trials_hand_loop_matches_facade(self, backend):
@@ -199,20 +200,20 @@ class TestSweepEquivalence:
 
 class TestCliRoutesThroughFacade:
     def test_repro_run_uses_facade(self, monkeypatch):
-        """`repro run E1` executes through Runner.run_summary."""
+        """`repro run E1` executes through Runner.run."""
         import io
 
         from repro.api import runner as runner_module
         from repro.cli import main
 
         calls = []
-        original = runner_module.Runner.run_summary
+        original = runner_module.Runner.run
 
         def spy(self, spec):
             calls.append(spec)
             return original(self, spec)
 
-        monkeypatch.setattr(runner_module.Runner, "run_summary", spy)
+        monkeypatch.setattr(runner_module.Runner, "run", spy)
         out = io.StringIO()
         code = main(["run", "E1", "--quick", "--trials", "1"], out=out)
         assert code == 0
@@ -225,13 +226,13 @@ class TestCliRoutesThroughFacade:
         from repro.cli import main
 
         calls = []
-        original = runner_module.Runner.run_summary
+        original = runner_module.Runner.run
 
         def spy(self, spec):
             calls.append(spec)
             return original(self, spec)
 
-        monkeypatch.setattr(runner_module.Runner, "run_summary", spy)
+        monkeypatch.setattr(runner_module.Runner, "run", spy)
         out = io.StringIO()
         code = main(
             ["sweep", "--scenarios", "cheap_expensive", "--algorithms",

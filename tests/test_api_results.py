@@ -161,3 +161,24 @@ class TestFacadeRows:
             assert row.extra["online_seconds"] >= 0
         loaded = ResultSet.load(results.save(tmp_path / "run.jsonl"))
         assert loaded.ratios() == results.ratios()
+
+    def test_registry_factory_rows_are_labelled_with_the_registry_key(self):
+        """Two factory-built algorithms aggregate into two groups, named by their keys."""
+        from repro.api import RegistryAlgorithmFactory, Runner, RunSpec
+        from repro.engine.config import EngineConfig
+
+        specs = [
+            RunSpec(
+                scenario="cheap_expensive",
+                algorithm=RegistryAlgorithmFactory(key, EngineConfig(), (), "admission"),
+                mode="streaming", trials=1, seed=3,
+            )
+            for key in ("reject-when-full", "keep-expensive")
+        ]
+        results = Runner().run(specs)
+        groups = results.aggregate()
+        assert [(g["algorithm"], g["trials"]) for g in groups] == [
+            ("reject-when-full", 1), ("keep-expensive", 1),
+        ]
+        assert [g["ratio_mean"] for g in groups] == pytest.approx([50.0, 1.0])
+        assert results.filter(algorithm="keep-expensive").ratios() == pytest.approx([1.0])

@@ -78,6 +78,12 @@ class TestRunCommand:
         assert "[E2]" in output
         assert "Lemma 1" in output
 
+    def test_run_rejects_zero_trials_as_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "E1", "--quick", "--trials", "0"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
+
     def test_run_lowercase_id(self):
         code, output = run_cli(["run", "e10", "--quick", "--trials", "1"])
         assert code == 0
@@ -161,6 +167,13 @@ class TestSweepCommand:
         assert "ratio[fractional]" in output
         assert "ratio[reject-when-full]" in output
 
+    def test_sweep_rejects_zero_trials_as_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--scenarios", "cheap_expensive", "--algorithms", "fractional",
+                  "--trials", "0"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
+
     def test_sweep_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="scenario"):
             run_cli(["sweep", "--scenarios", "no-such-scenario", "--algorithms", "fractional"])
@@ -178,6 +191,106 @@ class TestSweepCommand:
         assert payload["scenarios"] == ["cheap_expensive"]
         assert payload["algorithms"] == ["reject-when-full"]
         assert len(payload["cells"]) == 1
+
+    def test_sweep_report_and_out_document_are_pinned(self, tmp_path):
+        """The exact stdout of ``repro sweep`` and the layout of its ``--out`` JSON."""
+        import json
+
+        out_path = tmp_path / "sweep.json"
+        code, output = run_cli(
+            ["sweep", "--scenarios", "cheap_expensive", "--algorithms",
+             "fractional,reject-when-full", "--trials", "2", "--seed", "3",
+             "--out", str(out_path)]
+        )
+        assert code == 0
+        assert output == (
+            "Scenario sweep — backend=python, trials=2, seed=3, offline=lp\n"
+            "scenario         algorithm         trials  ratio_mean  ratio_max  online_mean  "
+            "offline_mean  feasible\n"
+            "---------------  ----------------  ------  ----------  ---------  -----------  "
+            "------------  --------\n"
+            "cheap_expensive  fractional        2       1.671       1.671      33.421       "
+            "20.000        yes     \n"
+            "cheap_expensive  reject-when-full  2       50.000      50.000     1000.000     "
+            "20.000        yes     \n"
+            "\n"
+            "Cross-scenario comparison (mean competitive ratio)\n"
+            "scenario         ratio[fractional]  ratio[reject-when-full]\n"
+            "---------------  -----------------  -----------------------\n"
+            "cheap_expensive  1.671              50.000                 \n"
+            "\n"
+            f"report written to {out_path}\n"
+        )
+        payload = json.loads(out_path.read_text())
+        assert list(payload) == [
+            "schema", "backend", "seed", "num_trials", "offline", "scenarios", "algorithms",
+            "cells",
+        ]
+        assert {k: payload[k] for k in list(payload)[:-1]} == {
+            "schema": 1, "backend": "python", "seed": 3, "num_trials": 2, "offline": "lp",
+            "scenarios": ["cheap_expensive"], "algorithms": ["fractional", "reject-when-full"],
+        }
+        cell_keys = [
+            "scenario", "algorithm", "trials", "ratio_mean", "ratio_max", "online_mean",
+            "offline_mean", "feasible", "ratios",
+        ]
+        assert [list(cell) for cell in payload["cells"]] == [cell_keys, cell_keys]
+        fractional, baseline = payload["cells"]
+        assert fractional == {
+            "scenario": "cheap_expensive", "algorithm": "fractional", "trials": 2,
+            "ratio_mean": pytest.approx(1.6710700135802004),
+            "ratio_max": pytest.approx(1.6710700135802004),
+            "online_mean": pytest.approx(33.42140027160401),
+            "offline_mean": pytest.approx(20.0), "feasible": True,
+            "ratios": pytest.approx([1.6710700135802004, 1.6710700135802004]),
+        }
+        assert baseline == {
+            "scenario": "cheap_expensive", "algorithm": "reject-when-full", "trials": 2,
+            "ratio_mean": pytest.approx(50.0), "ratio_max": pytest.approx(50.0),
+            "online_mean": pytest.approx(1000.0), "offline_mean": pytest.approx(20.0),
+            "feasible": True, "ratios": pytest.approx([50.0, 50.0]),
+        }
+
+    def test_streaming_sweep_with_two_baselines_is_pinned(self, tmp_path):
+        """``--streaming`` runs baselines through the session fallback, one column each."""
+        import json
+
+        out_path = tmp_path / "sweep.json"
+        code, output = run_cli(
+            ["sweep", "--scenarios", "cheap_expensive", "--algorithms",
+             "fractional,reject-when-full,keep-expensive", "--trials", "2", "--seed", "3",
+             "--streaming", "--out", str(out_path)]
+        )
+        assert code == 0
+        assert output == (
+            "Scenario sweep — backend=python, trials=2, seed=3, offline=lp\n"
+            "scenario         algorithm         trials  ratio_mean  ratio_max  online_mean  "
+            "offline_mean  feasible\n"
+            "---------------  ----------------  ------  ----------  ---------  -----------  "
+            "------------  --------\n"
+            "cheap_expensive  fractional        2       1.671       1.671      33.421       "
+            "20.000        yes     \n"
+            "cheap_expensive  reject-when-full  2       50.000      50.000     1000.000     "
+            "20.000        yes     \n"
+            "cheap_expensive  keep-expensive    2       1.000       1.000      20.000       "
+            "20.000        yes     \n"
+            "\n"
+            "Cross-scenario comparison (mean competitive ratio)\n"
+            "scenario         ratio[fractional]  ratio[reject-when-full]  ratio[keep-expensive]\n"
+            "---------------  -----------------  -----------------------  ---------------------\n"
+            "cheap_expensive  1.671              50.000                   1.000                \n"
+            "\n"
+            f"report written to {out_path}\n"
+        )
+        payload = json.loads(out_path.read_text())
+        assert payload["algorithms"] == ["fractional", "reject-when-full", "keep-expensive"]
+        assert [(c["algorithm"], c["trials"]) for c in payload["cells"]] == [
+            ("fractional", 2), ("reject-when-full", 2), ("keep-expensive", 2),
+        ]
+        assert [c["ratios"] for c in payload["cells"]] == [
+            pytest.approx([1.6710700135802004] * 2), pytest.approx([50.0] * 2),
+            pytest.approx([1.0] * 2),
+        ]
 
     def test_sweep_replays_recorded_trace(self, tmp_path):
         from repro.scenarios import build_scenario, record_trace

@@ -160,8 +160,8 @@ class TestSeedDerivation:
 
 
 class TestParallelTrials:
-    def _summary(self, jobs):
-        return Runner().run_summary(
+    def _results(self, jobs):
+        return Runner().run(
             RunSpec(
                 factory=lambda rng: overloaded_edge_adversary(
                     8, 2, num_hot_edges=2, random_state=rng
@@ -178,10 +178,8 @@ class TestParallelTrials:
 
     def test_jobs_do_not_change_results(self):
         """jobs=1 and jobs=3 produce bit-identical trial records."""
-        serial = self._summary(jobs=1)
-        parallel = self._summary(jobs=3)
-        assert serial.num_trials == parallel.num_trials == 4
+        serial = self._results(jobs=1)
+        parallel = self._results(jobs=3)
+        assert len(serial) == len(parallel) == 4
         assert serial.ratios() == parallel.ratios()
-        assert [r.online_cost for r in serial.records] == [
-            r.online_cost for r in parallel.records
-        ]
+        assert [r.online_cost for r in serial] == [r.online_cost for r in parallel]

@@ -21,7 +21,7 @@ class TestEngineConfig:
 
     def test_fields(self):
         assert [f.name for f in fields(EngineConfig)] == [
-            "backend", "jobs", "compile", "record", "vectorized",
+            "backend", "jobs", "record", "vectorized",
         ]
 
     def test_resolve_accepts_backend_name(self):

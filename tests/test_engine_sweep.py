@@ -54,8 +54,11 @@ class TestRunSweepSpecs:
     def test_jobs_never_change_results(self):
         serial = small_sweep(jobs=1)
         parallel = small_sweep(jobs=2)
-        for key, summary in serial.summaries.items():
-            assert summary.ratios() == parallel.summaries[key].ratios(), key
+        for row in serial.rows():
+            cell = dict(source=row["scenario"], algorithm=row["algorithm"])
+            assert (
+                serial.results.filter(**cell).ratios() == parallel.results.filter(**cell).ratios()
+            ), cell
 
     def test_cell_seeds_are_independent_of_grid(self):
         """Removing a scenario must not perturb the remaining cells' numbers."""
@@ -63,14 +66,13 @@ class TestRunSweepSpecs:
         just_bursty = small_sweep(scenarios=["bursty"])
         for algorithm in ALGORITHMS:
             assert (
-                full.summaries[("bursty", algorithm)].ratios()
-                == just_bursty.summaries[("bursty", algorithm)].ratios()
+                full.results.filter(source="bursty", algorithm=algorithm).ratios()
+                == just_bursty.results.filter(source="bursty", algorithm=algorithm).ratios()
             )
 
     def test_fractional_cells_compare_against_lp(self):
         result = small_sweep(algorithms=["fractional"])
-        for summary in result.summaries.values():
-            assert all(r.offline_kind.startswith("lp") for r in summary.records)
+        assert all(r.offline_kind.startswith("lp") for r in result.results)
 
     def test_trace_scenarios_join_the_matrix(self, tmp_path):
         from repro.scenarios import build_scenario, record_trace, scenario_from_trace
@@ -78,9 +80,9 @@ class TestRunSweepSpecs:
         path = record_trace(build_scenario("cheap_expensive"), tmp_path / "cell.jsonl")
         scenario = scenario_from_trace(path, register=False)
         result = small_sweep([scenario], ["reject-when-full"], seed=0, overrides=None)
-        summary = result.summaries[(scenario.key, "reject-when-full")]
+        cell = result.results.filter(source=scenario.key, algorithm="reject-when-full")
         # The trace is deterministic, so every trial measures the same ratio.
-        assert len(set(summary.ratios())) == 1
+        assert len(set(cell.ratios())) == 1
 
     def test_streaming_baseline_fallback_still_works(self):
         """``repro sweep --streaming`` streams baselines through the session fallback."""
@@ -89,10 +91,25 @@ class TestRunSweepSpecs:
             ["cheap_expensive"], ["reject-when-full"], num_trials=1, overrides=None,
             streaming=True,
         )
-        cell = ("cheap_expensive", "reject-when-full")
-        assert streamed.summaries[cell].ratios() == pytest.approx(
-            batch.summaries[cell].ratios(), abs=1e-9
+        cell = dict(source="cheap_expensive", algorithm="reject-when-full")
+        assert streamed.results.filter(**cell).ratios() == pytest.approx(
+            batch.results.filter(**cell).ratios(), abs=1e-9
         )
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_cells_carry_the_canonical_algorithm_key(self, streaming):
+        """Keys differing only in case are one cell, so listing both is a duplicate."""
+        result = small_sweep(
+            ["cheap_expensive"], ["Fractional", "Reject-When-Full"], num_trials=1,
+            overrides=None, streaming=streaming,
+        )
+        assert result.algorithms == ["fractional", "reject-when-full"]
+        assert [(c["algorithm"], c["ratios"]) for c in result.to_dict()["cells"]] == [
+            ("fractional", pytest.approx([1.6710700135802004])),
+            ("reject-when-full", pytest.approx([50.0])),
+        ]
+        with pytest.raises(ValueError, match="duplicate algorithm keys"):
+            small_sweep(["cheap_expensive"], ["fractional", "Fractional"], overrides=None)
 
     def test_report_and_tables(self):
         result = small_sweep()

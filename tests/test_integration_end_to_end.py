@@ -68,7 +68,7 @@ class TestAdmissionPipeline:
         assert paper.rejection_cost <= 3 * max(naive.rejection_cost, 1.0) + 3
 
     def test_trials_runner_end_to_end(self):
-        summary = Runner().run_summary(
+        results = Runner().run(
             RunSpec(
                 factory=lambda rng: overloaded_edge_adversary(10, 2, random_state=rng),
                 algorithm=lambda inst, rng: KeepExpensive.for_instance(inst),
@@ -79,8 +79,8 @@ class TestAdmissionPipeline:
                 ilp_time_limit=30.0,
             )
         )
-        assert summary.num_trials == 3
-        assert summary.all_feasible()
+        assert len(results) == 3
+        assert results.all_feasible()
 
 
 class TestSetCoverPipeline:

@@ -434,9 +434,10 @@ class TestStreamingSweepPath:
         scenarios = [get_scenario("cheap_expensive")]
         batch = run_sweep_specs(scenarios, **kwargs)
         streamed = run_sweep_specs(scenarios, streaming=True, **kwargs)
-        for cell, summary in batch.summaries.items():
-            assert streamed.summaries[cell].ratios() == pytest.approx(
-                summary.ratios(), abs=1e-9
+        for row in batch.rows():
+            cell = dict(source=row["scenario"], algorithm=row["algorithm"])
+            assert streamed.results.filter(**cell).ratios() == pytest.approx(
+                batch.results.filter(**cell).ratios(), abs=1e-9
             )
 
 
