@@ -441,7 +441,10 @@ class RunSpec:
         if dup:
             raise RunSpecError(f"duplicate scenario keys in grid: {dup}")
         algo_keys = [a if isinstance(a, str) else getattr(a, "__name__", repr(a)) for a in algorithms]
-        dup = sorted({a for a in algo_keys if algo_keys.count(a) > 1})
+        # Each spec lower-cases a registry key, so keys differing only in case
+        # are one algorithm; cell seeds still derive from the key as given.
+        canonical = [k.strip().lower() if isinstance(a, str) else k for a, k in zip(algorithms, algo_keys)]
+        dup = sorted({a for a in canonical if canonical.count(a) > 1})
         if dup:
             raise RunSpecError(f"duplicate algorithm keys in grid: {dup}")
         overrides = dict(scenario_overrides or {})

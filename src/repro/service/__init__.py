@@ -17,8 +17,9 @@ Everything between a TCP socket and the streaming engine lives here:
 * :mod:`repro.service.health` — per-shard heartbeat / lag monitoring;
 * :mod:`repro.service.loadtest` — the ``repro loadtest`` driver measuring
   sustained req/s and p50/p99 admission latency;
-* :mod:`repro.service.runtime` — the shared build/resume/replay plumbing the
-  CLI adapters delegate to.
+* :mod:`repro.service.runtime` — :class:`~repro.service.runtime.ServingRun`,
+  the one serving core (build/resume, log, checkpoint, finish) behind both
+  front ends, and the trace-replay loop the CLI adapter delegates to.
 """
 
 from repro.service.client import AdmissionClient, ServiceError

@@ -28,7 +28,7 @@ import socket
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.instances.request import Request
-from repro.instances.serialize import request_from_state, request_to_state
+from repro.instances.serialize import request_to_state
 from repro.service.wire import (
     MAX_FRAME_BYTES,
     SERVICE_KIND,
@@ -173,8 +173,3 @@ class AdmissionClient:
             return decode_frame(line)
         except WireFormatError as err:
             raise ServiceError(f"malformed frame from the service: {err}") from None
-
-
-def _roundtrip_request(request: Request) -> Request:  # pragma: no cover - doc helper
-    """A request survives the wire codec byte-identically (doctest anchor)."""
-    return request_from_state(request_to_state(request))

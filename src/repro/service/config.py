@@ -11,9 +11,6 @@ contract mirrors ``RunSpec``'s:
 * registry lookups (algorithm / backend) raise the registries'
   :class:`~repro.engine.registry.UnknownKeyError`, whose message lists every
   known key;
-* :meth:`ServiceConfig.from_kwargs` rejects unknown keyword arguments with an
-  exact known-key listing, so a typo'd field fails with the fix in the
-  message;
 * ``workers`` alone means "one shard per worker" — the shards/workers
   normalization happens here once, not in every CLI adapter.
 
@@ -24,7 +21,6 @@ print them verbatim.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Tuple
@@ -79,22 +75,6 @@ class ServiceConfig:
     max_arrivals: Optional[int] = None
     log: Optional[str] = None
     name: Optional[str] = None
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "ServiceConfig":
-        """Build a config from keyword arguments, rejecting unknown keys.
-
-        The error lists every known field — the same exact-listing contract
-        the registries give unknown algorithm/backend keys.
-        """
-        known = [f.name for f in dataclasses.fields(cls)]
-        unknown = sorted(set(kwargs) - set(known))
-        if unknown:
-            raise ServiceConfigError(
-                f"unknown ServiceConfig field(s) {', '.join(repr(k) for k in unknown)}; "
-                f"known fields: {', '.join(known)}"
-            )
-        return cls(**kwargs)
 
     def __post_init__(self) -> None:
         self._normalize()

@@ -1,8 +1,8 @@
-"""Shared service plumbing: backend build/resume, log truncation, replay.
+"""One serving core for ``repro serve``, and its trace-replay front end.
 
 Both service modes — the classic trace-replay loop (``repro serve`` without
 ``--listen``) and the asyncio front door (:mod:`repro.service.server`) —
-need the same three pieces:
+drive one :class:`ServingRun`, which owns the engine side of a run:
 
 * :func:`build_backend` turns a validated
   :class:`~repro.service.config.ServiceConfig` into a live serving object
@@ -12,12 +12,16 @@ need the same three pieces:
   checkpoint attests to (a crash can land between the last durable log flush
   and the next checkpoint; resuming would otherwise append those decisions
   twice);
-* :func:`serve_replay` is the replay loop itself, moved verbatim from the
-  CLI so ``repro serve`` stays a thin adapter.
+* :class:`ServingRun` decides each batch, appends its entries to ``--log``,
+  checkpoints every ``--checkpoint-every`` arrivals behind a log fsync, and
+  finishes the run (drain, final checkpoint, close, report);
+* :func:`serve_replay` is the replay front end: the trace loop and its
+  SIGTERM flag, so ``repro serve`` stays a thin adapter.
 
-Keeping them here means the network path and the replay path cannot drift:
-they build, resume and log through exactly the same code — which is what
-makes the byte-identical-decision-log invariant checkable at all.
+With one copy of the protocol the network path and the replay path cannot
+drift: they build, resume, log and checkpoint through exactly the same code
+— which is what makes the byte-identical-decision-log invariant checkable
+at all.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ import json
 import os
 import signal
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.config import ServiceConfig, ServiceConfigError
 
 __all__ = [
+    "ServingRun",
     "build_backend",
     "load_trace_header",
     "serve_replay",
@@ -141,13 +146,100 @@ def truncate_decision_log(log: Optional[str], num_decisions: int) -> None:
             fh.writelines(lines[:num_decisions])
 
 
-def serve_replay(config: ServiceConfig, out) -> int:
-    """Replay a JSONL trace through the serving backend (the classic loop).
+class ServingRun:
+    """The engine side of one ``repro serve`` run, shared by both front ends.
 
-    Reads arrivals, micro-batches them into the backend, appends decisions
-    to ``--log``, writes a checkpoint every ``--checkpoint-every`` arrivals
-    and once more at the end.  ``--resume`` restores the checkpoint and
-    skips the arrivals it already processed, so an interrupted serve
+    Builds (or, with ``--resume``, restores) the backend and trims a resumed
+    log to the prefix its checkpoint covers; :meth:`submit` decides a batch
+    and appends its entries to ``--log``; :meth:`checkpoint_if_due` keeps the
+    ``--checkpoint-every`` cadence; :meth:`save` is the durability barrier;
+    :meth:`finish` drains, checkpoints, closes and reports.  ``skip`` is the
+    resume offset and ``processed`` counts this run's arrivals.
+    """
+
+    def __init__(self, config: ServiceConfig, capacities: Optional[Dict[Any, int]] = None):
+        self.config = config
+        self.backend = build_backend(config, capacities=capacities)
+        self.skip = self.backend.num_processed if config.resume else 0
+        self.processed = 0
+        self._since_checkpoint = 0
+        if config.resume:
+            truncate_decision_log(config.log, self.backend.num_decisions)
+        self._log = open(config.log, "a", encoding="utf-8") if config.log is not None else None
+
+    def submit(self, requests: List[Any]) -> List[Dict[str, Any]]:
+        """Decide one batch, append its entries to ``--log``, count its arrivals."""
+        entries = self.backend.submit_batch(requests)
+        if self._log is not None:
+            for entry in entries:
+                self._log.write(json.dumps(entry, sort_keys=True) + "\n")
+        self.processed += len(requests)
+        self._since_checkpoint += len(requests)
+        return entries
+
+    def checkpoint_if_due(self) -> None:
+        """Save once ``--checkpoint-every`` arrivals passed since the last save."""
+        every = self.config.checkpoint_every
+        if every > 0 and self._since_checkpoint >= every:
+            self.save()
+
+    def save(self) -> bool:
+        """Fsync ``--log``, then write the checkpoint; returns whether one was written.
+
+        Durability order: the decision lines covered by a checkpoint must be
+        on disk *before* the checkpoint claims them, or a crash right after
+        the (atomic) checkpoint write would lose decisions that --resume
+        will then never replay.
+        """
+        if self._log is not None:
+            self._log.flush()
+            os.fsync(self._log.fileno())
+        self._since_checkpoint = 0
+        if self.config.checkpoint is None:
+            return False
+        self.backend.save(self.config.checkpoint)
+        return True
+
+    def finish(self, out, *, interrupted: Optional[str]) -> None:
+        """Drain, save, close, then print the run's report to ``out``.
+
+        ``interrupted`` names what a SIGTERM drained (the front end's
+        wording); ``None`` when the run ended on its own.
+        """
+        try:
+            self.backend.drain()
+            checkpointed = self.save()
+            summary = self.backend.summary()
+        finally:
+            self.close()
+        if interrupted is not None:
+            print(
+                f"SIGTERM: drained {interrupted} and "
+                f"{'checkpointed' if checkpointed else 'stopped'} "
+                f"after {self.processed} arrivals this run",
+                file=out,
+            )
+        verb = "resumed at" if self.config.resume else "served from"
+        total = summary.get("processed", self.processed + self.skip)
+        print(
+            f"{verb} arrival {self.skip}: processed {self.processed} arrivals ({total} total)",
+            file=out,
+        )
+        print(json.dumps(summary, sort_keys=True, indent=2), file=out)
+
+    def close(self) -> None:
+        """Close ``--log`` and the backend (stops a pool's workers); idempotent."""
+        if self._log is not None:
+            self._log.close()
+            self._log = None
+        self.backend.close()
+
+
+def serve_replay(config: ServiceConfig, out) -> int:
+    """Replay a JSONL trace through a :class:`ServingRun` (the classic loop).
+
+    Reads arrivals and micro-batches them into the run.  ``--resume`` skips
+    the arrivals the checkpoint already covers, so an interrupted serve
     continues exactly where it stopped — the combined decision log is
     identical to an uninterrupted run.  SIGTERM triggers a graceful
     shutdown: the in-flight micro-batch drains, the checkpoint is written,
@@ -157,21 +249,17 @@ def serve_replay(config: ServiceConfig, out) -> int:
 
     stream = stream_trace(Path(config.trace))
     try:
-        service = build_backend(config, capacities=stream.capacities)
+        run = ServingRun(config, capacities=stream.capacities)
     except BaseException:
         stream.close()
         raise
-    skip = service.num_processed if config.resume else 0
-
-    if config.resume:
-        truncate_decision_log(config.log, service.num_decisions)
 
     # Graceful shutdown: SIGTERM sets a flag the serve loop checks between
     # micro-batches — the in-flight batch drains, the checkpoint is written,
     # and --resume later continues exactly where the signal landed.
     shutdown_requested = False
 
-    def _on_sigterm(signum, frame):  # pragma: no cover - signal timing
+    def _on_sigterm(signum, frame):
         nonlocal shutdown_requested
         shutdown_requested = True
 
@@ -180,76 +268,28 @@ def serve_replay(config: ServiceConfig, out) -> int:
     except ValueError:  # pragma: no cover - non-main-thread (embedded) use
         previous_sigterm = None
 
-    log_fh = open(config.log, "a", encoding="utf-8") if config.log is not None else None
-    processed = 0
-    since_checkpoint = 0
     try:
-
-        def save_checkpoint() -> None:
-            # Durability order: the decision lines covered by a checkpoint
-            # must be on disk *before* the checkpoint claims them, or a crash
-            # right after the (atomic) checkpoint write would lose decisions
-            # that --resume will then never replay.
-            if log_fh is not None:
-                log_fh.flush()
-                os.fsync(log_fh.fileno())
-            service.save(config.checkpoint)
-
         chunk = []
         budget = config.max_arrivals if config.max_arrivals is not None else float("inf")
-
-        def flush(batch) -> None:
-            nonlocal processed, since_checkpoint
-            entries = service.submit_batch(batch)
-            if log_fh is not None:
-                for entry in entries:
-                    log_fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            processed += len(batch)
-            since_checkpoint += len(batch)
-            if (
-                config.checkpoint is not None
-                and config.checkpoint_every > 0
-                and since_checkpoint >= config.checkpoint_every
-            ):
-                save_checkpoint()
-                since_checkpoint = 0
-
         # Skip the arrivals the checkpoint attests to as raw lines — no JSON
         # decode, no Request construction — so resume costs O(remaining).
-        stream.skip(skip)
+        stream.skip(run.skip)
         for request in stream:
-            if processed >= budget or shutdown_requested:
+            if run.processed >= budget or shutdown_requested:
                 break
             chunk.append(request)
-            if len(chunk) >= min(config.batch, budget - processed):
-                flush(chunk)
+            if len(chunk) >= min(config.batch, budget - run.processed):
+                run.submit(chunk)
+                run.checkpoint_if_due()
                 chunk = []
         if chunk:
-            flush(chunk)
-        if config.checkpoint is not None:
-            save_checkpoint()
-        summary = service.summary()
+            run.submit(chunk)
+            run.checkpoint_if_due()
+        run.finish(out, interrupted="in-flight batch" if shutdown_requested else None)
     finally:
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
-        if log_fh is not None:
-            log_fh.close()
         stream.close()
-        # Stops a pool's workers, on the success and failure paths alike.
-        service.close()
-
-    if shutdown_requested:
-        print(
-            f"SIGTERM: drained in-flight batch and "
-            f"{'checkpointed' if config.checkpoint is not None else 'stopped'} "
-            f"after {processed} arrivals this run",
-            file=out,
-        )
-    verb = "resumed at" if config.resume else "served from"
-    total = summary.get("processed", processed + skip)
-    print(
-        f"{verb} arrival {skip}: processed {processed} arrivals ({total} total)",
-        file=out,
-    )
-    print(json.dumps(summary, sort_keys=True, indent=2), file=out)
+        # Stops a pool's workers on the failure path (finish already closed).
+        run.close()
     return 0

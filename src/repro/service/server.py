@@ -1,13 +1,12 @@
 """The asyncio front door: a long-lived network admission service.
 
 :class:`AdmissionService` binds a TCP socket, speaks the versioned JSON wire
-schema (:mod:`repro.service.wire`), micro-batches admission requests from
-every connection into the existing serving backends (session or shard
-pool, built by :mod:`repro.service.runtime`), and appends
-every decision to ``--log`` exactly like the replay loop — same entries,
-same ``sort_keys`` JSON, same durability order — which is what makes the
-network path byte-identical to an in-process run over the same arrival
-order (ARCHITECTURE.md invariant 10).
+schema (:mod:`repro.service.wire`) and micro-batches admission requests from
+every connection into one :class:`~repro.service.runtime.ServingRun` — the
+same serving core the replay loop drives, so the decision log gets the same
+entries, the same ``sort_keys`` JSON and the same durability order — which
+is what makes the network path byte-identical to an in-process run over the
+same arrival order (ARCHITECTURE.md invariant 10).
 
 Request flow
     Every connection gets a reader coroutine that decodes frames and feeds
@@ -19,11 +18,13 @@ Request flow
 
 Graceful drain
     SIGTERM (or :meth:`AdmissionService.request_shutdown`) stops accepting
-    connections, rejects frames that arrive after the cut, flushes
-    everything already queued through the engine, fsyncs the decision log,
-    writes the checkpoint (the backend's own kind — a pool writes
-    ``shard-pool-checkpoint``), stops a pool's workers and exits 0.  ``--resume`` then restores a byte-identical
-    decision log.
+    connections, rejects frames that arrive after the cut and flushes
+    everything already queued through the engine; then
+    :meth:`~repro.service.runtime.ServingRun.finish` fsyncs the decision
+    log, writes the checkpoint (the backend's own kind — a pool writes
+    ``shard-pool-checkpoint``), stops a pool's workers and reports, and the
+    service exits 0.  ``--resume`` then restores a byte-identical decision
+    log.
 
 Health
     A heartbeat task polls the backend's ``shard_stats()`` through a
@@ -35,10 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import io
-import json
-import os
 import signal
-import socket
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -46,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.service.config import ServiceConfig, ServiceConfigError
 from repro.service.health import HealthMonitor
-from repro.service.runtime import build_backend, truncate_decision_log
+from repro.service.runtime import ServingRun
 from repro.service.wire import (
     CLIENT_OPS,
     MAX_FRAME_BYTES,
@@ -105,11 +103,8 @@ class AdmissionService:
         self._shutdown_event: Optional[asyncio.Event] = None
         self._sigterm = False
         self._draining = False
-        self._service: Any = None
+        self._run: Optional[ServingRun] = None
         self._monitor: Optional[HealthMonitor] = None
-        self._log_fh = None
-        self._processed_this_run = 0
-        self._since_checkpoint = 0
         self._writers: set = set()
 
     # -- lifecycle ----------------------------------------------------------------
@@ -142,15 +137,9 @@ class AdmissionService:
         self._queue: asyncio.Queue = asyncio.Queue()
 
         config = self.config
-        self._service = build_backend(config)
-        skip = self._service.num_processed if config.resume else 0
-        if config.resume:
-            truncate_decision_log(config.log, self._service.num_decisions)
+        self._run = ServingRun(config)
         self._monitor = HealthMonitor(
-            self._service.shard_stats, stall_after=STALL_AFTER_SECONDS
-        )
-        self._log_fh = (
-            open(config.log, "a", encoding="utf-8") if config.log is not None else None
+            self._run.backend.shard_stats, stall_after=STALL_AFTER_SECONDS
         )
 
         if install_signals:
@@ -190,50 +179,12 @@ class AdmissionService:
                 pass
             if install_signals:
                 loop.remove_signal_handler(signal.SIGTERM)
-            self._finalize(skip)
-        return 0
-
-    def _finalize(self, skip: int) -> None:
-        """Drain the backend, persist, close it — then report."""
-        config = self.config
-        service = self._service
-        try:
-            service.drain()
-            if config.checkpoint is not None:
-                self._save_checkpoint()
-            summary = service.summary()
-        finally:
-            if self._log_fh is not None:
-                self._log_fh.close()
-                self._log_fh = None
             for writer in list(self._writers):
                 writer.close()
-            # Stops a pool's workers, on the success and failure paths alike.
-            service.close()
-        if self._sigterm:
-            self._print(
-                f"SIGTERM: drained in-flight requests and "
-                f"{'checkpointed' if config.checkpoint is not None else 'stopped'} "
-                f"after {self._processed_this_run} arrivals this run"
+            self._run.finish(
+                self._out, interrupted="in-flight requests" if self._sigterm else None
             )
-        verb = "resumed at" if config.resume else "served from"
-        total = summary.get("processed", self._processed_this_run + skip)
-        self._print(
-            f"{verb} arrival {skip}: processed {self._processed_this_run} "
-            f"arrivals ({total} total)"
-        )
-        self._print(json.dumps(summary, sort_keys=True, indent=2))
-
-    # -- persistence --------------------------------------------------------------
-    def _save_checkpoint(self) -> None:
-        # Durability order: the decision lines covered by a checkpoint must
-        # be on disk *before* the checkpoint claims them, or a crash right
-        # after the (atomic) checkpoint write would lose decisions that
-        # --resume will then never replay.
-        if self._log_fh is not None:
-            self._log_fh.flush()
-            os.fsync(self._log_fh.fileno())
-        self._service.save(self.config.checkpoint)
+        return 0
 
     # -- connection handling ------------------------------------------------------
     async def _on_connection(
@@ -247,8 +198,8 @@ class AdmissionService:
                     "op": "welcome",
                     "service": SERVICE_KIND,
                     "name": self.config.name,
-                    "processed": self._service.num_processed,
-                    "decisions": self._service.num_decisions,
+                    "processed": self._run.backend.num_processed,
+                    "decisions": self._run.backend.num_decisions,
                 },
             )
             while True:
@@ -370,7 +321,7 @@ class AdmissionService:
         """One engine submit_batch for a coalesced run of submit frames."""
         requests = [request for item in items for request in item.requests]
         try:
-            entries = self._service.submit_batch(requests)
+            entries = self._run.submit(requests)
         except (ValueError, RuntimeError) as err:
             # Reject the whole coalesced batch (duplicate ids, spanning
             # shards, ...): nothing was logged, every frame learns why.
@@ -378,12 +329,7 @@ class AdmissionService:
                 self._send(item.writer, {"op": "error", "seq": item.seq, "error": str(err)})
             await self._drain_writers(items)
             return
-        if self._log_fh is not None:
-            for entry in entries:
-                self._log_fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._processed_this_run += len(requests)
-        self._since_checkpoint += len(requests)
-        processed = self._service.num_processed
+        processed = self._run.backend.num_processed
         for item, own in zip(items, self._split_entries(entries, items)):
             frame: Dict[str, Any] = {
                 "op": "result",
@@ -399,13 +345,8 @@ class AdmissionService:
                 )
             self._send(item.writer, frame)
         await self._drain_writers(items)
-        if (
-            self.config.checkpoint is not None
-            and self.config.checkpoint_every > 0
-            and self._since_checkpoint >= self.config.checkpoint_every
-        ):
-            self._save_checkpoint()
-            self._since_checkpoint = 0
+        # After the replies: their latency never includes a checkpoint write.
+        self._run.checkpoint_if_due()
 
     @staticmethod
     def _split_entries(
@@ -447,30 +388,26 @@ class AdmissionService:
 
     async def _control(self, item: _WorkItem) -> None:
         """Handle a stats/drain frame (already ordered after prior submits)."""
+        backend = self._run.backend
         if item.kind == "stats":
             assert self._monitor is not None
             self._monitor.observe()
             frame = {
                 "op": "stats",
                 "seq": item.seq,
-                "processed": self._service.num_processed,
-                "decisions": self._service.num_decisions,
+                "processed": backend.num_processed,
+                "decisions": backend.num_decisions,
                 "health": self._monitor.snapshot(),
-                "summary": self._service.summary(),
+                "summary": backend.summary(),
             }
         else:  # drain: durability barrier for everything submitted before it
-            self._service.drain()
-            checkpointed = self.config.checkpoint is not None
-            if checkpointed:
-                self._save_checkpoint()
-            elif self._log_fh is not None:
-                self._log_fh.flush()
-                os.fsync(self._log_fh.fileno())
+            backend.drain()
+            checkpointed = self._run.save()
             frame = {
                 "op": "drained",
                 "seq": item.seq,
-                "processed": self._service.num_processed,
-                "decisions": self._service.num_decisions,
+                "processed": backend.num_processed,
+                "decisions": backend.num_decisions,
                 "checkpointed": checkpointed,
             }
         self._send(item.writer, frame)
@@ -550,9 +487,3 @@ class ServiceThread:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-
-def _probe_port(host: str) -> int:  # pragma: no cover - test helper
-    """An ephemeral port on ``host`` (racy; prefer --listen HOST:0)."""
-    with socket.socket() as sock:
-        sock.bind((host, 0))
-        return int(sock.getsockname()[1])

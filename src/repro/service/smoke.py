@@ -173,18 +173,23 @@ def main() -> int:
 
 
 def lingering_serve_processes() -> List[Tuple[str, str]]:
-    """PIDs (other than us) whose cmdline looks like a serve worker."""
+    """PIDs (other than us) whose argv runs ``-m repro serve``.
+
+    A server's forked pool workers share its argv, so they count too; a
+    process that merely names the package (an editor on ``server.py``) does
+    not.
+    """
     out: List[Tuple[str, str]] = []
     for pid in os.listdir("/proc"):
         if not pid.isdigit() or int(pid) == os.getpid():
             continue
         try:
             with open(f"/proc/{pid}/cmdline", "rb") as fh:
-                cmd = fh.read().replace(b"\0", b" ").decode(errors="replace")
+                argv = fh.read().split(b"\0")
         except OSError:
             continue
-        if "repro" in cmd and "serve" in cmd:
-            out.append((pid, cmd.strip()))
+        if any(argv[i : i + 3] == [b"-m", b"repro", b"serve"] for i in range(len(argv))):
+            out.append((pid, b" ".join(argv).decode(errors="replace").strip()))
     return out
 
 

@@ -221,3 +221,7 @@ class TestNormalisationAndGrid:
             RunSpec.grid(["bursty", "bursty"], ["fractional"])
         with pytest.raises(RunSpecError, match="duplicate algorithm keys"):
             RunSpec.grid(["bursty"], ["fractional", "fractional"])
+        # Specs lower-case their key, so a case variant would be a second,
+        # differently seeded cell of the same algorithm.
+        with pytest.raises(RunSpecError, match=r"duplicate algorithm keys in grid: \['randomized'\]"):
+            RunSpec.grid(["cheap_expensive"], ["randomized", "Randomized"])

@@ -16,6 +16,7 @@ Four layers, mirroring the package:
 from __future__ import annotations
 
 import json
+import signal
 import socket
 import subprocess
 import sys
@@ -24,7 +25,7 @@ import pytest
 
 from repro.engine.registry import UnknownKeyError
 from repro.engine.streaming import StreamingSession
-from repro.instances.serialize import load_admission_trace
+from repro.instances.serialize import load_admission_trace, load_checkpoint
 from repro.scenarios.trace import record_trace, stream_trace
 from repro.service import (
     SERVICE_SCHEMA,
@@ -41,7 +42,7 @@ from repro.service import (
 )
 from repro.service.config import parse_address
 from repro.service.loadtest import percentile
-from repro.workloads.admission_traffic import adversarial_mix_workload
+from repro.workloads.admission_traffic import adversarial_mix_workload, bursty_workload
 
 BACKENDS = ["python", "numpy"]
 
@@ -73,15 +74,6 @@ class TestServiceConfig:
     def test_workers_normalize_to_shards(self, trace_path):
         assert ServiceConfig(trace=trace_path, workers=3).num_shards == 3
         assert ServiceConfig(trace=trace_path, shards=4).num_shards == 4
-
-    def test_from_kwargs_rejects_unknown_fields(self, trace_path):
-        with pytest.raises(ServiceConfigError) as err:
-            ServiceConfig.from_kwargs(trace=str(trace_path), shardz=3, portt=1)
-        message = str(err.value)
-        assert "unknown ServiceConfig field(s) 'portt', 'shardz'" in message
-        # The fix rides in the message: every known field is listed.
-        assert "known fields:" in message
-        assert "shards" in message and "listen" in message
 
     def test_missing_trace(self, tmp_path):
         with pytest.raises(ServiceConfigError, match="trace file not found"):
@@ -335,6 +327,87 @@ class TestDrainAndStats:
                 assert reply["checkpointed"] is False
                 assert len(log.read_text().splitlines()) == reply["decisions"]
 
+    def test_drain_checkpoint_restarts_the_cadence(self, trace_path, tmp_path):
+        # One --checkpoint-every counter: the checkpoint a drain writes
+        # restarts it, so one arrival later the cadence does not fire again.
+        requests = list(load_admission_trace(str(trace_path)).requests)
+        checkpoint = tmp_path / "ck.json"
+        config = network_config(trace_path, checkpoint=checkpoint, checkpoint_every=10)
+        with ServiceThread(config) as thread:
+            with AdmissionClient(*thread.address) as client:
+                client.submit_batch(requests[:9])
+                assert client.drain()["checkpointed"] is True
+                client.submit_batch(requests[9:10])
+                client.stats()  # queued behind that flush and its cadence check
+                assert load_checkpoint(checkpoint, expected_kind=None)["num_processed"] == 9
+
+
+class TestReplaySigterm:
+    """``serve_replay``'s graceful drain, driven in-process by a real SIGTERM."""
+
+    def test_sigterm_drains_checkpoints_and_resumes_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        import io
+
+        import repro.scenarios.trace as trace_module
+        from repro.service.runtime import serve_replay
+
+        trace = tmp_path / "t.jsonl"
+        record_trace(
+            bursty_workload(num_edges=16, num_requests=200, capacity=3, random_state=7), trace
+        )
+        total = len(load_admission_trace(str(trace)).requests)
+        full_log = tmp_path / "full.jsonl"
+        part_log = tmp_path / "part.jsonl"
+        checkpoint = tmp_path / "ck.json"
+        base = dict(trace=trace, algorithm="doubling", seed=5)
+        assert serve_replay(ServiceConfig(**base, log=full_log), io.StringIO()) == 0
+
+        k = 70  # past the first 64-arrival batch: the in-flight batch holds 6
+        real_stream_trace = trace_module.stream_trace
+
+        class SigtermAfterK:
+            """The real trace stream; SIGTERM is raised once k arrivals are out."""
+
+            def __init__(self, path):
+                self._stream = real_stream_trace(path)
+
+            def __getattr__(self, name):
+                return getattr(self._stream, name)
+
+            def __iter__(self):
+                for index, request in enumerate(self._stream):
+                    if index == k:
+                        signal.raise_signal(signal.SIGTERM)
+                    yield request
+
+        def unhandled(signum, frame):
+            raise AssertionError("serve_replay did not install its SIGTERM handler")
+
+        monkeypatch.setattr(trace_module, "stream_trace", SigtermAfterK)
+        previous = signal.signal(signal.SIGTERM, unhandled)
+        try:
+            out = io.StringIO()
+            config = ServiceConfig(**base, checkpoint=checkpoint, log=part_log)
+            assert serve_replay(config, out) == 0
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        lines = out.getvalue().splitlines()
+        assert lines[0] == (
+            f"SIGTERM: drained in-flight batch and checkpointed after {k} arrivals this run"
+        )
+        assert lines[1] == f"served from arrival 0: processed {k} arrivals ({k} total)"
+
+        monkeypatch.undo()
+        out = io.StringIO()
+        config = ServiceConfig(trace=trace, resume=True, checkpoint=checkpoint, log=part_log)
+        assert serve_replay(config, out) == 0
+        assert out.getvalue().splitlines()[0] == (
+            f"resumed at arrival {k}: processed {total - k} arrivals ({total} total)"
+        )
+        assert part_log.read_bytes() == full_log.read_bytes()
+
 
 class TestSigtermResumeSubprocess:
     """Real ``repro serve --listen`` processes: SIGTERM mid-stream, resume."""
@@ -396,6 +469,33 @@ class TestSigtermResumeSubprocess:
             "error: checkpoint holds 2 shards; resume with --workers 2 "
             "(omitting --workers resumes its 2 shards in this process)"
         ) in proc.stdout
+
+
+class TestLingeringServeProcesses:
+    """The service smoke's leak check flags ``-m repro serve`` argvs only."""
+
+    #: A decoy interpreter's program: say it runs, then sleep, whatever its argv.
+    SLEEP = "print('up', flush=True); import time; time.sleep(60)"
+
+    @staticmethod
+    def _flagged(argv):
+        from repro.service.smoke import lingering_serve_processes
+
+        decoy = subprocess.Popen(argv, executable=sys.executable, stdout=subprocess.PIPE)
+        try:
+            # Once the decoy prints, its /proc cmdline is in place.
+            assert decoy.stdout.readline() == b"up\n"
+            return str(decoy.pid) in {pid for pid, _ in lingering_serve_processes()}
+        finally:
+            decoy.kill()
+            decoy.wait(timeout=10)
+            decoy.stdout.close()
+
+    def test_editor_on_the_server_module_is_not_a_server(self):
+        assert not self._flagged(["vim", "-c", self.SLEEP, "src/repro/service/server.py"])
+
+    def test_repro_serve_argv_is_flagged(self):
+        assert self._flagged(["python", "-c", self.SLEEP, "-m", "repro", "serve", "--listen"])
 
 
 class TestLoadtest:
