@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling ci
+.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -103,15 +103,27 @@ shard-smoke:
 service-smoke:
 	$(PYTHON) -m repro.service.smoke
 
+# Resource-leak smoke: the service, shard, streaming and CLI tests in Python's
+# development mode with every ResourceWarning (an unclosed file, socket or
+# pipe, a child never waited for) raised as an error.  A warning raised in a
+# finalizer reaches pytest as PytestUnraisableExceptionWarning, so that one
+# is an error too.  Its filter goes to pytest's -W: the interpreter parses
+# its own -W options before site-packages is importable and drops any
+# category outside the builtins.
+leak-smoke:
+	$(PYTHON) -X dev -W error::ResourceWarning -m pytest \
+		-W error::pytest.PytestUnraisableExceptionWarning -q -p no:cacheprovider \
+		tests/test_service.py tests/test_shards.py tests/test_streaming.py tests/test_cli.py
+
 # The end-to-end benchmark's own tests (perfbench/, about 30 s).  They also
 # catch a library change that renames an entry point the benchmark traces.
 perfbench-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q
 
 # Reproduce the CI pipeline locally: lint, invariant lint, typecheck, tests,
-# examples smoke, serve smoke, shard smoke, service smoke, perfbench tests,
-# bench gate.
-ci: lint lint-invariants typecheck test examples-smoke serve-smoke shard-smoke service-smoke perfbench-smoke bench-smoke
+# examples smoke, serve smoke, shard smoke, service smoke, leak smoke,
+# perfbench tests, bench gate.
+ci: lint lint-invariants typecheck test examples-smoke serve-smoke shard-smoke service-smoke leak-smoke perfbench-smoke bench-smoke
 
 # Weight-update + 10k-request scaling benchmarks per backend; fails on a >2x
 # regression against benchmarks/baseline_bench.json.

@@ -37,8 +37,8 @@ The multiplicative weight mechanism lives in :mod:`repro.engine.backends`
 behind the ``WeightBackend`` protocol:
 
 * ``PythonWeightBackend`` is the scalar reference code and
-  ``NumpyWeightBackend`` its vectorized twin; ``ArrivalOutcome`` /
-  ``AugmentationRecord`` carry the per-arrival diagnostics;
+  ``NumpyWeightBackend`` its vectorized twin; ``ArrivalOutcome`` carries
+  the per-arrival diagnostics;
 * every core algorithm accepts ``backend="numpy"`` (or an
   :class:`~repro.engine.config.EngineConfig`) to run on the vectorized
   NumPy backend, e.g.

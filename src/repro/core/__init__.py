@@ -53,7 +53,7 @@ from repro.core.setcover_reduction import (
     build_reduction,
     element_edge,
 )
-from repro.engine.backends import ArrivalOutcome, AugmentationRecord
+from repro.engine.backends import ArrivalOutcome
 
 __all__ = [
     "AugmentationTrace",
@@ -87,5 +87,4 @@ __all__ = [
     "build_reduction",
     "element_edge",
     "ArrivalOutcome",
-    "AugmentationRecord",
 ]

@@ -122,7 +122,7 @@ class FractionalAdmissionControl:
         ``None`` for the scalar reference backend.
     record:
         Materialize per-arrival :class:`ArrivalOutcome` diagnostics (deltas,
-        augmentation records, history).  ``None`` defers to the backend spec
+        kills, step counts).  ``None`` defers to the backend spec
         (an ``EngineConfig``'s ``record`` field) and defaults to ``True``.
         With ``record=False`` the decisions carry ``outcome=None`` and the
         weight mechanism skips all delta materialization; fractions, costs

@@ -25,7 +25,6 @@ the library executes it:
 
 from repro.engine.backends import (
     ArrivalOutcome,
-    AugmentationRecord,
     NumpyWeightBackend,
     PythonWeightBackend,
     WeightBackend,
@@ -71,7 +70,6 @@ __all__ = [
     "ProcessShardPool",
     "STREAMING_ALGORITHMS",
     "ArrivalOutcome",
-    "AugmentationRecord",
     "NumpyWeightBackend",
     "PythonWeightBackend",
     "WeightBackend",

@@ -44,12 +44,11 @@ uses), and the mechanism itself runs purely on those integers:
   indices directly (e.g. a CSR slice of a
   :class:`~repro.instances.compiled.CompiledInstance`), skipping all
   per-arrival hashing;
-* both entry points take ``record=False`` to skip materializing
-  :class:`ArrivalOutcome` deltas and per-augmentation
-  :class:`AugmentationRecord` objects entirely.  The weights, kills and the
-  ``total_augmentations`` counter evolve identically either way; only the
-  diagnostics (``history()``, outcome deltas) are absent.  Callers that round
-  deltas (the randomized algorithm) must keep ``record=True``.
+* both entry points take ``record=False`` to skip materializing the
+  :class:`ArrivalOutcome` (per-request deltas, kills and the step count).
+  The weights, kills and the ``total_augmentations`` counter evolve
+  identically either way, through the same restore kernel.  Callers that
+  round deltas (the randomized algorithm) must keep ``record=True``.
 
 Both backends register themselves in
 :data:`repro.engine.registry.WEIGHT_BACKENDS`; algorithms resolve a backend by
@@ -69,7 +68,6 @@ from repro.instances.request import EdgeId
 from repro.utils.validation import check_positive
 
 __all__ = [
-    "AugmentationRecord",
     "ArrivalOutcome",
     "WeightBackend",
     "PythonWeightBackend",
@@ -99,52 +97,21 @@ SUM_TOLERANCE = 1e-9
 
 
 @dataclass
-class AugmentationRecord:
-    """One weight-augmentation step (paper, Section 2, step 2).
-
-    Attributes
-    ----------
-    edge:
-        The edge whose covering constraint triggered the augmentation.
-    excess:
-        The excess ``n_e`` at the moment of the augmentation.
-    alive_before:
-        Number of alive requests on the edge before the step.
-    seeded:
-        Ids of requests whose weight moved from 0 to the seed value.
-    killed:
-        Ids of requests whose weight reached 1 during this step.
-    triggered_by:
-        Id of the arriving request whose processing caused the step.
-    """
-
-    edge: EdgeId
-    excess: int
-    alive_before: int
-    seeded: Tuple[int, ...]
-    killed: Tuple[int, ...]
-    triggered_by: int
-
-
-@dataclass
 class ArrivalOutcome:
-    """Everything the weight mechanism did while processing one arrival.
+    """What the weight mechanism did while processing one arrival.
 
     ``deltas`` maps request id to the total weight increase caused by this
     arrival — exactly the ``delta`` the randomized algorithm's step 3 rounds.
-    Only materialized when the arrival was processed with ``record=True``
-    (the default); the record-free fast path returns ``None`` instead.
+    ``newly_dead`` holds the requests the arrival killed and
+    ``num_augmentations`` counts its augmentation steps.  Only materialized
+    when the arrival was processed with ``record=True`` (the default); the
+    record-free fast path returns ``None`` instead.
     """
 
     request_id: int
     deltas: Dict[int, float] = field(default_factory=dict)
-    augmentations: List[AugmentationRecord] = field(default_factory=list)
     newly_dead: Set[int] = field(default_factory=set)
-
-    @property
-    def num_augmentations(self) -> int:
-        """Number of weight-augmentation steps performed for this arrival."""
-        return len(self.augmentations)
+    num_augmentations: int = 0
 
 
 class WeightBackend:
@@ -180,10 +147,8 @@ class WeightBackend:
     name = "abstract"
 
     #: RPR004 allowlist.  ``_edge_index`` is the interning table, rebuilt by
-    #: the constructor from the same capacity map restore_state() requires;
-    #: ``_history`` is per-arrival diagnostics, documented as *not* part of
-    #: the durable state (see export_state's docstring).
-    _LINT_STATE_EXEMPT = frozenset({"_edge_index", "_history"})
+    #: the constructor from the same capacity map restore_state() requires.
+    _LINT_STATE_EXEMPT = frozenset({"_edge_index"})
 
     def __init__(
         self,
@@ -206,9 +171,8 @@ class WeightBackend:
         self.max_capacity = max(int(max_capacity), 1)
         self.seed_weight = 1.0 / (self.g * self.max_capacity)
 
-        # Counters for Lemma 1 style diagnostics.
+        # Counter for Lemma 1 style diagnostics.
         self.total_augmentations = 0
-        self._history: List[AugmentationRecord] = []
 
     # -- edge interning ---------------------------------------------------------------
     @property
@@ -248,13 +212,11 @@ class WeightBackend:
         """Register a new request with weight 0 (paper: ``f_i = 0`` initially)."""
         raise NotImplementedError
 
-    def _restore_edge_indexed(
-        self, eidx: int, triggered_by: int, outcome: Optional[ArrivalOutcome]
-    ) -> None:
+    def _restore_edge_indexed(self, eidx: int, outcome: Optional[ArrivalOutcome]) -> None:
         """Run weight augmentations on edge ``eidx`` until its constraint holds.
 
         ``outcome`` is ``None`` in record-free mode: the weights evolve
-        identically, but no deltas, records or history are materialized.
+        identically, but no deltas, kills or step counts are materialized.
         """
         raise NotImplementedError
 
@@ -329,10 +291,6 @@ class WeightBackend:
         order = self._edge_order
         return [order[k] for k in self._edges_seen_indexed()]
 
-    def restore_edge(self, edge: EdgeId, triggered_by: int, outcome: ArrivalOutcome) -> None:
-        """Run weight augmentations on ``edge`` until its constraint holds."""
-        self._restore_edge_indexed(self._edge_index[edge], triggered_by, outcome)
-
     # -- shared bookkeeping ----------------------------------------------------------
     def capacity(self, edge: EdgeId) -> int:
         """Current effective capacity of ``edge``."""
@@ -390,14 +348,6 @@ class WeightBackend:
         """Mapping request id -> rejected fraction ``min(f_i, 1)``."""
         return {i: min(w, 1.0) for i, w in self.weights().items()}
 
-    def history(self) -> List[AugmentationRecord]:
-        """All augmentation records in chronological order.
-
-        Empty for augmentations performed with ``record=False`` (the counters
-        in ``total_augmentations`` still include them).
-        """
-        return list(self._history)
-
     # -- the arrival-level mechanism (shared) ----------------------------------------
     def register(self, request_id: int, edges: Iterable[EdgeId], cost: float) -> None:
         """Register a new request with weight 0, validating edges and cost."""
@@ -415,16 +365,16 @@ class WeightBackend:
     def process_arrival(self, request_id: int, edges: Iterable[EdgeId], cost: float) -> ArrivalOutcome:
         """Register an arriving request and restore all its edges' constraints.
 
-        Returns an :class:`ArrivalOutcome` with the per-request weight deltas
-        and the augmentation records — everything the fractional and randomized
-        algorithms need.
+        Returns an :class:`ArrivalOutcome` with the per-request weight deltas,
+        the kills and the step count — everything the fractional and
+        randomized algorithms need.
         """
         self.register(request_id, edges, cost)
         outcome = ArrivalOutcome(request_id=request_id)
         # "The following is performed for all the edges e of the path of r_i,
         #  in an arbitrary order."  We use the registration order of the edges.
         for eidx in self._edge_idxs_of_request(request_id):
-            self._restore_edge_indexed(eidx, request_id, outcome)
+            self._restore_edge_indexed(eidx, outcome)
         return outcome
 
     def process_arrival_indexed(
@@ -448,7 +398,7 @@ class WeightBackend:
         self._register_indexed(request_id, idxs, float(cost))
         outcome = ArrivalOutcome(request_id=request_id) if record else None
         for eidx in idxs:
-            self._restore_edge_indexed(eidx, request_id, outcome)
+            self._restore_edge_indexed(eidx, outcome)
         return outcome
 
     def process_capacity_reduction(self, edge: EdgeId, triggered_by: int, amount: int = 1) -> ArrivalOutcome:
@@ -483,7 +433,7 @@ class WeightBackend:
         self._decrease_capacities_indexed(idxs, amount)
         outcome = ArrivalOutcome(request_id=triggered_by) if record else None
         for eidx in idxs:
-            self._restore_edge_indexed(eidx, triggered_by, outcome)
+            self._restore_edge_indexed(eidx, outcome)
         return outcome
 
     # -- whole-trace executor protocol (see repro.engine.vectorized) -------------------
@@ -565,8 +515,8 @@ class WeightBackend:
         Captures everything the future evolution of the weights depends on:
         per-request (edge indices, cost, weight, dead flag) in registration
         order, the current effective capacities, the seed-weight parameters
-        and the augmentation counter.  Diagnostics (``history()``, past
-        :class:`ArrivalOutcome` objects) are *not* part of the durable state.
+        and the augmentation counter.  Past :class:`ArrivalOutcome` objects
+        are diagnostics, *not* part of the durable state.
 
         The snapshot is backend-agnostic: a state exported from the python
         backend restores into the numpy backend and vice versa (per-request
@@ -764,25 +714,20 @@ class PythonWeightBackend(WeightBackend):
         for k in self._edge_idxs_by_id[request_id]:
             self._alive_on_edge[k].discard(request_id)
 
-    def _augment_once(
-        self, eidx: int, triggered_by: int, record: bool
-    ) -> Optional[AugmentationRecord]:
-        """Perform one weight augmentation for edge ``eidx`` (paper steps 2a–2c)."""
+    def _augment_once(self, eidx: int) -> List[int]:
+        """Perform one weight augmentation for edge ``eidx`` (paper steps 2a–2c).
+
+        Returns the ids of the requests the step killed.
+        """
         alive = self._alive_on_edge[eidx] or set()
-        # `alive` is a live reference that step 2c's kills shrink; capture the
-        # pre-step count now so the record reports what its field name says.
-        alive_before = len(alive)
-        n_e = alive_before - self._cap[eidx]
+        n_e = len(alive) - self._cap[eidx]
         weights = self._weights
-        seeded: List[int] = []
         killed: List[int] = []
         # Step 2a: seed zero weights.
         seed = self.seed_weight
         for rid in alive:
             if weights[rid] == 0.0:
                 weights[rid] = seed
-                if record:
-                    seeded.append(rid)
         # Step 2b: multiplicative update.  n_e is the excess *before* the update
         # (alive membership has not changed in step 2a).
         costs = self._costs
@@ -795,22 +740,9 @@ class PythonWeightBackend(WeightBackend):
                 self._kill(rid)
                 killed.append(rid)
         self.total_augmentations += 1
-        if not record:
-            return None
-        augmentation = AugmentationRecord(
-            edge=self._edge_order[eidx],
-            excess=n_e,
-            alive_before=alive_before,
-            seeded=tuple(seeded),
-            killed=tuple(killed),
-            triggered_by=triggered_by,
-        )
-        self._history.append(augmentation)
-        return augmentation
+        return killed
 
-    def _restore_edge_indexed(
-        self, eidx: int, triggered_by: int, outcome: Optional[ArrivalOutcome]
-    ) -> None:
+    def _restore_edge_indexed(self, eidx: int, outcome: Optional[ArrivalOutcome]) -> None:
         cap = self._cap[eidx]
         weights = self._weights
         while True:
@@ -822,12 +754,11 @@ class PythonWeightBackend(WeightBackend):
             if n_e <= 0 or sum(weights[i] for i in alive) >= n_e * (1.0 - SUM_TOLERANCE):
                 break
             if outcome is None:
-                self._augment_once(eidx, triggered_by, record=False)
+                self._augment_once(eidx)
                 continue
             before = {rid: weights[rid] for rid in alive}
-            augmentation = self._augment_once(eidx, triggered_by, record=True)
-            outcome.augmentations.append(augmentation)
-            outcome.newly_dead.update(augmentation.killed)
+            outcome.newly_dead.update(self._augment_once(eidx))
+            outcome.num_augmentations += 1
             deltas = outcome.deltas
             for rid, old in before.items():
                 delta = weights[rid] - old
@@ -888,18 +819,18 @@ class NumpyWeightBackend(WeightBackend):
         self._edge_requests: List[Optional[List[int]]] = [None] * m
 
     # -- storage helpers -----------------------------------------------------------
-    def _ensure_slot_capacity(self) -> None:
-        if self._n < self._w.shape[0]:
-            return
-        size = 2 * self._w.shape[0]
-        for attr, fill in (("_w", 0.0), ("_cost", 1.0)):
-            old = getattr(self, attr)
-            grown = np.full(size, fill, dtype=np.float64)
-            grown[: old.shape[0]] = old
-            setattr(self, attr, grown)
-        alive = np.zeros(size, dtype=bool)
-        alive[: self._alive.shape[0]] = self._alive
-        self._alive = alive
+    def _ensure_slot_capacity(self, extra: int = 1) -> None:
+        """Double the slot arrays until ``extra`` more slots fit."""
+        while self._w.shape[0] < self._n + extra:
+            size = 2 * self._w.shape[0]
+            for attr, fill in (("_w", 0.0), ("_cost", 1.0)):
+                old = getattr(self, attr)
+                grown = np.full(size, fill, dtype=np.float64)
+                grown[: old.shape[0]] = old
+                setattr(self, attr, grown)
+            alive = np.zeros(size, dtype=bool)
+            alive[: self._alive.shape[0]] = self._alive
+            self._alive = alive
 
     def _edge_append(self, eidx: int, slot: int) -> None:
         arr = self._edge_slots[eidx]
@@ -987,16 +918,7 @@ class NumpyWeightBackend(WeightBackend):
             if rid in slot_of or rid in seen:
                 raise ValueError(f"request {rid} already registered")
             seen.add(rid)
-        while self._w.shape[0] < self._n + k:
-            size = 2 * self._w.shape[0]
-            for attr, fill in (("_w", 0.0), ("_cost", 1.0)):
-                old = getattr(self, attr)
-                grown = np.full(size, fill, dtype=np.float64)
-                grown[: old.shape[0]] = old
-                setattr(self, attr, grown)
-            alive = np.zeros(size, dtype=bool)
-            alive[: self._alive.shape[0]] = self._alive
-            self._alive = alive
+        self._ensure_slot_capacity(k)
         base = self._n
         self._n = base + k
         self._w[base : base + k] = 0.0
@@ -1105,111 +1027,43 @@ class NumpyWeightBackend(WeightBackend):
         for k in self._edge_idxs_by_id[request_id]:
             edge_alive[k] -= 1
 
-    def _restore_edge_indexed(
-        self, eidx: int, triggered_by: int, outcome: Optional[ArrivalOutcome]
-    ) -> None:
+    def _restore_edge_indexed(self, eidx: int, outcome: Optional[ArrivalOutcome]) -> None:
         cap = self._cap[eidx]
         # O(1) excess check via the per-edge alive counter before paying for
         # the gather (most edges are under capacity most of the time).
         if self._edge_alive[eidx] - cap <= 0:
             return
-        idx = self._alive_slots(eidx)
-        w = self._w[idx]  # gather (a copy); scattered back on exit
-        n_e = int(idx.shape[0]) - cap
-        if float(w.sum()) >= n_e * (1.0 - SUM_TOLERANCE):
+        if outcome is None:
+            self._restore_edge_norecord(eidx, cap)
             return
-        record = outcome is not None
-        if record:
-            # The alive set only shrinks during a restore, so the slots alive
-            # at the first augmentation cover every slot touched later; one
-            # vectorized before/after difference at the end yields the
-            # per-request deltas for the whole restore.
-            first_idx = idx.copy()
-            before = w.copy()
+        # The alive set only shrinks during a restore, so the slots alive on
+        # entry cover every slot it touches: one before/after difference
+        # yields the per-request deltas and kills of the whole restore.
+        idx = self._alive_slots(eidx)
+        before = self._w[idx]
+        augmentations = self.total_augmentations
+        self._restore_edge_norecord(eidx, cap)
+        outcome.num_augmentations += self.total_augmentations - augmentations
         ids = self._ids
-        edge = self._edge_order[eidx] if record else None
-        cost_idx = self._cost[idx]
-        factor: Optional[np.ndarray] = None
-        first_pass = True
-        while True:
-            alive_before = int(idx.shape[0])
-            # Step 2a: seed zero weights.  Zeros are only possible before the
-            # first multiply of this restore — afterwards every alive weight
-            # on the edge is positive — so the mask is checked once.
-            seeded_slots: Tuple[int, ...] = ()
-            if first_pass:
-                first_pass = False
-                zero_mask = w == 0.0
-                if zero_mask.any():
-                    w[zero_mask] = self.seed_weight
-                    if record:
-                        seeded_slots = tuple(ids[s] for s in idx[zero_mask].tolist())
-            # Step 2b: multiplicative update.  The factor vector only depends
-            # on n_e and the alive costs, so it is reused verbatim until a
-            # kill changes either (recomputing it would produce the exact
-            # same doubles).
-            if factor is None:
-                factor = 1.0 + 1.0 / (n_e * cost_idx)
-            w *= factor
-            self.total_augmentations += 1
-            # Step 2c: kills.  A max reduction is cheaper than materializing
-            # the kill mask; the mask is only built when someone actually dies
-            # (most augmentations kill nothing).
-            if w.max() >= 1.0:
-                kill_mask = w >= 1.0
-                killed_slots = idx[kill_mask]
-                # Scatter the killed weights now; survivors on exit.
-                self._w[killed_slots] = w[kill_mask]
-                killed = tuple(ids[s] for s in killed_slots.tolist())
-                for slot in killed_slots.tolist():
-                    self._kill_slot(slot)
-                keep = ~kill_mask
-                idx = idx[keep]
-                w = w[keep]
-                cost_idx = cost_idx[keep]
-                factor = None
-            else:
-                killed = ()
-            if record:
-                augmentation = AugmentationRecord(
-                    edge=edge,
-                    excess=n_e,
-                    alive_before=alive_before,
-                    seeded=seeded_slots,
-                    killed=killed,
-                    triggered_by=triggered_by,
-                )
-                self._history.append(augmentation)
-                outcome.augmentations.append(augmentation)
-                if killed:
-                    outcome.newly_dead.update(killed)
-            n_e = int(idx.shape[0]) - cap
-            if n_e <= 0:
-                break
-            if float(w.sum()) >= n_e * (1.0 - SUM_TOLERANCE):
-                break
-        if idx.shape[0]:
-            self._w[idx] = w  # scatter the survivors back
-        if record:
-            diff = self._w[first_idx] - before
-            changed = np.nonzero(diff > 0.0)[0]
-            deltas = outcome.deltas
-            for k in changed.tolist():
-                rid = ids[int(first_idx[k])]
-                deltas[rid] = deltas.get(rid, 0.0) + float(diff[k])
+        diff = self._w[idx] - before
+        changed = np.nonzero(diff > 0.0)[0]
+        deltas = outcome.deltas
+        for slot, delta in zip(idx[changed].tolist(), diff[changed].tolist()):
+            rid = ids[slot]
+            deltas[rid] = deltas.get(rid, 0.0) + delta
+        outcome.newly_dead.update(ids[slot] for slot in idx[~self._alive[idx]].tolist())
 
     # -- whole-trace block kernel (see repro.engine.vectorized) ------------------------
     def _restore_edge_norecord(self, eidx: int, cap: int) -> None:
-        """Record-free restore with a tracked kill-check upper bound.
+        """The restore kernel: augment edge ``eidx`` until its constraint holds.
 
-        Performs the exact same weight mutations (same gathers, same
-        multiplies, same pairwise sums, same kills) as
-        :meth:`_restore_edge_indexed` with ``outcome=None``, but replaces the
-        per-iteration ``w.max()`` reduction with a scalar upper bound
-        ``ub' = ub * max(factor)``: IEEE-754 rounding is monotone, so the
-        tracked bound never falls below the true maximum and the real
-        reduction only runs when the bound crosses 1 — which is exactly when
-        a kill is possible.
+        Every restore runs here; :meth:`_restore_edge_indexed` derives a
+        recorded outcome from the weights before and after.  Instead of a
+        per-iteration ``w.max()`` reduction the kill check tracks a scalar
+        upper bound ``ub' = ub * max(factor)``: IEEE-754 rounding is
+        monotone, so the tracked bound never falls below the true maximum and
+        the real reduction only runs when the bound crosses 1 — which is
+        exactly when a kill is possible.
         """
         idx = self._alive_slots(eidx)
         w = self._w[idx]
@@ -1220,6 +1074,8 @@ class NumpyWeightBackend(WeightBackend):
         slack = 1.0 - SUM_TOLERANCE
         if add_reduce(w) >= n_e * slack:
             return
+        # Step 2a: zeros are only possible before the first multiply of a
+        # restore (afterwards every alive weight on the edge is positive).
         zero_mask = w == 0.0
         if zero_mask.any():
             w[zero_mask] = self.seed_weight
@@ -1229,6 +1085,8 @@ class NumpyWeightBackend(WeightBackend):
         ub = float(max_reduce(w))
         augmentations = 0
         while True:
+            # Step 2b: the factor vector depends only on n_e and the alive
+            # costs, so it is reused verbatim until a kill changes either.
             if factor is None:
                 factor = 1.0 + 1.0 / (n_e * cost_idx)
                 fmax = float(max_reduce(factor))

@@ -42,7 +42,7 @@ class EngineConfig:
         ``0`` (or any non-positive value) means one worker per CPU core.
     record:
         Materialize per-arrival :class:`~repro.engine.backends.ArrivalOutcome`
-        deltas and augmentation records.  ``False`` skips the diagnostics on
+        deltas, kills and step counts.  ``False`` skips the diagnostics on
         the pure fractional paths (algorithms that *consume* deltas — the
         randomized rounding — keep recording regardless).  Never changes a
         reported number.

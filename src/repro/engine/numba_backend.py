@@ -1,12 +1,13 @@
 """Optional numba-fused restore kernel, registered as the ``"numba"`` backend.
 
 On capacity-saturated traces the numpy backend's restore loop is bound by
-per-call ufunc overhead: every augmentation pays a multiply, a sum reduction
-and a max reduction on a small (tens of elements) array, ~1µs of fixed cost
-each.  :func:`mwu_edge_restore` fuses the whole restore — seeding, the
-multiplicative updates, kill detection and the covering-sum termination check
-— into one compiled loop, which is what the ≥100k req/s `scaling_10k` target
-needs.
+per-call ufunc overhead: every augmentation pays a multiply and a sum
+reduction (plus a max reduction when a kill is possible) on a small (tens of
+elements) array, ~1µs of fixed cost each.  :func:`mwu_edge_restore` fuses the
+whole restore — seeding, the multiplicative updates, kill detection and the
+covering-sum termination check — into one compiled loop, which is what the
+≥100k req/s `scaling_10k` target needs.  It replaces the numpy backend's one
+restore kernel, so recording and record-free runs both reach it.
 
 The module is import-safe without numba: the kernel below is plain Python
 (and is exercised as such by the test suite), and it is ``njit``-compiled and
@@ -23,8 +24,6 @@ cross-backend equivalence gate checks.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -105,9 +104,9 @@ else:
 class NumbaWeightBackend(NumpyWeightBackend):
     """Numpy-backend storage with the fused compiled restore kernel.
 
-    Only the record-free restore differs: diagnostics-recording restores
-    (``record=True`` runs) fall back to the numpy implementation, whose
-    before/after delta bookkeeping is inherently array-at-a-time.
+    Only the restore kernel differs.  Recording restores (``record=True``
+    runs) run it too: the inherited record path derives the outcome from the
+    weights before and after the kernel.
     """
 
     name = "numba"
@@ -124,14 +123,6 @@ class NumbaWeightBackend(NumpyWeightBackend):
         if not alive.all():
             for slot in idx[~alive].tolist():
                 self._kill_slot(slot)
-
-    def _restore_edge_indexed(self, eidx, triggered_by, outcome) -> None:
-        if outcome is None:
-            cap = self._cap[eidx]
-            if self._edge_alive[eidx] - cap > 0:
-                self._restore_edge_norecord(eidx, cap)
-            return
-        super()._restore_edge_indexed(eidx, triggered_by, outcome)
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed

@@ -23,8 +23,8 @@ worker processes, is :class:`~repro.engine.shards.ProcessShardPool`.
 
 The durable-state contract: a checkpoint carries the *logical* state the
 future evolution depends on and nothing else.  Per-arrival diagnostics
-(:class:`~repro.engine.backends.ArrivalOutcome` deltas, augmentation
-history) are reproducible artefacts, not state — restored decisions carry
+(:class:`~repro.engine.backends.ArrivalOutcome` deltas, kills and step
+counts) are reproducible artefacts, not state — restored decisions carry
 ``outcome=None`` exactly like a ``record=False`` run.  Schema versioning
 lives in :mod:`repro.instances.serialize` (``CHECKPOINT_SCHEMA``): loaders
 reject versions they do not know instead of guessing.

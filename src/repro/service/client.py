@@ -69,12 +69,15 @@ class AdmissionClient:
         sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
         self._sock = sock
         self._fh = sock.makefile("rwb")
-        welcome = self._read_frame()
-        if welcome.get("op") != "welcome" or welcome.get("service") != SERVICE_KIND:
+        try:
+            welcome = self._read_frame()
+            if welcome.get("op") != "welcome" or welcome.get("service") != SERVICE_KIND:
+                raise ServiceError(
+                    f"not an admission service at {self.host}:{self.port}: {welcome!r}"
+                )
+        except BaseException:
             self.close()
-            raise ServiceError(
-                f"not an admission service at {self.host}:{self.port}: {welcome!r}"
-            )
+            raise
         self.welcome = welcome
         return self
 

@@ -150,9 +150,17 @@ class AdmissionService:
             loop.add_signal_handler(signal.SIGTERM, _on_sigterm)
 
         host, port = config.address
-        server = await asyncio.start_server(
-            self._on_connection, host, port, limit=MAX_FRAME_BYTES
-        )
+        try:
+            server = await asyncio.start_server(
+                self._on_connection, host, port, limit=MAX_FRAME_BYTES
+            )
+        except OSError as err:
+            # A busy or unbindable address is a start-up error like a bad
+            # flag: the CLI prints it and exits 2.
+            if install_signals:
+                loop.remove_signal_handler(signal.SIGTERM)
+            self._run.close()
+            raise ServiceConfigError(f"cannot listen on {host}:{port}: {err}") from err
         bound = server.sockets[0].getsockname()
         self.address = (bound[0], bound[1])
         self.ready.set()

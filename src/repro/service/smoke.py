@@ -66,10 +66,18 @@ class ServerProcess:
                 self._listening.set()
         self._listening.set()  # EOF: unblock waiters even on startup failure
 
+    def _close_pipe(self) -> None:
+        """Join the reader (it stops at the exited server's EOF), close stdout."""
+        self._reader.join(timeout=5.0)
+        assert self.proc.stdout is not None
+        self.proc.stdout.close()
+
     def wait_listening(self, timeout: float = 30.0) -> Tuple[str, int]:
         self._listening.wait(timeout)
         if self.address is None:
             self.proc.kill()
+            self.proc.wait()
+            self._close_pipe()
             raise AssertionError(
                 "server never printed its listen address:\n" + "".join(self.lines)
             )
@@ -78,7 +86,7 @@ class ServerProcess:
     def sigterm_and_wait(self, timeout: float = 60.0) -> None:
         self.proc.send_signal(signal.SIGTERM)
         code = self.proc.wait(timeout=timeout)
-        self._reader.join(timeout=5.0)
+        self._close_pipe()
         if code != 0:
             raise AssertionError(
                 f"server exited {code} after SIGTERM:\n" + "".join(self.lines)

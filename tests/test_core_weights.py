@@ -141,33 +141,33 @@ class TestCapacityReduction:
             state.decrease_capacity("missing")
 
 
-class TestAugmentationRecords:
-    def test_history_records_trigger_and_edge(self):
+class TestArrivalOutcomes:
+    def test_outcome_counts_the_triggering_arrivals_steps(self):
         state = make_state({"e": 1}, g=1.0)
         state.process_arrival(0, ["e"], 1.0)
-        state.process_arrival(1, ["e"], 1.0)
-        history = state.history()
-        assert len(history) == state.total_augmentations
-        assert all(record.edge == "e" for record in history)
-        assert history[-1].triggered_by == 1
-        assert history[0].excess >= 1
+        # Arrival 1 lifts the excess to n_e = 1.
+        assert state.excess("e") == 0
+        outcome = state.process_arrival(1, ["e"], 1.0)
+        assert outcome.request_id == 1
+        assert outcome.num_augmentations == state.total_augmentations >= 1
 
-    def test_seeded_requests_recorded(self):
+    def test_seeded_requests_get_deltas(self):
         state = make_state({"e": 1}, g=1.0)
         state.process_arrival(0, ["e"], 1.0)
-        state.process_arrival(1, ["e"], 1.0)
-        seeded = {rid for record in state.history() for rid in record.seeded}
-        assert seeded == {0, 1}
+        outcome = state.process_arrival(1, ["e"], 1.0)
+        assert set(outcome.deltas) == {0, 1}
+        assert all(weight >= state.seed_weight for weight in state.weights().values())
 
     def test_weight_growth_is_multiplicative(self):
         state = make_state({"e": 1}, g=4.0, max_capacity=1)
         state.process_arrival(0, ["e"], 2.0)
-        state.process_arrival(1, ["e"], 2.0)
         # Every augmentation multiplies both (still alive) weights by exactly
-        # (1 + 1/(n_e * p)) = 1.5 with n_e = 1, p = 2, starting from the seed.
-        assert state.history()[0].excess == 1
-        augmentations = state.total_augmentations
-        assert augmentations >= 1
+        # (1 + 1/(n_e * p)) = 1.5 with n_e = 1, p = 2, starting from the seed:
+        # arrival 1 lifts the excess to 1.
+        assert state.excess("e") == 0
+        outcome = state.process_arrival(1, ["e"], 2.0)
+        augmentations = outcome.num_augmentations
+        assert augmentations == state.total_augmentations >= 1
         expected = state.seed_weight * 1.5**augmentations
         for weight in state.weights().values():
             assert weight == pytest.approx(expected)

@@ -15,6 +15,7 @@ Four layers, mirroring the package:
 
 from __future__ import annotations
 
+import io
 import json
 import signal
 import socket
@@ -119,6 +120,34 @@ class TestServiceConfig:
             parse_address("127.0.0.1:x", flag="--connect")
         with pytest.raises(ServiceConfigError, match="port must be 0..65535"):
             parse_address("h:70000")
+
+    def test_busy_listen_port_is_exit_2_and_closes_the_run(
+        self, trace_path, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.service.runtime import ServingRun
+
+        closed = []
+        real_close = ServingRun.close
+
+        def close(run):
+            closed.append(run)
+            real_close(run)
+
+        monkeypatch.setattr(ServingRun, "close", close)
+        out = io.StringIO()
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen(1)
+            host, port = busy.getsockname()
+            code = main(
+                ["serve", "--trace", str(trace_path), "--listen", f"{host}:{port}",
+                 "--log", str(tmp_path / "busy.jsonl")],
+                out=out,
+            )
+        assert code == 2
+        assert out.getvalue().startswith(f"error: cannot listen on {host}:{port}: ")
+        assert len(closed) == 1
 
 
 class TestWireSchema:
@@ -277,7 +306,15 @@ class TestProtocolErrors:
                 # Recoverable: the next well-formed call succeeds.
                 assert client.stats()["decisions"] == 0
 
-    def test_client_rejects_non_service_peer(self):
+    def test_client_rejects_non_service_peer(self, monkeypatch):
+        made = []
+        create_connection = socket.create_connection
+
+        def connect(*args, **kwargs):
+            made.append(create_connection(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(socket, "create_connection", connect)
         with socket.socket() as server:
             server.bind(("127.0.0.1", 0))
             server.listen(1)
@@ -296,6 +333,8 @@ class TestProtocolErrors:
             with pytest.raises(ServiceError, match="malformed frame from the service"):
                 client.connect()
             thread.join(timeout=5)
+        # The failed handshake closed the client's own socket.
+        assert [sock.fileno() for sock in made] == [-1]
 
 
 class TestDrainAndStats:
@@ -458,6 +497,7 @@ class TestSigtermResumeSubprocess:
         requests = list(load_admission_trace(str(trace_path)).requests)
         drive(server.wait_listening(), requests[:10])
         server.sigterm_and_wait()
+        assert server.proc.stdout.closed
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "serve", "--trace", str(trace_path),
              "--listen", "127.0.0.1:0", "--resume", "--checkpoint", str(checkpoint),
