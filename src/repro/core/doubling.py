@@ -119,22 +119,32 @@ class AlphaSchedule:
 
     # -- checkpoint state ---------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot of the guess-and-double bookkeeping."""
+        """JSON-serialisable snapshot of the guess-and-double bookkeeping.
+
+        The two per-edge maps share their keys and key order (every arrival
+        updates both for each of its edges), so they are stored as one
+        ``edges`` column beside the ``edge_count`` and ``edge_min_cost``
+        columns.
+        """
         return {
             "alpha": self.alpha,
             "phase_alphas": [float(a) for a in self.phase_alphas],
-            "edge_count": [[encode_edge_id(e), int(n)] for e, n in self._edge_count.items()],
-            "edge_min_cost": [
-                [encode_edge_id(e), float(c)] for e, c in self._edge_min_cost.items()
-            ],
+            "edges": [encode_edge_id(e) for e in self._edge_count],
+            "edge_count": [int(n) for n in self._edge_count.values()],
+            "edge_min_cost": [float(c) for c in self._edge_min_cost.values()],
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
         """Restore an :meth:`export_state` snapshot."""
+        edges = [decode_edge_id(e) for e in state["edges"]]
+        counts = [int(n) for n in state["edge_count"]]
+        min_costs = [float(c) for c in state["edge_min_cost"]]
+        if not len(edges) == len(counts) == len(min_costs):
+            raise ValueError("checkpoint per-edge columns disagree in length")
         self.alpha = None if state["alpha"] is None else float(state["alpha"])
         self.phase_alphas = [float(a) for a in state["phase_alphas"]]
-        self._edge_count = {decode_edge_id(e): int(n) for e, n in state["edge_count"]}
-        self._edge_min_cost = {decode_edge_id(e): float(c) for e, c in state["edge_min_cost"]}
+        self._edge_count = dict(zip(edges, counts))
+        self._edge_min_cost = dict(zip(edges, min_costs))
 
 
 def _process_with_schedule(schedule, capacities, inner, request, process_inner):

@@ -58,6 +58,11 @@ class CostClass:
     FORCED = "forced"  #: accepted permanently because of its tag (reduction phase-2 requests).
 
 
+#: One-letter checkpoint code of each cost class, and its inverse.
+_CLASS_CODES = {CostClass.SMALL: "s", CostClass.BIG: "b", CostClass.NORMAL: "n", CostClass.FORCED: "f"}
+_CODE_CLASSES = {code: cls for cls, code in _CLASS_CODES.items()}
+
+
 @dataclass
 class FractionalDecision:
     """Outcome of the fractional algorithm for one arriving request."""
@@ -512,25 +517,33 @@ class FractionalAdmissionControl:
 
     # -- checkpoint state (used by the streaming layer) --------------------------------
     def export_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot of the algorithm's durable state.
+        """JSON-serialisable snapshot of the algorithm's durable state, as columns.
 
-        Includes the weight mechanism (:meth:`WeightBackend.export_state`),
-        the cost-class bookkeeping and the decision log.  Per-arrival
-        :class:`ArrivalOutcome` diagnostics are *not* durable state: restored
-        decisions carry ``outcome=None``, exactly like a ``record=False`` run.
+        One row per arrival, in arrival order: ``ids``, ``classes`` (one
+        :data:`_CLASS_CODES` letter each), ``cost`` (the original cost) and
+        ``fraction`` (the rejected fraction its decision reported).
+        ``_original_cost``, ``_class_of`` and ``_decisions`` each gain one
+        entry per arrival, so one row holds all three.  Beside them: the
+        weight mechanism (:meth:`WeightBackend.export_state`), ``alpha`` and
+        the ``R_small`` total.  Per-arrival :class:`ArrivalOutcome`
+        diagnostics are *not* durable state: restored decisions carry
+        ``outcome=None``, exactly like a ``record=False`` run.
         """
+        if not len(self._original_cost) == len(self._class_of) == len(self._decisions):
+            raise RuntimeError(
+                f"{len(self._original_cost)} costs, {len(self._class_of)} classes and "
+                f"{len(self._decisions)} decisions do not line up as one row per arrival"
+            )
         return {
             "kind": "fractional",
             "alpha": self.alpha,
             "g": float(self.g),
             "unweighted": self.unweighted,
             "small_cost": float(self._small_cost),
-            "original_cost": [[int(r), float(c)] for r, c in self._original_cost.items()],
-            "class_of": [[int(r), cls] for r, cls in self._class_of.items()],
-            "decisions": [
-                [int(d.request_id), d.cost_class, float(d.fraction_rejected)]
-                for d in self._decisions
-            ],
+            "ids": list(map(int, self._class_of)),
+            "classes": "".join(map(_CLASS_CODES.__getitem__, self._class_of.values())),
+            "cost": list(map(float, self._original_cost.values())),
+            "fraction": [float(d.fraction_rejected) for d in self._decisions],
             "weights": self._weights.export_state(),
         }
 
@@ -545,13 +558,18 @@ class FractionalAdmissionControl:
             raise ValueError(f"not a fractional-algorithm state: kind={state.get('kind')!r}")
         if self._class_of:
             raise ValueError("restore_state requires a freshly constructed algorithm")
+        ids = [int(r) for r in state["ids"]]
+        classes = [_CODE_CLASSES[code] for code in state["classes"]]
+        costs = [float(c) for c in state["cost"]]
+        fractions = [float(f) for f in state["fraction"]]
+        if not len(ids) == len(classes) == len(costs) == len(fractions):
+            raise ValueError("checkpoint arrival columns disagree in length")
         self.alpha = None if state["alpha"] is None else float(state["alpha"])
         self._small_cost = float(state["small_cost"])
-        self._original_cost = {int(r): float(c) for r, c in state["original_cost"]}
-        self._class_of = {int(r): str(cls) for r, cls in state["class_of"]}
+        self._original_cost = dict(zip(ids, costs))
+        self._class_of = dict(zip(ids, classes))
         self._decisions = [
-            FractionalDecision(int(r), str(cls), None, float(f))
-            for r, cls, f in state["decisions"]
+            FractionalDecision(rid, cls, None, f) for rid, cls, f in zip(ids, classes, fractions)
         ]
         self._weights.restore_state(state["weights"])
 

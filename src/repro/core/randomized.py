@@ -33,6 +33,7 @@ the library and documented in DESIGN.md:
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.core.fractional import CostClass, FractionalAdmissionControl, FractionalDecision
@@ -41,17 +42,16 @@ from repro.engine.backends import BackendSpec
 from repro.engine.registry import ADMISSION_ALGORITHMS
 from repro.engine.sampling import bernoulli_batch
 from repro.instances.admission import AdmissionInstance
-from repro.instances.request import Decision, EdgeId, Request
-from repro.instances.serialize import (
-    decode_edge_id,
-    encode_edge_id,
-    request_from_state,
-    request_to_state,
-)
+from repro.instances.request import Decision, DecisionKind, EdgeId, Request
+from repro.instances.serialize import decode_edge_id, encode_edge_id
 from repro.utils.mathx import log2_guarded
 from repro.utils.rng import RandomState, as_generator
 
 __all__ = ["RandomizedAdmissionControl"]
+
+#: One-letter checkpoint code of each decision kind, and its inverse.
+_KIND_CODES = {DecisionKind.ACCEPT: "a", DecisionKind.REJECT: "r", DecisionKind.PREEMPT: "p"}
+_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 
 class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
@@ -370,27 +370,64 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
 
     # -- checkpoint state (used by the streaming layer) ----------------------------------------
     def export_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot of the algorithm's durable state.
+        """JSON-serialisable snapshot of the algorithm's durable state, as columns.
 
         Covers the fractional shadow, the exact RNG state (so resumed coin
-        flips are bit-identical), the accept/reject/preempt bookkeeping, the
-        decision log and the Section-3 guard state.  ``Request.path`` (purely
+        flips are bit-identical), the accept/reject/preempt id lists, the
+        decision log and the Section-3 guard state.
+
+        The request table has one row per arrival, in arrival order, and
+        stores each field once.  Ids and costs come from the shadow's rows:
+        every arrival reaches the shadow unless the overload guard rejected
+        it first, so only such rows are listed, in ``requests.unshadowed``,
+        as ``[row, id, cost]``.  The paths of the requests the shadow's
+        weight backend registered come from its columns; the paths of the
+        other rows are ``requests.indptr``/``indices`` (CSR, edges numbered
+        in the capacity mapping's order, as the backend numbers them).  Tags
+        are sparse ``[row, tag]`` pairs.  ``decisions`` holds ``ids``, one
+        :data:`_KIND_CODES` letter each, and ``[row, at_request]`` pairs
+        where a decision names its trigger.  ``Request.path`` (purely
         informational) is not persisted.
         """
+        shadow = self._shadow.export_state()
+        shadow_ids = shadow["ids"]
+        requests = list(self._requests_by_id.values())
+        unshadowed = []
+        if shadow_ids != list(self._requests_by_id):
+            # The shadow's ids are the request ids minus the guard-rejected
+            # rows, in the same order: walk both to find those rows.
+            next_shadowed = 0
+            for row, req in enumerate(requests):
+                if next_shadowed < len(shadow_ids) and shadow_ids[next_shadowed] == req.request_id:
+                    next_shadowed += 1
+                else:
+                    unshadowed.append([row, int(req.request_id), float(req.cost)])
+        registered = set(shadow["weights"]["ids"])
+        paths = [req.ordered_edges for req in requests if req.request_id not in registered]
+        edge_index = {e: k for k, e in enumerate(self._capacities)}
+        decisions = self._decisions
         return {
             "kind": "randomized",
-            "shadow": self._shadow.export_state(),
+            "shadow": shadow,
             "rng": self.rng.bit_generator.state,
-            "requests": [
-                request_to_state(req) for req in self._requests_by_id.values()
-            ],
+            "requests": {
+                "indptr": [0, *accumulate(map(len, paths))],
+                "indices": [edge_index[e] for e in chain.from_iterable(paths)],
+                "tags": [[row, req.tag] for row, req in enumerate(requests) if req.tag is not None],
+                "unshadowed": unshadowed,
+            },
             "accepted": [int(r) for r in self._accepted],
             "rejected": [int(r) for r in self._rejected],
             "preempted": [int(r) for r in self._preempted],
-            "decisions": [
-                [int(d.request_id), d.kind, None if d.at_request is None else int(d.at_request)]
-                for d in self._decisions
-            ],
+            "decisions": {
+                "ids": [int(d.request_id) for d in decisions],
+                "kinds": "".join([_KIND_CODES[d.kind] for d in decisions]),
+                "at": [
+                    [row, int(d.at_request)]
+                    for row, d in enumerate(decisions)
+                    if d.at_request is not None
+                ],
+            },
             "permanent": sorted(int(r) for r in self._permanent),
             "guarded_edges": [encode_edge_id(e) for e in self._guarded_edges],
             "counters": {
@@ -407,24 +444,50 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
             raise ValueError(f"not a randomized-algorithm state: kind={state.get('kind')!r}")
         if self._seen:
             raise ValueError("restore_state requires a freshly constructed algorithm")
-        self._shadow.restore_state(state["shadow"])
+        shadow = state["shadow"]
+        self._shadow.restore_state(shadow)
         self.rng.bit_generator.state = state["rng"]
-        self._requests_by_id = {
-            req.request_id: req
-            for req in (request_from_state(item) for item in state["requests"])
-        }
-        self._seen = set(self._requests_by_id)
-        by_id = self._requests_by_id
-        self._accepted = {int(r): by_id[int(r)] for r in state["accepted"]}
-        self._rejected = {int(r): by_id[int(r)] for r in state["rejected"]}
-        self._preempted = {int(r): by_id[int(r)] for r in state["preempted"]}
+
+        requests = state["requests"]
+        unshadowed = {row: (rid, cost) for row, rid, cost in requests["unshadowed"]}
+        shadowed = zip(shadow["ids"], shadow["cost"])
+        num_rows = len(shadow["ids"]) + len(unshadowed)
+        rows = [unshadowed[row] if row in unshadowed else next(shadowed) for row in range(num_rows)]
+        tags = dict(requests["tags"])
+        edge_order = list(self._capacities)
+        own_edges = [edge_order[k] for k in requests["indices"]]
+        own_indptr = requests["indptr"]
+        own = 0
+        registered = set(shadow["weights"]["ids"])
+        weight_edges_of = self._shadow.weight_state.edges_of
+        by_id: Dict[int, Request] = {}
+        for row, (rid, cost) in enumerate(rows):
+            if rid in registered:
+                edges = weight_edges_of(rid)
+            else:
+                edges = own_edges[own_indptr[own] : own_indptr[own + 1]]
+                own += 1
+            by_id[rid] = Request(rid, frozenset(edges), cost, tag=tags.get(row))
+        if own != len(own_indptr) - 1:
+            raise ValueError(
+                f"checkpoint stores {len(own_indptr) - 1} request paths outside the "
+                f"weight backend, but {own} rows need one"
+            )
+        self._requests_by_id = by_id
+        self._seen = set(by_id)
+        self._accepted = {rid: by_id[rid] for rid in state["accepted"]}
+        self._rejected = {rid: by_id[rid] for rid in state["rejected"]}
+        self._preempted = {rid: by_id[rid] for rid in state["preempted"]}
         self._load = {e: 0 for e in self._capacities}
         for req in self._accepted.values():
             for e in req.ordered_edges:
                 self._load[e] += 1
+
+        decisions = state["decisions"]
+        at = dict(decisions["at"])
         self._decisions = [
-            Decision(int(r), str(kind), None if at is None else int(at))
-            for r, kind, at in state["decisions"]
+            Decision(rid, _CODE_KINDS[code], at.get(row))
+            for row, (rid, code) in enumerate(zip(decisions["ids"], decisions["kinds"]))
         ]
         self._permanent = {int(r) for r in state["permanent"]}
         self._guarded_edges = {decode_edge_id(e) for e in state["guarded_edges"]}

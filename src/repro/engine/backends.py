@@ -58,6 +58,7 @@ name through :func:`make_weight_backend`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -501,8 +502,12 @@ class WeightBackend:
         """Registered request ids in registration order (subclasses implement)."""
         raise NotImplementedError
 
-    def _set_weight(self, request_id: int, weight: float) -> None:
-        """Overwrite a registered request's weight (restore-time primitive)."""
+    def _cost_column(self) -> List[float]:
+        """Registered requests' costs in registration order (subclasses implement)."""
+        raise NotImplementedError
+
+    def _load_weights(self, weights: np.ndarray) -> None:
+        """Overwrite every weight at once: ``weights[r]`` is the ``r``-th registered request's."""
         raise NotImplementedError
 
     def _mark_dead(self, request_id: int) -> None:
@@ -510,11 +515,12 @@ class WeightBackend:
         raise NotImplementedError
 
     def export_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot of the mechanism's *logical* state.
+        """JSON-serialisable snapshot of the mechanism's *logical* state, as columns.
 
-        Captures everything the future evolution of the weights depends on:
-        per-request (edge indices, cost, weight, dead flag) in registration
-        order, the current effective capacities, the seed-weight parameters
+        One row per registered request, in registration order: ``ids``, the
+        paths as CSR ``indptr``/``indices`` (dense edge indices), ``cost``
+        and ``weight``; ``dead`` lists the rows of the dead requests.  Beside
+        them: the current effective capacities, the seed-weight parameters
         and the augmentation counter.  Past :class:`ArrivalOutcome` objects
         are diagnostics, *not* part of the durable state.
 
@@ -523,6 +529,9 @@ class WeightBackend:
         weights are bit-identical across backends; only alive-sum reduction
         order differs, which :data:`SUM_TOLERANCE` absorbs).
         """
+        ids = self._request_ids_in_order()
+        paths = list(map(self._edge_idxs_of_request, ids))
+        is_dead = self.is_dead
         return {
             "backend": self.name,
             "g": float(self.g),
@@ -530,16 +539,12 @@ class WeightBackend:
             "num_edges": self.num_edges,
             "capacities": [int(c) for c in self._cap],
             "total_augmentations": int(self.total_augmentations),
-            "requests": [
-                {
-                    "id": int(rid),
-                    "edges": [int(k) for k in self._edge_idxs_of_request(rid)],
-                    "cost": float(self.cost_of(rid)),
-                    "weight": float(self.weight(rid)),
-                    "dead": bool(self.is_dead(rid)),
-                }
-                for rid in self._request_ids_in_order()
-            ],
+            "ids": list(map(int, ids)),
+            "indptr": [0, *accumulate(map(len, paths))],
+            "indices": list(chain.from_iterable(paths)),
+            "cost": self._cost_column(),
+            "weight": self.weight_array().tolist(),
+            "dead": [row for row, rid in enumerate(ids) if is_dead(rid)],
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
@@ -547,7 +552,9 @@ class WeightBackend:
 
         Must be called on a newly constructed backend over the *same* edge set
         (same interning order) and seed parameters; the restored mechanism
-        then evolves exactly like the one that was snapshotted.
+        then evolves exactly like the one that was snapshotted.  The requests
+        are registered in one :meth:`register_batch_indexed` call, their
+        weights written in one bulk write, and the dead ones killed last.
         """
         if self._request_ids_in_order():
             raise ValueError("restore_state requires a freshly constructed backend")
@@ -562,16 +569,28 @@ class WeightBackend:
                 "checkpoint seed-weight parameters (g, max_capacity) do not match "
                 "this backend; was it built from the same capacities?"
             )
+        ids = [int(rid) for rid in state["ids"]]
+        indptr = np.asarray(state["indptr"], dtype=np.intp)
+        indices = np.asarray(state["indices"], dtype=np.intp)
+        cost = np.asarray(state["cost"], dtype=np.float64)
+        weight = np.asarray(state["weight"], dtype=np.float64)
+        n = len(ids)
+        if (
+            indptr.shape != (n + 1,)
+            or cost.shape != (n,)
+            or weight.shape != (n,)
+            or indptr[0] != 0
+            or indptr[-1] != indices.shape[0]
+        ):
+            raise ValueError("checkpoint weight columns disagree in length")
+        if indices.shape[0] and not (0 <= indices.min() and indices.max() < self.num_edges):
+            raise ValueError(f"checkpoint paths use edge indices outside [0, {self.num_edges})")
         self._cap = [int(c) for c in state["capacities"]]
         self.total_augmentations = int(state["total_augmentations"])
-        for item in state["requests"]:
-            rid = int(item["id"])
-            self._register_indexed(
-                rid, tuple(int(k) for k in item["edges"]), float(item["cost"])
-            )
-            self._set_weight(rid, float(item["weight"]))
-            if item["dead"]:
-                self._mark_dead(rid)
+        self.register_batch_indexed(ids, cost, indices, indptr)
+        self._load_weights(weight)
+        for row in state["dead"]:
+            self._mark_dead(ids[row])
 
     # -- invariants (used by tests and analysis) ---------------------------------------
     def check_invariants(self) -> List[str]:
@@ -701,8 +720,11 @@ class PythonWeightBackend(WeightBackend):
     def _request_ids_in_order(self) -> List[int]:
         return list(self._weights)
 
-    def _set_weight(self, request_id: int, weight: float) -> None:
-        self._weights[request_id] = weight
+    def _cost_column(self) -> List[float]:
+        return list(self._costs.values())
+
+    def _load_weights(self, weights: np.ndarray) -> None:
+        self._weights = dict(zip(self._weights, weights.tolist()))
 
     def _mark_dead(self, request_id: int) -> None:
         self._kill(request_id)
@@ -1012,8 +1034,11 @@ class NumpyWeightBackend(WeightBackend):
     def _request_ids_in_order(self) -> List[int]:
         return list(self._ids)
 
-    def _set_weight(self, request_id: int, weight: float) -> None:
-        self._w[self._slot[request_id]] = weight
+    def _cost_column(self) -> List[float]:
+        return self._cost[: self._n].tolist()
+
+    def _load_weights(self, weights: np.ndarray) -> None:
+        self._w[: self._n] = weights
 
     def _mark_dead(self, request_id: int) -> None:
         self._kill_slot(self._slot[request_id])

@@ -22,12 +22,15 @@ Sharding a namespaced edge set across N such sessions, in this process or in
 worker processes, is :class:`~repro.engine.shards.ProcessShardPool`.
 
 The durable-state contract: a checkpoint carries the *logical* state the
-future evolution depends on and nothing else.  Per-arrival diagnostics
+future evolution depends on and nothing else, as plain JSON columns (one
+list per field: request ids, CSR paths, costs, weights, classes, decision
+kinds), never one object per request.  Per-arrival diagnostics
 (:class:`~repro.engine.backends.ArrivalOutcome` deltas, kills and step
 counts) are reproducible artefacts, not state — restored decisions carry
 ``outcome=None`` exactly like a ``record=False`` run.  Schema versioning
 lives in :mod:`repro.instances.serialize` (``CHECKPOINT_SCHEMA``): loaders
-reject versions they do not know instead of guessing.
+reject versions they do not know instead of guessing.  Saves are fsynced
+before the rename that publishes them.
 
 ``repro serve`` (the CLI front-end) replays a JSONL trace through a session
 or shard pool with periodic checkpoints and ``--resume`` support; see
@@ -440,7 +443,11 @@ class StreamingSession:
         )
         session._algorithm.restore_state(checkpoint["algorithm_state"])
         session.num_processed = int(checkpoint["num_processed"])
-        session._sync_log()
+        if retain_log:
+            session._sync_log()
+        else:
+            # No log to fill: count the restored decisions, do not normalize them.
+            session._logged = len(session._algorithm.decisions_since(0))
         return session
 
     def save(self, path) -> Any:

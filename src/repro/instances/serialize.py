@@ -20,6 +20,7 @@ Two on-disk shapes exist for admission instances:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
@@ -67,10 +68,12 @@ CHECKPOINT_KIND = "streaming-checkpoint"
 
 #: Current checkpoint schema version.  Versioning rule: additive, optional
 #: fields may ride on the same version; any change that alters the meaning of
-#: an existing field, removes one, or changes the weight-state layout bumps
+#: an existing field, removes one, or changes the algorithm-state layout bumps
 #: the version, and loaders reject versions they do not know.  Schema 2 has
-#: one sharded kind (the shard pool's, without routing-strategy fields).
-CHECKPOINT_SCHEMA = 2
+#: one sharded kind (the shard pool's, without routing-strategy fields);
+#: schema 3 stores each algorithm's state as plain JSON columns (one row per
+#: request or decision) instead of one object per request.
+CHECKPOINT_SCHEMA = 3
 
 
 class TraceFormatError(ValueError):
@@ -185,7 +188,7 @@ def request_to_state(req: Request) -> Dict[str, Any]:
     canonical order :class:`~repro.instances.request.Request` rebuilds its
     frozenset (and ``ordered_edges``) in — so a rebuilt request iterates, and
     is therefore processed, exactly like the original.  This is the *single*
-    request codec: JSONL traces and streaming checkpoints both use it.
+    request codec: JSONL traces and service wire frames both use it.
     """
     line: Dict[str, Any] = {
         "id": req.request_id,
@@ -461,16 +464,28 @@ def validate_checkpoint(
 
 
 def dump_checkpoint(checkpoint: Dict[str, Any], path: Union[str, Path]) -> Path:
-    """Write a checkpoint document as JSON, atomically (write-then-rename).
+    """Write a checkpoint document as compact JSON, durably and atomically.
 
-    The atomic rename means a crash mid-write can never leave a truncated
-    checkpoint behind — the previous complete checkpoint survives.
+    The document goes to a temporary file, which is fsynced and then renamed
+    over ``path``; the directory is fsynced last, so the rename itself is
+    on disk.  Without the first fsync, an OS crash or power loss could
+    persist the rename before the data and leave an empty or partial
+    checkpoint; with it, ``path`` holds either the previous complete
+    checkpoint or this one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(checkpoint, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(checkpoint, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
     return path
 
 

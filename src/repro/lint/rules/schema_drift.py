@@ -71,6 +71,14 @@ DEFAULT_SCHEMA_SPECS: Tuple[SchemaSpec, ...] = (
             ("func", "instances/serialize.py", "request_to_state"),
             ("func", "engine/streaming.py", "StreamingSession.checkpoint"),
             ("func", "engine/shards.py", "ProcessShardPool.checkpoint"),
+            # The algorithm state nested under ``algorithm_state``: every
+            # layer's export_state writes its own columns.
+            ("func", "engine/backends.py", "WeightBackend.export_state"),
+            ("func", "core/fractional.py", "FractionalAdmissionControl.export_state"),
+            ("func", "core/randomized.py", "RandomizedAdmissionControl.export_state"),
+            ("func", "core/doubling.py", "AlphaSchedule.export_state"),
+            ("func", "core/doubling.py", "DoublingFractionalAdmissionControl.export_state"),
+            ("func", "core/doubling.py", "DoublingAdmissionControl.export_state"),
         ),
     ),
     SchemaSpec(

@@ -11,7 +11,7 @@ first frame instead of silently mis-parsing admission decisions.
 Frame shapes (``v`` and ``op`` are present in every frame; requests use the
 canonical codec :func:`~repro.instances.serialize.request_to_state` /
 :func:`~repro.instances.serialize.request_from_state`, the same one traces
-and checkpoints use, so a request round-trips the socket byte-identically):
+use, so a request round-trips the socket byte-identically):
 
 =================  =========  ====================================================
 op                 direction  other fields

@@ -9,6 +9,7 @@ acceptance test runs the real linter over the installed package and requires
 a clean exit.
 """
 
+import ast
 import io
 import json
 from pathlib import Path
@@ -22,11 +23,10 @@ from repro.lint import (
     LINT_RULES,
     LintConfig,
     LintRule,
-    SuppressionError,
     UNUSED_SUPPRESSION_ID,
     run_lint,
 )
-from repro.lint.rules.schema_drift import SchemaSpec, fingerprint
+from repro.lint.rules.schema_drift import DEFAULT_SCHEMA_SPECS, SchemaSpec, fingerprint
 
 
 def lint_tree(tmp_path, files, rules=None, **config_kwargs):
@@ -476,6 +476,25 @@ class TestRPR005:
             fingerprints_path=tmp_path / "fingerprints.json",
         )
         assert any("to_dict not found" in v.message for v in result.violations)
+
+    def test_every_export_state_is_a_checkpoint_scope(self):
+        # Each layer's export_state writes part of the checkpoint, so renaming
+        # one of its keys breaks old files as surely as an envelope key does.
+        import repro
+
+        root = Path(repro.__file__).parent
+        exporters = set()
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef) and any(
+                    isinstance(stmt, ast.FunctionDef) and stmt.name == "export_state"
+                    for stmt in node.body
+                ):
+                    exporters.add((path.relative_to(root).as_posix(), f"{node.name}.export_state"))
+        (checkpoint,) = [spec for spec in DEFAULT_SCHEMA_SPECS if spec.name == "checkpoint"]
+        scopes = {(rel, dotted) for kind, rel, dotted in checkpoint.scopes if kind == "func"}
+        assert len(exporters) >= 6
+        assert sorted(exporters - scopes) == []
 
     def test_frame_literal_conformance(self, tmp_path):
         files = {

@@ -163,8 +163,9 @@ class TestCheckpointRoundTrip:
 
 
 class TestCheckpointValidation:
-    # Schema 1 predates the single shard-pool kind; there is no converter.
-    @pytest.mark.parametrize("schema", [99, 1])
+    # Schema 1 predates the single shard-pool kind and schema 2 the columnar
+    # algorithm state; there is no converter.
+    @pytest.mark.parametrize("schema", [99, 1, 2])
     def test_unknown_schema_rejected(self, schema):
         instance = make_instance(0)
         session = run_full(instance, "fractional", "python")
