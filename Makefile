@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling ci
+.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -143,6 +143,15 @@ profile:
 profile-scaling:
 	$(PYTHON) -c "import cProfile; from repro.engine.benchmarking import run_scaling_bench; cProfile.run(\"print(run_scaling_bench('numpy'))\", '.profile_scaling.pstats')"
 	$(PYTHON) -c "import pstats; pstats.Stats('.profile_scaling.pstats').sort_stats('cumulative').print_stats(25)"
+
+# cProfile `repro serve --listen` on perfbench's service_window workload
+# (seed 91, 12,000 single-arrival submits over loopback TCP, driven by the
+# benchmark's own closed-window client), then drain and SIGTERM it and dump
+# the server's top-25 entries by self time (writes .profile_service.pstats).
+# This is the profile that found the dispatcher's per-frame queue waits and
+# socket writes; the next service optimization starts from it too.
+profile-service:
+	$(PYTHON) benchmarks/profile_service.py --seed 91
 
 # Refresh the committed baseline after an intentional perf change.
 bench-baseline:

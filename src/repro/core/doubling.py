@@ -148,12 +148,15 @@ class AlphaSchedule:
 
 
 def _process_with_schedule(schedule, capacities, inner, request, process_inner):
-    """The one observe → process → maybe-double sandwich both wrappers share.
+    """The one check → observe → process → maybe-double sandwich both wrappers share.
 
     ``process_inner`` is a thunk invoking the wrapped algorithm (per-request
     or compiled-indexed); keeping the guess-update ordering in a single place
-    guarantees the compiled and uncompiled paths can never diverge.
+    guarantees the compiled and uncompiled paths can never diverge.  The
+    wrapped algorithm's own checks run first, so an arrival it refuses
+    never reaches the schedule.
     """
+    inner.check_arrival(request)
     if schedule.observe_request(request, capacities):
         inner.update_alpha(schedule.alpha)
     decision = process_inner()

@@ -237,19 +237,41 @@ class FractionalAdmissionControl:
         return min(max(scaled, 1.0), self.g)
 
     # -- online processing -----------------------------------------------------------
+    def check_arrival(self, request: Request) -> None:
+        """Raise the ``ValueError`` :meth:`process` would raise for ``request``.
+
+        Read-only: it rejects a duplicate id, an edge outside the capacity
+        map and, in unweighted mode, a non-unit cost.  The guess-and-double
+        wrappers call it before their schedule counts the arrival.
+        """
+        self._check_arrival(request.request_id, request.cost, request.tag, request.ordered_edges)
+
+    def _check_arrival(
+        self, rid: int, cost: float, tag: Optional[str], edges: Iterable[EdgeId] = ()
+    ) -> bool:
+        """The checks an arrival passes before any state changes.
+
+        Returns whether the arrival's tag forces its acceptance.
+        """
+        if rid in self._class_of:
+            raise ValueError(f"request id {rid} was already processed")
+        # Runs once per arrival: a known path builds no list.
+        capacities = self._original_capacities
+        for edge in edges:
+            if edge not in capacities:
+                unknown = [e for e in edges if e not in capacities]
+                raise ValueError(f"request {rid} uses unknown edges {unknown[:3]!r}")
+        forced = tag is not None and tag in self.force_accept_tags
+        if self.unweighted and not forced and abs(cost - 1.0) > 1e-9:
+            raise ValueError(
+                f"unweighted mode requires unit costs, request {rid} has cost {cost}"
+            )
+        return forced
+
     def process(self, request: Request) -> FractionalDecision:
         """Process one arriving request and return its fractional decision."""
         rid = request.request_id
-        if rid in self._class_of:
-            raise ValueError(f"request id {rid} was already processed")
-        unknown = [e for e in request.ordered_edges if e not in self._original_capacities]
-        if unknown:
-            raise ValueError(f"request {rid} uses unknown edges {unknown[:3]!r}")
-        forced = request.tag is not None and request.tag in self.force_accept_tags
-        if self.unweighted and not forced and abs(request.cost - 1.0) > 1e-9:
-            raise ValueError(
-                f"unweighted mode requires unit costs, request {rid} has cost {request.cost}"
-            )
+        forced = self._check_arrival(rid, request.cost, request.tag, request.ordered_edges)
         self._original_cost[rid] = request.cost
 
         # Forced acceptance (set-cover reduction phase-2 requests).
@@ -303,20 +325,18 @@ class FractionalAdmissionControl:
         the ``record`` mode.
         """
         rid = int(compiled.request_ids[i])
-        if rid in self._class_of:
-            raise ValueError(f"request id {rid} was already processed")
         cost = float(compiled.costs[i])
-        tag = compiled.tags[i]
-        forced = tag is not None and tag in self.force_accept_tags
-        if self.unweighted and not forced and abs(cost - 1.0) > 1e-9:
-            raise ValueError(
-                f"unweighted mode requires unit costs, request {rid} has cost {cost}"
-            )
+        forced = self._check_arrival(rid, cost, compiled.tags[i])
+        # Translate the edges before any state changes: an edge this
+        # algorithm does not know raises here.
+        edge_idxs = compiled.edge_indices(i)
+        translate = self._translation_for(compiled)
+        if translate is not None:
+            edge_idxs = translate[edge_idxs]
         self._original_cost[rid] = cost
 
         if forced or (self.alpha is not None and cost > self.big_threshold):
             cost_class = CostClass.FORCED if forced else CostClass.BIG
-            edge_idxs = self._compiled_edge_idxs(compiled, i)
             self._class_of[rid] = cost_class
             outcome = self._weights.process_capacity_reduction_batch(
                 edge_idxs, rid, record=self.record
@@ -329,7 +349,6 @@ class FractionalAdmissionControl:
         else:
             self._class_of[rid] = CostClass.NORMAL
             normalized = self._normalized_cost(cost)
-            edge_idxs = self._compiled_edge_idxs(compiled, i)
             outcome = self._weights.process_arrival_indexed(
                 rid, edge_idxs, normalized, record=self.record
             )
@@ -337,14 +356,6 @@ class FractionalAdmissionControl:
             decision = FractionalDecision(rid, CostClass.NORMAL, outcome, fraction)
         self._decisions.append(decision)
         return decision
-
-    def _compiled_edge_idxs(self, compiled: CompiledInstance, i: int) -> np.ndarray:
-        """Backend-aligned dense edge indices of compiled arrival ``i``."""
-        edge_idxs = compiled.edge_indices(i)
-        translate = self._translation_for(compiled)
-        if translate is not None:
-            edge_idxs = translate[edge_idxs]
-        return edge_idxs
 
     def process_compiled_range(
         self, compiled: CompiledInstance, lo: int, hi: int, *, vectorized: bool = True

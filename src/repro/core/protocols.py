@@ -128,13 +128,26 @@ class OnlineAdmissionAlgorithm(ABC):
         """Handle one arriving request and return the decision for it."""
 
     # -- bookkeeping helpers (used by subclasses) -------------------------------
-    def _register_arrival(self, request: Request) -> None:
-        """Record that ``request`` arrived; rejects duplicates and unknown edges."""
+    def check_arrival(self, request: Request) -> None:
+        """Raise ``ValueError`` for an arrival :meth:`process` must refuse.
+
+        Read-only: it rejects a duplicate id and an edge outside the
+        capacity map.  Subclasses add their own checks.
+        """
         if request.request_id in self._seen:
             raise ValueError(f"request id {request.request_id} was already processed")
-        unknown = [e for e in request.ordered_edges if e not in self._capacities]
-        if unknown:
-            raise ValueError(f"request {request.request_id} uses unknown edges {unknown[:3]!r}")
+        # Runs once per arrival: a known path builds no list.
+        capacities = self._capacities
+        for edge in request.ordered_edges:
+            if edge not in capacities:
+                unknown = [e for e in request.ordered_edges if e not in capacities]
+                raise ValueError(
+                    f"request {request.request_id} uses unknown edges {unknown[:3]!r}"
+                )
+
+    def _register_arrival(self, request: Request) -> None:
+        """Record that ``request`` arrived, once :meth:`check_arrival` passes."""
+        self.check_arrival(request)
         self._seen.add(request.request_id)
 
     def _accept(self, request: Request) -> Decision:

@@ -152,6 +152,14 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         """The fractional shadow algorithm (read-only use recommended)."""
         return self._shadow
 
+    def check_arrival(self, request: Request) -> None:
+        """The base checks plus the shadow's (a non-unit cost when unweighted)."""
+        super().check_arrival(request)
+        # The shadow refuses nothing more unless it is unweighted, so a
+        # weighted arrival skips its second pass over the same edges.
+        if not self.weighted:
+            self._shadow.check_arrival(request)
+
     def update_alpha(self, alpha: float) -> None:
         """Forward a new OPT guess to the fractional shadow (doubling support)."""
         self._shadow.update_alpha(alpha)

@@ -11,10 +11,13 @@ same arrival order (ARCHITECTURE.md invariant 10).
 Request flow
     Every connection gets a reader coroutine that decodes frames and feeds
     one global FIFO queue; a single dispatcher coroutine pulls from it,
-    coalescing consecutive submits (up to ``batch`` arrivals, waiting at
-    most ``batch_wait_ms`` for stragglers) into one ``submit_batch`` call.
-    One queue + one dispatcher means one total order of arrivals — the
-    order the decision log attests to.
+    coalescing consecutive submits (up to ``batch`` arrivals) into one
+    ``submit_batch`` call.  Frames already queued are taken without
+    waiting; only when the queue runs dry does a partial batch wait, at
+    most ``batch_wait_ms``, for frames not yet received.  One queue + one
+    dispatcher means one total order of arrivals — the order the decision
+    log attests to.  A batch's replies are grouped by connection: each
+    connection gets its frames, in order, in one socket write.
 
 Graceful drain
     SIGTERM (or :meth:`AdmissionService.request_shutdown`) stops accepting
@@ -293,24 +296,27 @@ class AdmissionService:
             if item.kind not in ("submit", "submit_batch"):
                 await self._control(item)
                 continue
-            # Coalesce consecutive submits into one engine batch: wait at
-            # most batch_wait_ms for stragglers, never beyond `batch`
-            # arrivals, and stop at the first control frame (it must observe
-            # the submits before it — FIFO semantics).
+            # Coalesce consecutive submits into one engine batch: take what
+            # is queued without waiting, wait at most batch_wait_ms for
+            # frames not yet received, never go beyond `batch` arrivals, and
+            # stop at the first control frame (it must observe the submits
+            # before it — FIFO semantics).
             items = [item]
             total = len(item.requests)
             deadline = loop.time() + self.config.batch_wait_ms / 1000.0
             control: Optional[_WorkItem] = None
             shutdown = False
             while total < self.config.batch:
-                remaining = deadline - loop.time()
                 try:
+                    nxt = self._queue.get_nowait()
+                except asyncio.QueueEmpty:
+                    remaining = deadline - loop.time()
                     if remaining <= 0:
-                        nxt = self._queue.get_nowait()
-                    else:
+                        break
+                    try:
                         nxt = await asyncio.wait_for(self._queue.get(), remaining)
-                except (asyncio.QueueEmpty, asyncio.TimeoutError):
-                    break
+                    except asyncio.TimeoutError:
+                        break
                 if nxt is _SHUTDOWN:
                     shutdown = True
                     break
@@ -333,11 +339,13 @@ class AdmissionService:
         except (ValueError, RuntimeError) as err:
             # Reject the whole coalesced batch (duplicate ids, spanning
             # shards, ...): nothing was logged, every frame learns why.
-            for item in items:
-                self._send(item.writer, {"op": "error", "seq": item.seq, "error": str(err)})
-            await self._drain_writers(items)
+            await self._reply(
+                [(item.writer, {"op": "error", "seq": item.seq, "error": str(err)})
+                 for item in items]
+            )
             return
         processed = self._run.backend.num_processed
+        replies = []
         for item, own in zip(items, self._split_entries(entries, items)):
             frame: Dict[str, Any] = {
                 "op": "result",
@@ -351,8 +359,8 @@ class AdmissionService:
                     (e for e in own if e.get("id") == rid and e.get("event") != "preempt"),
                     None,
                 )
-            self._send(item.writer, frame)
-        await self._drain_writers(items)
+            replies.append((item.writer, frame))
+        await self._reply(replies)
         # After the replies: their latency never includes a checkpoint write.
         self._run.checkpoint_if_due()
 
@@ -381,14 +389,22 @@ class AdmissionService:
         return split
 
     @staticmethod
-    async def _drain_writers(items: List[_WorkItem]) -> None:
-        """Apply socket flow control once per distinct reply writer."""
-        seen = set()
-        for item in items:
-            writer = item.writer
-            if id(writer) in seen or writer.is_closing():
+    async def _reply(replies: List[Tuple[asyncio.StreamWriter, Dict[str, Any]]]) -> None:
+        """Send reply frames: one write per connection, then flow control.
+
+        Each connection's frames keep their order and go out joined in a
+        single ``write``; every connection is written before any is
+        drained, so one slow reader does not hold back the others' replies.
+        """
+        grouped: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        for writer, frame in replies:
+            grouped.setdefault(writer, []).append(encode_frame(frame))
+        for writer, chunks in grouped.items():
+            if not writer.is_closing():
+                writer.write(b"".join(chunks))
+        for writer in grouped:
+            if writer.is_closing():
                 continue
-            seen.add(id(writer))
             try:
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
@@ -418,8 +434,7 @@ class AdmissionService:
                 "decisions": backend.num_decisions,
                 "checkpointed": checkpointed,
             }
-        self._send(item.writer, frame)
-        await self._drain_writers([item])
+        await self._reply([(item.writer, frame)])
 
     # -- health -------------------------------------------------------------------
     async def _heartbeat(self) -> None:

@@ -8,6 +8,7 @@ from repro.core.doubling import (
     DoublingFractionalAdmissionControl,
 )
 from repro.core.protocols import run_admission
+from repro.instances.compiled import compile_sequence
 from repro.instances.request import Request
 from repro.offline import solve_admission_ilp
 from repro.workloads import cheap_then_expensive_adversary, single_edge_workload, pareto_costs
@@ -135,3 +136,59 @@ class TestDoublingRandomized:
         result = run_admission(algo, adversarial_instance)
         phases = result.extra["alpha_phases"]
         assert all(b >= a for a, b in zip(phases, phases[1:]))
+
+
+class TestRefusedArrivalKeepsTheGuess:
+    """An arrival the wrapped algorithm refuses never reaches the schedule.
+
+    Each refused arrival raises the inner algorithm's ``ValueError`` before
+    the schedule counts it, so the guess, the per-edge counts and the rest of
+    the run are those of a run that never saw it.
+    """
+
+    CAPACITIES = {"a": 1, "b": 1}
+    FOREIGN = {"a": 1, "b": 1, "c": 1}
+    PATHS = [{"a"}, {"a", "b"}, {"b"}, {"a"}, {"a", "b"}, {"b"}]
+    WEIGHTED_COSTS = [2.0, 1.0, 3.0, 0.5, 4.0, 1.5]
+
+    def _wrapper(self, wrapper, unit):
+        if wrapper is DoublingAdmissionControl:
+            return wrapper(self.CAPACITIES, weighted=not unit, random_state=11)
+        return wrapper(self.CAPACITIES, unweighted=unit)
+
+    def _step(self, algo, request, mode):
+        if mode == "process":
+            return algo.process(request)
+        capacities = self.FOREIGN if "c" in request.edges else self.CAPACITIES
+        return algo.process_indexed(compile_sequence([request], capacities), 0)
+
+    @pytest.mark.parametrize("mode", ["process", "process_indexed"])
+    @pytest.mark.parametrize("wrapper", [DoublingFractionalAdmissionControl, DoublingAdmissionControl])
+    @pytest.mark.parametrize(
+        "bad, unit, message",
+        [
+            (Request(0, {"a"}, 1.0), False, "request id 0 was already processed"),
+            (Request(1, {"a", "c"}, 1.0), False, "unknown edges"),
+            (Request(1, {"a"}, 2.0), True, "unweighted mode requires unit costs"),
+        ],
+        ids=["duplicate-id", "unknown-edge", "non-unit-cost"],
+    )
+    def test_refused_arrival_leaves_schedule_and_run_unchanged(
+        self, wrapper, mode, bad, unit, message
+    ):
+        costs = [1.0] * len(self.PATHS) if unit else self.WEIGHTED_COSTS
+        stream = [Request(i, path, cost) for i, (path, cost) in enumerate(zip(self.PATHS, costs))]
+        algo = self._wrapper(wrapper, unit)
+        reference = self._wrapper(wrapper, unit)
+        self._step(algo, stream[0], mode)
+        self._step(reference, stream[0], mode)
+        schedule = algo.schedule.export_state()
+        with pytest.raises(ValueError, match=message):
+            self._step(algo, bad, mode)
+        assert algo.schedule.export_state() == schedule
+        assert algo.alpha is None
+        assert algo.was_processed(0) and not algo.was_processed(1)
+        for request in stream[1:]:
+            assert self._step(algo, request, mode) == self._step(reference, request, mode)
+        assert reference.alpha is not None
+        assert algo.export_state() == reference.export_state()

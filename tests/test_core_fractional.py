@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bounds import lemma1_augmentation_bound
 from repro.core.fractional import CostClass, FractionalAdmissionControl
+from repro.instances.compiled import compile_sequence, intern_edges
 from repro.instances.request import Request
 from repro.offline import solve_admission_lp
 from repro.workloads import overloaded_edge_adversary, single_edge_workload, uniform_costs
@@ -185,3 +186,30 @@ class TestUpdateAlpha:
         algo = FractionalAdmissionControl({"e": 1}, alpha=1.0)
         with pytest.raises(ValueError):
             algo.update_alpha(0.0)
+
+
+class TestRefusedCompiledArrival:
+    """A compiled arrival the algorithm refuses leaves no trace in its state."""
+
+    CAPACITIES = {"a": 1, "b": 1}
+
+    @pytest.mark.parametrize("edges", [{"a", "c"}, {"a"}], ids=["uses-c", "interning-has-c"])
+    def test_foreign_interning_raises_before_any_state_changes(self, edges):
+        algo = FractionalAdmissionControl(self.CAPACITIES)
+        foreign = compile_sequence(
+            [Request(0, edges, 2.0)], intern_edges({**self.CAPACITIES, "c": 1})
+        )
+        with pytest.raises(ValueError, match="edge 'c' unknown to this algorithm"):
+            algo.process_indexed(foreign, 0)
+        assert not algo.was_processed(0)
+        assert algo.fractional_cost() == 0.0
+        fresh = FractionalAdmissionControl(self.CAPACITIES)
+        assert algo.export_state() == fresh.export_state()
+        # The next valid arrivals (they overload edge a) run as on a fresh algorithm.
+        valid = compile_sequence(
+            [Request(0, {"a", "b"}, 2.0), Request(1, {"a"}, 3.0)], self.CAPACITIES
+        )
+        for i in range(valid.num_requests):
+            assert algo.process_indexed(valid, i) == fresh.process_indexed(valid, i)
+        assert algo.export_state() == fresh.export_state()
+        assert algo.fractional_cost() == fresh.fractional_cost() > 0.0

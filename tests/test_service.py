@@ -15,6 +15,7 @@ Four layers, mirroring the package:
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 import signal
@@ -26,7 +27,7 @@ import pytest
 
 from repro.engine.registry import UnknownKeyError
 from repro.engine.streaming import StreamingSession
-from repro.instances.serialize import load_admission_trace, load_checkpoint
+from repro.instances.serialize import load_admission_trace, load_checkpoint, request_to_state
 from repro.scenarios.trace import record_trace, stream_trace
 from repro.service import (
     SERVICE_SCHEMA,
@@ -379,6 +380,151 @@ class TestDrainAndStats:
                 client.submit_batch(requests[9:10])
                 client.stats()  # queued behind that flush and its cadence check
                 assert load_checkpoint(checkpoint, expected_kind=None)["num_processed"] == 9
+
+
+def _submit_frame(request, seq):
+    return encode_frame({"op": "submit", "seq": seq, "request": request_to_state(request)})
+
+
+def _read_replies(sock, count):
+    """``count`` reply frames from a raw socket whose welcome frame was read."""
+    fh = sock.makefile("rb")
+    try:
+        return [decode_frame(fh.readline()) for _ in range(count)]
+    finally:
+        fh.close()
+
+
+def _record_writes(monkeypatch, op):
+    """Record every server write holding ``op`` frames as (client address, frames).
+
+    The server's writer for a connection reports the client's socket name as
+    its ``peername``, so a test can match writes to its own sockets.
+    """
+    writes = []
+    real_write = asyncio.StreamWriter.write
+    marker = f'"op": "{op}"'.encode()
+
+    def write(self, data):
+        if marker in data:
+            writes.append((self.get_extra_info("peername"), data.count(b"\n")))
+        return real_write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+    return writes
+
+
+class TestPerBatchQueueAndSocketWork:
+    """The dispatcher pays its queue and socket costs once per batch, not per frame.
+
+    Queued frames are taken without a timed wait, and a batch's replies reach
+    each connection in one write, in frame order; the decisions and the log
+    stay those of the in-process engine.
+    """
+
+    def test_pipelined_submits_take_one_write_per_flush(self, trace_path, monkeypatch):
+        requests = list(load_admission_trace(str(trace_path)).requests)[:64]
+        writes = _record_writes(monkeypatch, "result")
+        queue_waits = []
+        real_wait_for = asyncio.wait_for
+
+        def wait_for(awaitable, timeout):
+            if getattr(awaitable, "__qualname__", "") == "Queue.get":
+                queue_waits.append(timeout)
+            return real_wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", wait_for)
+        config = network_config(trace_path, batch=8, batch_wait_ms=50)
+        with ServiceThread(config) as thread:
+            with socket.create_connection(thread.address, timeout=30) as sock:
+                assert _read_replies(sock, 1)[0]["op"] == "welcome"
+                sock.sendall(b"".join(_submit_frame(r, i) for i, r in enumerate(requests)))
+                replies = _read_replies(sock, len(requests))
+        assert [reply["seq"] for reply in replies] == list(range(len(requests)))
+        assert [reply["entry"]["id"] for reply in replies] == [r.request_id for r in requests]
+        # 64 submits in batches of 8: eight writes of eight frames, or one
+        # more when the frames reached the server in two reads.
+        assert sum(count for _, count in writes) == len(requests)
+        assert len(writes) <= 9
+        assert len(queue_waits) < 8
+
+    def test_refused_batch_answers_every_frame_in_one_write(self, trace_path, monkeypatch):
+        # A repeated id fails the whole coalesced batch: each of its frames
+        # gets the error, in order, in one write, and nothing is applied.
+        requests = list(load_admission_trace(str(trace_path)).requests)[:8]
+        frames = [_submit_frame(r, i) for i, r in enumerate(requests[:7])]
+        frames.append(_submit_frame(requests[0], 7))
+        writes = _record_writes(monkeypatch, "error")
+        config = network_config(trace_path, batch=8, batch_wait_ms=50)
+        with ServiceThread(config) as thread:
+            with socket.create_connection(thread.address, timeout=30) as sock:
+                assert _read_replies(sock, 1)[0]["op"] == "welcome"
+                sock.sendall(b"".join(frames))
+                errors = _read_replies(sock, len(frames))
+                sock.sendall(_submit_frame(requests[7], 8))
+                after = _read_replies(sock, 1)[0]
+        assert [reply["op"] for reply in errors] == ["error"] * len(frames)
+        assert [reply["seq"] for reply in errors] == list(range(len(frames)))
+        assert {reply["error"] for reply in errors} == {
+            f"duplicate request id {requests[0].request_id}"
+        }
+        assert [count for _, count in writes] == [len(frames)]
+        assert after["op"] == "result" and after["processed"] == 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_two_connections_share_flushes_and_keep_their_replies(
+        self, trace_path, tmp_path, monkeypatch, backend
+    ):
+        requests = list(load_admission_trace(str(trace_path)).requests)
+        halves = [requests[0::2], requests[1::2]]
+        writes = _record_writes(monkeypatch, "result")
+        log = tmp_path / "decisions.jsonl"
+        # A long coalescing wait: the first batch waits for the second
+        # connection's first frame, so it carries frames of both.
+        config = network_config(
+            trace_path, backend=backend, log=log, batch=8, batch_wait_ms=200
+        )
+        with ServiceThread(config) as thread:
+            socks = [socket.create_connection(thread.address, timeout=30) for _ in halves]
+            try:
+                for sock in socks:
+                    assert _read_replies(sock, 1)[0]["op"] == "welcome"
+                frames = [
+                    [_submit_frame(r, i) for i, r in enumerate(half)] for half in halves
+                ]
+                for sock, own in zip(socks, frames):
+                    sock.sendall(own[0])
+                for sock, own in zip(socks, frames):
+                    sock.sendall(b"".join(own[1:]))
+                replies = [_read_replies(sock, len(half)) for sock, half in zip(socks, halves)]
+                peers = [sock.getsockname() for sock in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+        for half, own in zip(halves, replies):
+            assert [reply["op"] for reply in own] == ["result"] * len(half)
+            assert [reply["seq"] for reply in own] == list(range(len(half)))
+            assert [reply["entry"]["id"] for reply in own] == [r.request_id for r in half]
+        # `processed` is the engine's count after a flush, so two replies
+        # share it exactly when they came from the same flush.
+        flushes = [{reply["processed"] for reply in own} for own in replies]
+        assert flushes[0] & flushes[1], "no flush carried frames of both connections"
+        # One write per connection per flush, holding all of its frames.
+        for peer, own, flush_ids in zip(peers, replies, flushes):
+            counts = [count for writer_peer, count in writes if writer_peer == peer]
+            assert len(counts) == len(flush_ids)
+            assert sum(counts) == len(own)
+        # The log is the in-process engine's over the log's own arrival order.
+        logged = [json.loads(line) for line in log.read_text().splitlines()]
+        by_id = {r.request_id: r for r in requests}
+        order = [by_id[e["id"]] for e in logged if e.get("event") != "preempt"]
+        assert sorted(r.request_id for r in order) == sorted(by_id)
+        stream = stream_trace(trace_path)
+        reference = StreamingSession(
+            stream.capacities, algorithm="fractional", backend=backend, seed=5
+        )
+        stream.close()
+        assert logged == reference.submit_batch(order)
 
 
 class TestReplaySigterm:
