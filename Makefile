@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service ci
+.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service profile-replay ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -152,6 +152,14 @@ profile-scaling:
 # socket writes; the next service optimization starts from it too.
 profile-service:
 	$(PYTHON) benchmarks/profile_service.py --seed 91
+
+# cProfile one record-free numpy whole-trace replay of perfbench's
+# replay_hotspot trace (seed 7, 60,000 arrivals) and dump the top-25 entries
+# by self time (writes .profile_replay.pstats).  Since the room-split block
+# kernel the restore kernel is the replay's largest stage; the next kernel
+# optimization starts from this profile.
+profile-replay:
+	$(PYTHON) benchmarks/profile_replay.py --seed 7
 
 # Refresh the committed baseline after an intentional perf change.
 bench-baseline:

@@ -147,16 +147,18 @@ class AlphaSchedule:
         self._edge_min_cost = dict(zip(edges, min_costs))
 
 
-def _process_with_schedule(schedule, capacities, inner, request, process_inner):
+def _process_with_schedule(schedule, capacities, inner, request, process_inner, compiled=None):
     """The one check → observe → process → maybe-double sandwich both wrappers share.
 
     ``process_inner`` is a thunk invoking the wrapped algorithm (per-request
     or compiled-indexed); keeping the guess-update ordering in a single place
     guarantees the compiled and uncompiled paths can never diverge.  The
-    wrapped algorithm's own checks run first, so an arrival it refuses
-    never reaches the schedule.
+    wrapped algorithm's own checks run first (for a compiled arrival, its
+    interning's too), so an arrival it refuses never reaches the schedule.
     """
     inner.check_arrival(request)
+    if compiled is not None:
+        inner.check_compiled(compiled)
     if schedule.observe_request(request, capacities):
         inner.update_alpha(schedule.alpha)
     decision = process_inner()
@@ -227,7 +229,7 @@ class DoublingFractionalAdmissionControl:
         """Compiled fast path of :meth:`process` (same guess updates)."""
         return _process_with_schedule(
             self.schedule, self._capacities, self._inner, compiled.request(i),
-            lambda: self._inner.process_indexed(compiled, i),
+            lambda: self._inner.process_indexed(compiled, i), compiled,
         )
 
     def process_sequence(
@@ -376,7 +378,7 @@ class DoublingAdmissionControl:
         """Compiled fast path of :meth:`process` (same guess updates)."""
         return _process_with_schedule(
             self.schedule, self._capacities, self._inner, compiled.request(i),
-            lambda: self._inner.process_indexed(compiled, i),
+            lambda: self._inner.process_indexed(compiled, i), compiled,
         )
 
     def result(self) -> AdmissionResult:

@@ -316,6 +316,16 @@ class FractionalAdmissionControl:
         self._translation = translate
         return translate
 
+    def check_compiled(self, compiled: CompiledInstance) -> None:
+        """Raise the ``ValueError`` :meth:`process_indexed` raises for a foreign interning.
+
+        Read-only: an interning that holds an edge outside the capacity map
+        cannot be translated, whichever edges an arrival uses.  The answer is
+        cached per interning, so the wrappers that call it before their own
+        bookkeeping pay the O(m) check once.
+        """
+        self._translation_for(compiled)
+
     def process_indexed(self, compiled: CompiledInstance, i: int) -> FractionalDecision:
         """Process arrival ``i`` of a compiled instance through the fast path.
 
@@ -363,12 +373,13 @@ class FractionalAdmissionControl:
         """Process the contiguous arrival range ``[lo, hi)`` of a compiled instance.
 
         With ``vectorized=True`` (the default) the range goes through the
-        whole-trace executor of :mod:`repro.engine.vectorized`, which batches
-        provably inert stretches and fuses the rest — same decisions,
-        fractions, weights and exceptions as the per-arrival loop.  Subclasses
-        that customise :meth:`process_indexed` (the guess-and-double wrapper)
-        automatically fall back to the per-arrival loop so their hooks keep
-        firing.
+        whole-trace executor of :mod:`repro.engine.vectorized`, which hands
+        runs of arrivals to the weight backend's block kernel: path entries
+        that provably cannot overflow their edge register in bulk, only the
+        rest are stepped — same decisions, fractions, weights and exceptions
+        as the per-arrival loop.  Subclasses that customise
+        :meth:`process_indexed` (the guess-and-double wrapper) automatically
+        fall back to the per-arrival loop so their hooks keep firing.
         """
         if vectorized and type(self).process_indexed is FractionalAdmissionControl.process_indexed:
             from repro.engine.vectorized import run_compiled_trace

@@ -160,6 +160,10 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         if not self.weighted:
             self._shadow.check_arrival(request)
 
+    def check_compiled(self, compiled) -> None:
+        """The shadow's :meth:`~FractionalAdmissionControl.check_compiled` (read-only)."""
+        self._shadow.check_compiled(compiled)
+
     def update_alpha(self, alpha: float) -> None:
         """Forward a new OPT guess to the fractional shadow (doubling support)."""
         self._shadow.update_alpha(alpha)
@@ -204,6 +208,8 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         decision logs and results are identical to :meth:`process`.
         """
         request = compiled.request(i)
+        # A foreign interning raises here, before the arrival is recorded.
+        self.check_compiled(compiled)
         self._register_arrival(request)
         self._requests_by_id[request.request_id] = request
 

@@ -438,19 +438,6 @@ class WeightBackend:
         return outcome
 
     # -- whole-trace executor protocol (see repro.engine.vectorized) -------------------
-    def _alive_counts_array(self) -> np.ndarray:
-        """``int64[m]`` of per-edge alive counts (the executor's horizon scan).
-
-        The base implementation loops the scalar query; array-backed backends
-        override it with a bulk view.  Called once per executor scheduling
-        cycle, never per arrival.
-        """
-        return np.fromiter(
-            (self._alive_count_indexed(k) for k in range(self.num_edges)),
-            dtype=np.int64,
-            count=self.num_edges,
-        )
-
     def register_batch_indexed(
         self,
         request_ids: Sequence[int],
@@ -462,9 +449,8 @@ class WeightBackend:
 
         Request ``r`` carries cost ``costs[r]`` and the dense edge indices
         ``flat_edge_idxs[offsets[r]:offsets[r + 1]]``.  Equivalent to calling
-        :meth:`_register_indexed` per request in order — the whole-trace
-        executor uses it for stretches it has proven cannot trigger any
-        augmentation, where registration order is the only thing that matters.
+        :meth:`_register_indexed` per request in order; :meth:`restore_state`
+        uses it to rebuild a checkpoint's requests.
         """
         fl = flat_edge_idxs.tolist()
         offs = offsets.tolist()
@@ -477,25 +463,30 @@ class WeightBackend:
         costs: np.ndarray,
         flat_edge_idxs: np.ndarray,
         offsets: np.ndarray,
-    ) -> np.ndarray:
-        """Record-free :meth:`process_arrival_indexed` over a run of arrivals.
+        record: bool = False,
+    ) -> Tuple[np.ndarray, Optional[List[ArrivalOutcome]]]:
+        """:meth:`process_arrival_indexed` over a run of arrivals, in one call.
 
-        Returns ``float64[k]`` of each request's own rejected fraction
-        ``min(f_i, 1)`` captured right after its arrival (later arrivals in
-        the same block may grow it further).  The base implementation loops
-        the scalar fast path; array-backed backends override it with a fused
-        per-block kernel.  Weights, kills and the augmentation counter evolve
-        exactly as with per-arrival processing.
+        The arrivals are laid out like :meth:`register_batch_indexed`'s.
+        Returns ``(fractions, outcomes)``: ``float64[k]`` of each request's
+        own rejected fraction ``min(f_i, 1)`` captured right after its
+        arrival (later arrivals in the same run may grow it further), and
+        with ``record`` one :class:`ArrivalOutcome` per arrival (``None``
+        without).  This loop over the per-arrival path is the reference;
+        :class:`NumpyWeightBackend` overrides it with the room-split kernel.
         """
         fractions = np.empty(len(request_ids), dtype=np.float64)
+        outcomes: Optional[List[ArrivalOutcome]] = [] if record else None
         fl = flat_edge_idxs.tolist()
         offs = offsets.tolist()
         for r, rid in enumerate(request_ids):
-            self.process_arrival_indexed(
-                rid, tuple(fl[offs[r] : offs[r + 1]]), float(costs[r]), record=False
+            outcome = self.process_arrival_indexed(
+                rid, tuple(fl[offs[r] : offs[r + 1]]), float(costs[r]), record=record
             )
+            if outcomes is not None:
+                outcomes.append(outcome)
             fractions[r] = min(self.weight(rid), 1.0)
-        return fractions
+        return fractions, outcomes
 
     # -- checkpoint state (used by the streaming layer) --------------------------------
     def _request_ids_in_order(self) -> List[int]:
@@ -924,6 +915,95 @@ class NumpyWeightBackend(WeightBackend):
         arr[used:need] = slots
         self._edge_used[eidx] = need
 
+    def _add_rows(
+        self,
+        request_ids: Sequence[int],
+        costs: np.ndarray,
+        flat_edge_idxs: np.ndarray,
+        offsets: np.ndarray,
+    ) -> int:
+        """Write a run of new requests' slot rows at once, in arrival order.
+
+        Every id is checked first (neither registered nor repeated), so a
+        refused run changes nothing.  The rows start at weight 0, alive; no
+        edge vector is touched.  Returns the run's first slot.
+        """
+        k = len(request_ids)
+        slot_of = self._slot
+        if len(set(request_ids)) != k or not slot_of.keys().isdisjoint(request_ids):
+            seen: Set[int] = set()
+            for rid in request_ids:
+                if rid in slot_of or rid in seen:
+                    raise ValueError(f"request {rid} already registered")
+                seen.add(rid)
+        self._ensure_slot_capacity(k)
+        base = self._n
+        self._n = base + k
+        self._w[base : base + k] = 0.0
+        self._cost[base : base + k] = costs
+        self._alive[base : base + k] = True
+        self._ids.extend(request_ids)
+        slot_of.update(zip(request_ids, range(base, base + k)))
+        fl = flat_edge_idxs.tolist()
+        offs = offsets.tolist()
+        self._edge_idxs_by_id.update(
+            zip(request_ids, [tuple(fl[a:b]) for a, b in zip(offs, offs[1:])])
+        )
+        return base
+
+    def _append_by_edge(
+        self,
+        request_ids: Sequence[int],
+        entry_edges: np.ndarray,
+        entry_rows: np.ndarray,
+        base: int,
+        cold_only: bool = False,
+    ) -> np.ndarray:
+        """Append a run's path entries to their edges, grouped per edge.
+
+        Entry ``t`` puts row ``entry_rows[t]`` of the run (slot ``base +
+        entry_rows[t]``) on edge ``entry_edges[t]``; entries are in arrival
+        order.  A stable sort by edge keeps each edge's entries in that
+        order, so the slot vectors are byte-identical to per-entry
+        :meth:`_edge_append` calls.  With ``cold_only`` an edge takes only
+        its first ``max(cap - alive, 0)`` entries, the ones that cannot put
+        it over capacity; the positions of the rest (the *hot* entries) are
+        returned in arrival order.  Otherwise every entry is appended and
+        the result is empty.
+        """
+        # A stable sort has one result; on 16-bit keys numpy's is a radix sort.
+        keys = entry_edges.astype(np.uint16) if self.num_edges <= 1 << 16 else entry_edges
+        order = np.argsort(keys, kind="stable")
+        sorted_edges = entry_edges[order]
+        sorted_rows = entry_rows[order]
+        sorted_slots = sorted_rows + base
+        sorted_rids = [request_ids[r] for r in sorted_rows.tolist()]
+        bounds = (np.flatnonzero(np.diff(sorted_edges)) + 1).tolist()
+        starts = [0, *bounds]
+        stops = [*bounds, sorted_edges.shape[0]]
+        cap = self._cap
+        edge_alive = self._edge_alive
+        edge_requests = self._edge_requests
+        hot: List[np.ndarray] = []
+        for eidx, lo, hi in zip(sorted_edges[starts].tolist(), starts, stops):
+            if cold_only:
+                cold_end = lo + max(cap[eidx] - edge_alive[eidx], 0)
+                if cold_end < hi:
+                    hot.append(order[cold_end:hi])
+                    hi = cold_end
+                    if hi == lo:
+                        continue
+            self._edge_extend(eidx, sorted_slots[lo:hi])
+            edge_alive[eidx] += hi - lo
+            requests = edge_requests[eidx]
+            if requests is None:
+                edge_requests[eidx] = sorted_rids[lo:hi]
+            else:
+                requests.extend(sorted_rids[lo:hi])
+        if not hot:
+            return np.empty(0, dtype=np.intp)
+        return np.sort(np.concatenate(hot))
+
     def register_batch_indexed(
         self,
         request_ids: Sequence[int],
@@ -934,51 +1014,9 @@ class NumpyWeightBackend(WeightBackend):
         k = len(request_ids)
         if k == 0:
             return
-        slot_of = self._slot
-        seen: Set[int] = set()
-        for rid in request_ids:
-            if rid in slot_of or rid in seen:
-                raise ValueError(f"request {rid} already registered")
-            seen.add(rid)
-        self._ensure_slot_capacity(k)
-        base = self._n
-        self._n = base + k
-        self._w[base : base + k] = 0.0
-        self._cost[base : base + k] = costs
-        self._alive[base : base + k] = True
-        fl = flat_edge_idxs.tolist()
-        offs = offsets.tolist()
-        ids = self._ids
-        by_id = self._edge_idxs_by_id
-        for r, rid in enumerate(request_ids):
-            ids.append(rid)
-            slot_of[rid] = base + r
-            by_id[rid] = tuple(fl[offs[r] : offs[r + 1]])
-        # Per-edge appends, grouped: a stable sort of the flat CSR entries by
-        # edge keeps each edge's entries in arrival order, so the resulting
-        # slot vectors are byte-identical to per-request _edge_append calls.
-        lengths = np.diff(offsets)
-        entry_slots = np.repeat(np.arange(base, base + k, dtype=np.intp), lengths)
-        entry_req = np.repeat(np.arange(k, dtype=np.intp), lengths)
-        order = np.argsort(flat_edge_idxs, kind="stable")
-        sorted_edges = flat_edge_idxs[order]
-        sorted_slots = entry_slots[order]
-        sorted_req = entry_req[order].tolist()
-        bounds = np.nonzero(np.diff(sorted_edges))[0] + 1
-        starts = [0, *bounds.tolist(), sorted_edges.shape[0]]
-        edge_alive = self._edge_alive
-        edge_requests = self._edge_requests
-        for b in range(len(starts) - 1):
-            lo, hi = starts[b], starts[b + 1]
-            eidx = int(sorted_edges[lo])
-            self._edge_extend(eidx, sorted_slots[lo:hi])
-            edge_alive[eidx] += hi - lo
-            rids = [request_ids[sorted_req[t]] for t in range(lo, hi)]
-            requests = edge_requests[eidx]
-            if requests is None:
-                edge_requests[eidx] = rids
-            else:
-                requests.extend(rids)
+        base = self._add_rows(request_ids, costs, flat_edge_idxs, offsets)
+        rows = np.repeat(np.arange(k, dtype=np.intp), np.diff(offsets))
+        self._append_by_edge(request_ids, flat_edge_idxs, rows, base)
 
     # -- queries -----------------------------------------------------------------
     def weight(self, request_id: int) -> float:
@@ -1010,9 +1048,6 @@ class NumpyWeightBackend(WeightBackend):
 
     def _alive_count_indexed(self, eidx: int) -> int:
         return self._edge_alive[eidx]
-
-    def _alive_counts_array(self) -> np.ndarray:
-        return np.asarray(self._edge_alive, dtype=np.int64)
 
     def _alive_weight_sum_indexed(self, eidx: int) -> float:
         return float(self._w[self._alive_slots(eidx)].sum())
@@ -1149,45 +1184,54 @@ class NumpyWeightBackend(WeightBackend):
         costs: np.ndarray,
         flat_edge_idxs: np.ndarray,
         offsets: np.ndarray,
-    ) -> np.ndarray:
-        """Fused record-free arrival loop: no per-arrival wrapper frames.
+        record: bool = False,
+    ) -> Tuple[np.ndarray, Optional[List[ArrivalOutcome]]]:
+        """The room-split kernel: step only the path entries that can overflow.
 
-        Registration, the O(1) excess screens and the restore dispatch run
-        inline over plain lists; only the augmentation arithmetic touches
-        NumPy.  Exactly equivalent to per-arrival
-        ``process_arrival_indexed(..., record=False)`` calls in order.
+        An arrival does weight work on edge ``e`` only while ``|ALIVE_e| >
+        c_e``.  Within one call capacities are fixed and kills only lower
+        ``|ALIVE_e|``, so each edge's first ``max(c_e - |ALIVE_e|, 0)``
+        entries of the call are *cold*: they never start a restore.  After
+        checking every id and cost, the kernel writes all slot rows in
+        arrival order and appends the cold entries per edge, then walks the
+        *hot* entries in arrival order: per arrival it appends its hot
+        entries, then screens and restores its hot edges in path order.  A
+        hot entry's edge then holds exactly the slots the per-arrival loop
+        would hold, in the same order (the cold prefix, then the hot entries
+        so far), so every restore sums the same weights in the same order.
+        An early slot sits in no gathered vector before its arrival, so an
+        arrival without hot entries has fraction exactly 0 and, with
+        ``record``, an empty outcome.  Exactly equivalent to per-arrival
+        :meth:`process_arrival_indexed` calls, except that a refused call (a
+        registered or repeated id, a cost not above 0) changes nothing.
         """
         k = len(request_ids)
-        fractions = np.empty(k, dtype=np.float64)
+        costs = np.asarray(costs, dtype=np.float64)
+        bad = np.flatnonzero(~(costs > 0))
+        if bad.shape[0]:
+            raise ValueError(f"cost must be > 0, got {float(costs[bad[0]])!r}")
+        fractions = np.zeros(k, dtype=np.float64)
+        outcomes = [ArrivalOutcome(request_id=rid) for rid in request_ids] if record else None
         if k == 0:
-            return fractions
-        fl = flat_edge_idxs.tolist()
-        offs = offsets.tolist()
-        cost_list = np.asarray(costs, dtype=np.float64).tolist()
-        slot_of = self._slot
-        ids = self._ids
-        by_id = self._edge_idxs_by_id
+            return fractions, outcomes
+        base = self._add_rows(request_ids, costs, flat_edge_idxs, offsets)
+        rows = np.repeat(np.arange(k, dtype=np.intp), np.diff(offsets))
+        hot = self._append_by_edge(request_ids, flat_edge_idxs, rows, base, cold_only=True)
+        if not hot.shape[0]:
+            return fractions, outcomes
+        hot_rows = rows[hot]
+        hot_edges = flat_edge_idxs[hot].tolist()
+        bounds = (np.flatnonzero(np.diff(hot_rows)) + 1).tolist()
+        starts = [0, *bounds]
+        stops = [*bounds, len(hot_edges)]
+        w = self._w
         cap = self._cap
         edge_alive = self._edge_alive
         edge_requests = self._edge_requests
-        for r in range(k):
+        for r, lo, hi in zip(hot_rows[starts].tolist(), starts, stops):
+            slot = base + r
             rid = request_ids[r]
-            if rid in slot_of:
-                raise ValueError(f"request {rid} already registered")
-            self._ensure_slot_capacity()
-            w_all = self._w
-            slot = self._n
-            self._n = slot + 1
-            ids.append(rid)
-            slot_of[rid] = slot
-            cost = cost_list[r]
-            if not cost > 0:
-                raise ValueError(f"cost must be > 0, got {cost!r}")
-            w_all[slot] = 0.0
-            self._cost[slot] = cost
-            self._alive[slot] = True
-            path = fl[offs[r] : offs[r + 1]]
-            by_id[rid] = tuple(path)
+            path = hot_edges[lo:hi]
             for e in path:
                 self._edge_append(e, slot)
                 edge_alive[e] += 1
@@ -1196,13 +1240,18 @@ class NumpyWeightBackend(WeightBackend):
                     edge_requests[e] = [rid]
                 else:
                     requests.append(rid)
-            for e in path:
-                cap_e = cap[e]
-                if edge_alive[e] - cap_e > 0:
-                    self._restore_edge_norecord(e, cap_e)
-            f = w_all[slot]
+            if outcomes is not None:
+                outcome = outcomes[r]
+                for e in path:
+                    self._restore_edge_indexed(e, outcome)
+            else:
+                for e in path:
+                    cap_e = cap[e]
+                    if edge_alive[e] - cap_e > 0:
+                        self._restore_edge_norecord(e, cap_e)
+            f = w[slot]
             fractions[r] = f if f < 1.0 else 1.0
-        return fractions
+        return fractions, outcomes
 
 
 def resolve_backend_name(spec: BackendSpec) -> str:

@@ -48,10 +48,11 @@ class EngineConfig:
         reported number.
     vectorized:
         Route compiled contiguous arrival ranges through the whole-trace
-        executor (:mod:`repro.engine.vectorized`), which batches provably
-        inert stretches and fuses the rest.  ``False`` is the per-arrival
-        escape hatch.  Only applies to compiled runs; never changes a
-        reported number.
+        executor (:mod:`repro.engine.vectorized`), which hands runs of
+        arrivals to the weight backend's block kernel: it registers the
+        path entries that provably cannot overflow their edge in bulk and
+        steps only the rest.  ``False`` is the per-arrival escape hatch.
+        Only applies to compiled runs; never changes a reported number.
     """
 
     backend: str = DEFAULT_BACKEND

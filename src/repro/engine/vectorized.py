@@ -3,68 +3,59 @@
 Per-arrival processing of a :class:`~repro.instances.compiled.
 CompiledInstance` is already array-native inside each restore, but every
 arrival still crosses several Python frames (``process_indexed`` →
-``process_arrival_indexed`` → ``_restore_edge_indexed``).  On traces where
-most arrivals never trigger an augmentation that dispatch dominates the run
-time.  This module removes it with a two-tier schedule:
+``process_arrival_indexed`` → ``_restore_edge_indexed``), registers its path
+entry by entry and screens every edge it touches.  This module classifies the
+arrival window once and hands every run of NORMAL arrivals between two
+synchronization points to :meth:`WeightBackend.process_arrival_block_indexed`,
+at most :data:`MAX_BLOCK` arrivals per call, in both record modes.
 
-**Safe-horizon bulk registration.**  An arrival that leaves every edge of its
-path at or under capacity cannot trigger any weight activity: it registers at
-weight 0 and every restore exits at the O(1) excess check, so the *only*
-observable effect is the registration itself (and a fraction of exactly 0).
-Whether a stretch of arrivals is safe is a pure integer question — current
-alive counts, capacities, and the number of upcoming path entries per edge —
-so the executor computes, from a CSR transpose of the upcoming NORMAL
-arrivals, the first arrival index at which any edge would exceed its
-capacity (the *safe horizon*) and registers everything before it through
-:meth:`WeightBackend.register_batch_indexed` in one call.  No float is ever
-consulted, so the shortcut is exact, not merely within tolerance.
+**The room split.**  In the paper's mechanism an arrival does weight work on
+edge ``e`` only while ``n_e = |ALIVE_e| - c_e > 0``.  Inside a block
+capacities are fixed (capacity reductions are synchronization points) and
+kills only lower ``|ALIVE_e|``, so each edge's first ``max(c_e - |ALIVE_e|,
+0)`` entries in the block are provably inert: they register at weight 0 and
+can never start an augmentation.  The numpy kernel registers every arrival
+and those *cold* entries in bulk and steps only the remaining *hot* entries,
+arrival by arrival.  Which entries are cold is a pure integer question —
+alive counts, capacities and entry ranks per edge — so the split is exact,
+not merely within tolerance: every restore gathers the same weights, in the
+same order, as the per-arrival loop.
 
-**Dense block processing.**  Past the horizon (capacity-saturated stretches,
-where augmentations are the norm) arrivals are handed to
-:meth:`WeightBackend.process_arrival_block_indexed`, a fused record-free
-kernel that performs the identical per-arrival mutations without the wrapper
-frames.  With ``record=True`` the executor falls back to plain
-``process_indexed`` calls — outcome diagnostics are inherently per-arrival.
-
-**Synchronization points.**  Arrivals the schedule cannot batch — BIG/FORCED
-(they *decrease capacities*, changing the horizon arithmetic), unit-cost
-violations in ``unweighted`` mode, and duplicate ids (both must raise at the
-exact arrival position) — are classified up front and delegated one by one to
-``process_indexed``, which reproduces the scalar behaviour including
-exceptions.  Capacities and alive counts are re-read after every such point,
-so capacity exhaustion and capacity reductions become *chunk boundaries*
-rather than per-request branches.
+**Synchronization points.**  Arrivals a block cannot hold — BIG/FORCED (they
+*decrease capacities*), unit-cost violations in ``unweighted`` mode, and
+duplicate ids (both must raise at the exact arrival position) — are
+classified up front and delegated one by one to ``process_indexed``, which
+reproduces the scalar behaviour including exceptions.  SMALL arrivals never
+reach the weight backend; the executor books them, and every block's
+decisions, in arrival order.
 
 The executor performs the same floating-point operations in the same order as
-the per-arrival loop (bulk stretches perform none, by construction), so
-results agree bit-for-bit, not just within the 1e-9 equivalence tolerance.
-Doubling-phase resets (:mod:`repro.core.doubling`) change ``alpha`` between
-arrivals and therefore stay on the per-arrival path; see ARCHITECTURE.md.
+the per-arrival loop, so results agree bit-for-bit, not just within the 1e-9
+equivalence tolerance.  Doubling-phase resets (:mod:`repro.core.doubling`)
+change ``alpha`` between arrivals and therefore stay on the per-arrival path;
+see ARCHITECTURE.md.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.backends import ArrivalOutcome
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.fractional import FractionalAdmissionControl
     from repro.instances.compiled import CompiledInstance
 
-__all__ = ["run_compiled_trace", "MIN_BULK", "DENSE_STEP"]
+__all__ = ["run_compiled_trace", "MAX_BLOCK"]
 
-#: Minimum safe-stretch length worth a bulk registration call; shorter safe
-#: stretches just ride along with the dense kernel.
-MIN_BULK = 32
-
-#: Arrivals handed to the dense kernel per scheduling cycle.  Bounds how stale
-#: the alive counts used by the horizon scan can get (they are re-read every
-#: cycle) while amortising the scan itself.
-DENSE_STEP = 512
+#: Most arrivals handed to the block kernel per call.  A call's transient
+#: memory (its ``tolist()`` lists and sort temporaries) grows with its
+#: length: replaying perfbench's 60,000-arrival ``replay_hotspot`` trace in
+#: one call peaks at 45.7 MB (tracemalloc), in calls of 8,192 arrivals at
+#: 43.7 MB, with no measurable difference in time.
+MAX_BLOCK = 8192
 
 _NORMAL = 0
 _SMALL = 1
@@ -104,9 +95,12 @@ def _classify(
         cls[np.abs(costs - 1.0) > 1e-9] = _SYNC
     # Duplicate ids must raise at their exact arrival position; route them
     # through the per-arrival path, which performs the authoritative check.
-    seen = set()
+    rids = compiled.request_ids[lo:hi].tolist()
     class_of = algorithm._class_of
-    for k, rid in enumerate(compiled.request_ids[lo:hi].tolist()):
+    if len(set(rids)) == count and class_of.keys().isdisjoint(rids):
+        return cls
+    seen = set()
+    for k, rid in enumerate(rids):
         if rid in class_of or rid in seen:
             cls[k] = _SYNC
         else:
@@ -136,8 +130,7 @@ def run_compiled_trace(
 
     Equivalent to ``for i in range(lo, hi): algorithm.process_indexed(...)``
     — same decisions, fractions, weights, augmentation counts and exceptions
-    — but with per-arrival Python dispatch only where the schedule actually
-    needs it.
+    — but with per-arrival Python dispatch only at synchronization points.
     """
     from repro.core.fractional import CostClass, FractionalDecision
 
@@ -159,7 +152,7 @@ def run_compiled_trace(
     raw_list = costs_sl.tolist()
     norm = _normalized_costs(algorithm, costs_sl)
 
-    # Backend-aligned CSR window: translate once, slice per run.
+    # Backend-aligned CSR window: translate once, slice per block.
     translate = algorithm._translation_for(compiled)
     indptr = compiled.indptr
     win_lo = int(indptr[lo])
@@ -168,145 +161,91 @@ def run_compiled_trace(
         flat = translate[flat]
     loc_indptr = (indptr[lo : hi + 1] - win_lo).astype(np.intp, copy=False)
 
-    # Transpose of the NORMAL arrivals' entries, grouped by edge with arrival
-    # positions ascending: tpos[tptr[e]:tptr[e+1]] are the window positions of
-    # the upcoming arrivals whose paths use edge e.  SMALL arrivals never
-    # register and SYNC arrivals are barriers, so only NORMAL entries matter
-    # for the horizon arithmetic.
-    m = backend.num_edges
-    lengths = np.diff(loc_indptr)
-    arr_of_entry = np.repeat(np.arange(count, dtype=np.intp), lengths)
-    normal_entry = cls[arr_of_entry] == _NORMAL
-    nflat = flat[normal_entry]
-    narr = arr_of_entry[normal_entry]
-    tptr = np.zeros(m + 1, dtype=np.int64)
-    if nflat.shape[0]:
-        order = np.argsort(nflat, kind="stable")
-        tpos = narr[order]
-        np.cumsum(np.bincount(nflat, minlength=m), out=tptr[1:])
+    # The NORMAL arrivals' own CSR, one row each: SMALL arrivals never reach
+    # the backend and SYNC arrivals are barriers, so a block is a run of rows.
+    is_normal = cls == _NORMAL
+    normal = np.flatnonzero(is_normal)
+    if normal.shape[0] == count:
+        row_rids, row_costs, row_flat, row_ptr = rid_list, norm, flat, loc_indptr
     else:
-        tpos = narr
-
-    def horizon(i: int, alive: np.ndarray, caps: np.ndarray) -> int:
-        """First arrival position >= i at which some edge would exceed capacity.
-
-        Pure integer arithmetic: edge e has ``max(cap_e - alive_e, 0)`` safe
-        future registrations; its first unsafe entry is that many positions
-        past the entries already consumed by arrivals before ``i``.
-        """
-        if tpos.shape[0] == 0:
-            return count
-        ptr = int(np.searchsorted(narr, i, side="left"))
-        consumed = np.bincount(nflat[:ptr], minlength=m)
-        room = caps - alive
-        np.maximum(room, 0, out=room)
-        idx = tptr[:-1] + consumed + room
-        valid = idx < tptr[1:]
-        if not valid.any():
-            return count
-        return int(tpos[idx[valid]].min())
+        lengths = np.diff(loc_indptr)
+        row_rids = ids_sl[normal].tolist()
+        row_costs = norm[normal]
+        row_flat = flat[np.repeat(is_normal, lengths)]
+        row_ptr = np.zeros(normal.shape[0] + 1, dtype=np.intp)
+        np.cumsum(lengths[normal], out=row_ptr[1:])
+    normal_pos = normal.tolist()
 
     class_of = algorithm._class_of
     original_cost = algorithm._original_cost
     decisions = algorithm._decisions
     NORMAL = CostClass.NORMAL
     SMALL = CostClass.SMALL
+    small_pos = np.flatnonzero(cls == _SMALL).tolist()
+    small_pos.append(count)  # sentinel
+    next_small = 0
 
-    def emit_small(pos: int) -> None:
-        rid = rid_list[pos]
-        cost = raw_list[pos]
-        original_cost[rid] = cost
-        class_of[rid] = SMALL
-        algorithm._small_cost += cost
-        decisions.append(FractionalDecision(rid, SMALL, None, 1.0))
-
-    def run_bulk(s: int, e: int) -> None:
-        # Every NORMAL arrival in [s, e) is provably inert: it registers at
-        # weight 0 and every restore on its path exits at the O(1) excess
-        # check.  Register maximal NORMAL runs in one backend call; fractions
-        # are exactly 0 and outcomes (when recorded) are exactly empty.
+    def book(s: int, e: int, fractions: "np.ndarray | None", outcomes) -> None:
+        # Class bookkeeping and decisions of window positions [s, e) in
+        # arrival order.  Its NORMAL arrivals are the last block's rows, in
+        # order; the rest are SMALL (SYNC positions are never booked here).
+        nonlocal next_small
+        fr = [] if fractions is None else fractions.tolist()
+        k = 0  # the block row of the next NORMAL arrival
         pos = s
         while pos < e:
-            if cls[pos] == _SMALL:
-                emit_small(pos)
-                pos += 1
-                continue
-            run_end = pos + 1
-            while run_end < e and cls[run_end] == _NORMAL:
-                run_end += 1
-            rids = rid_list[pos:run_end]
-            base = loc_indptr[pos]
-            backend.register_batch_indexed(
-                rids,
-                norm[pos:run_end],
-                flat[base : loc_indptr[run_end]],
-                loc_indptr[pos : run_end + 1] - base,
-            )
-            class_of.update(zip(rids, repeat(NORMAL)))
-            original_cost.update(zip(rids, raw_list[pos:run_end]))
-            if record:
+            run_end = min(small_pos[next_small], e)
+            if run_end > pos:
+                rids = rid_list[pos:run_end]
+                k_end = k + run_end - pos
+                class_of.update(zip(rids, repeat(NORMAL)))
+                original_cost.update(zip(rids, raw_list[pos:run_end]))
                 decisions.extend(
-                    FractionalDecision(rid, NORMAL, ArrivalOutcome(request_id=rid), 0.0)
-                    for rid in rids
+                    map(
+                        FractionalDecision,
+                        rids,
+                        repeat(NORMAL),
+                        repeat(None) if outcomes is None else outcomes[k:k_end],
+                        fr[k:k_end],
+                    )
                 )
-            else:
-                decisions.extend(
-                    FractionalDecision(rid, NORMAL, None, 0.0) for rid in rids
-                )
-            pos = run_end
-
-    def run_dense(s: int, e: int) -> None:
-        if record:
-            # Outcome diagnostics are per-arrival by nature; the scalar fast
-            # path is authoritative here.
-            for pos in range(s, e):
-                algorithm.process_indexed(compiled, lo + pos)
-            return
-        pos = s
-        while pos < e:
-            if cls[pos] == _SMALL:
-                emit_small(pos)
+                k = k_end
+                pos = run_end
+            if pos < e:
+                rid = rid_list[pos]
+                cost = raw_list[pos]
+                original_cost[rid] = cost
+                class_of[rid] = SMALL
+                algorithm._small_cost += cost
+                decisions.append(FractionalDecision(rid, SMALL, None, 1.0))
+                next_small += 1
                 pos += 1
-                continue
-            run_end = pos + 1
-            while run_end < e and cls[run_end] == _NORMAL:
-                run_end += 1
-            rids = rid_list[pos:run_end]
-            base = loc_indptr[pos]
-            fractions = backend.process_arrival_block_indexed(
-                rids,
-                norm[pos:run_end],
-                flat[base : loc_indptr[run_end]],
-                loc_indptr[pos : run_end + 1] - base,
-            )
-            class_of.update(zip(rids, repeat(NORMAL)))
-            original_cost.update(zip(rids, raw_list[pos:run_end]))
-            fr = fractions.tolist()
-            decisions.extend(
-                FractionalDecision(rid, NORMAL, None, fr[r])
-                for r, rid in enumerate(rids)
-            )
-            pos = run_end
 
-    sync_pos = np.nonzero(cls == _SYNC)[0].tolist()
+    sync_pos = np.flatnonzero(cls == _SYNC).tolist()
     sync_pos.append(count)  # sentinel
 
-    i = 0
-    sp = 0
-    while i < count:
-        next_sync = sync_pos[sp]
-        if next_sync == i:
-            algorithm.process_indexed(compiled, lo + i)
-            i += 1
-            sp += 1
-            continue
-        alive = backend._alive_counts_array()
-        caps = np.asarray(backend._cap, dtype=np.int64)
-        safe_end = min(next_sync, horizon(i, alive, caps))
-        if safe_end - i >= MIN_BULK:
-            run_bulk(i, safe_end)
-            i = safe_end
-        else:
-            dense_end = min(next_sync, i + DENSE_STEP)
-            run_dense(i, dense_end)
-            i = dense_end
+    pos = 0  # next window position to book
+    row = 0  # next NORMAL row
+    for stop in sync_pos:
+        end = bisect_left(normal_pos, stop, lo=row)  # rows before the barrier
+        while True:
+            row_end = min(row + MAX_BLOCK, end)
+            fractions = outcomes = None
+            if row_end > row:
+                base = row_ptr[row]
+                fractions, outcomes = backend.process_arrival_block_indexed(
+                    row_rids[row:row_end],
+                    row_costs[row:row_end],
+                    row_flat[base : row_ptr[row_end]],
+                    row_ptr[row : row_end + 1] - base,
+                    record,
+                )
+            # Book through the SMALL arrivals before the next block's first row.
+            upto = normal_pos[row_end] if row_end < end else stop
+            book(pos, upto, fractions, outcomes)
+            pos, row = upto, row_end
+            if row_end == end:
+                break
+        if stop < count:
+            algorithm.process_indexed(compiled, lo + stop)
+            pos = stop + 1

@@ -8,7 +8,8 @@ from repro.core.doubling import (
     DoublingFractionalAdmissionControl,
 )
 from repro.core.protocols import run_admission
-from repro.instances.compiled import compile_sequence
+from repro.core.randomized import RandomizedAdmissionControl
+from repro.instances.compiled import compile_sequence, intern_edges
 from repro.instances.request import Request
 from repro.offline import solve_admission_ilp
 from repro.workloads import cheap_then_expensive_adversary, single_edge_workload, pareto_costs
@@ -192,3 +193,41 @@ class TestRefusedArrivalKeepsTheGuess:
             assert self._step(algo, request, mode) == self._step(reference, request, mode)
         assert reference.alpha is not None
         assert algo.export_state() == reference.export_state()
+
+
+class TestForeignInterningLeavesNoTrace:
+    """A compiled arrival from an interning with an unknown edge leaves no trace.
+
+    The arrival itself avoids the unknown edge ``c``, so only the interning
+    check refuses it; it must do so before the randomized layer records the
+    arrival and before the doubling schedule counts it.
+    """
+
+    CAPACITIES = {"a": 1, "b": 1}
+    MAKERS = {
+        "randomized": lambda caps: RandomizedAdmissionControl(caps, random_state=5),
+        "doubling-fractional": lambda caps: DoublingFractionalAdmissionControl(caps),
+        "doubling": lambda caps: DoublingAdmissionControl(caps, random_state=5),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_refused_before_anything_is_recorded(self, kind):
+        make = self.MAKERS[kind]
+        algo, fresh = make(self.CAPACITIES), make(self.CAPACITIES)
+        state = algo.export_state()
+        foreign = compile_sequence(
+            [Request(0, {"a"}, 2.0)], intern_edges({**self.CAPACITIES, "c": 1})
+        )
+        with pytest.raises(ValueError, match="edge 'c' unknown to this algorithm"):
+            algo.process_indexed(foreign, 0)
+        assert not algo.was_processed(0)
+        assert algo.export_state() == state
+        # The same id, compiled against the algorithm's own edges, is accepted
+        # and the run continues (overloading edge a) as on a fresh algorithm.
+        valid = compile_sequence(
+            [Request(0, {"a"}, 2.0), Request(1, {"a", "b"}, 3.0), Request(2, {"a"}, 1.0)],
+            self.CAPACITIES,
+        )
+        for i in range(valid.num_requests):
+            assert algo.process_indexed(valid, i) == fresh.process_indexed(valid, i)
+        assert algo.export_state() == fresh.export_state()

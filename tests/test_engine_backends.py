@@ -211,3 +211,125 @@ class TestCrossBackendEquivalence:
         for sid in weights_py:
             assert weights_py[sid] == pytest.approx(weights_nb[sid], abs=TOL)
         assert py.max_potential_seen == pytest.approx(nb.max_potential_seen, rel=1e-9)
+
+
+def _csr(backend, arrivals):
+    """Block-kernel arguments (ids, costs, flat edge indices, offsets) for arrivals."""
+    paths = [backend.edge_indices_of(path) for _, path, _ in arrivals]
+    offsets = np.zeros(len(arrivals) + 1, dtype=np.intp)
+    np.cumsum([len(p) for p in paths], out=offsets[1:])
+    flat = np.array([k for p in paths for k in p], dtype=np.intp)
+    costs = np.array([cost for _, _, cost in arrivals], dtype=np.float64)
+    return [rid for rid, _, _ in arrivals], costs, flat, offsets
+
+
+class TestRoomSplitKernel:
+    """One ``process_arrival_block_indexed`` call equals the per-arrival loop, bit for bit.
+
+    Each case runs the same arrivals through two fresh backends of one class:
+    one by one through ``process_arrival_indexed`` and in block calls.  The
+    weights, counters, slot vectors, kills, fractions and (with ``record``)
+    the outcomes must be equal, not merely close.
+    """
+
+    # x runs out of room partway through the block; y is full at entry; z has
+    # capacity 0; w and v keep room throughout.
+    CAPACITIES = {"x": 2, "y": 1, "z": 0, "w": 4, "v": 3}
+    PREFIX = [(0, ("y",), 2.0)]
+    BLOCK = [
+        (1, ("x", "w"), 1.0),  # cold, cold
+        (2, ("x", "v"), 4.0),  # cold, cold: x's room is used up
+        (3, ("x", "y"), 4.0),  # two hot entries
+        (4, ("z",), 3.0),  # capacity 0: hot, and killed
+        (5, ("w", "v"), 2.0),  # cold, cold
+        (6, ("x", "w"), 4.0),  # hot x kills request 1, lowering cold edge w's count
+        (7, ("w",), 2.0),  # cold
+    ]
+
+    def _run(self, cls, record, prefix, blocks, capacities=None, g=2.0):
+        capacities = capacities or self.CAPACITIES
+        ref, blk = cls(capacities, g=g), cls(capacities, g=g)
+        for backend in (ref, blk):
+            for rid, path, cost in prefix:
+                backend.process_arrival_indexed(rid, backend.edge_indices_of(path), cost)
+        ref_fractions, ref_outcomes, blk_fractions, blk_outcomes = [], [], [], []
+        for block in blocks:
+            for rid, path, cost in block:
+                ref_outcomes.append(
+                    ref.process_arrival_indexed(rid, ref.edge_indices_of(path), cost, record=record)
+                )
+                ref_fractions.append(min(ref.weight(rid), 1.0))
+            fractions, outcomes = blk.process_arrival_block_indexed(*_csr(blk, block), record)
+            blk_fractions.extend(fractions.tolist())
+            if record:
+                blk_outcomes.extend(outcomes)
+            else:
+                assert outcomes is None
+        assert blk.weight_array().tobytes() == ref.weight_array().tobytes()
+        assert blk.total_augmentations == ref.total_augmentations
+        assert blk._edge_alive == ref._edge_alive
+        for e in range(ref.num_edges):
+            if ref._edge_slots[e] is None:
+                assert blk._edge_slots[e] is None
+            else:
+                used = ref._edge_used[e]
+                assert blk._edge_used[e] == used
+                assert blk._edge_slots[e][:used].tobytes() == ref._edge_slots[e][:used].tobytes()
+        assert blk._dead == ref._dead
+        assert blk_fractions == ref_fractions
+        if record:
+            assert len(blk_outcomes) == len(ref_outcomes)
+            for mine, theirs in zip(blk_outcomes, ref_outcomes):
+                assert mine.request_id == theirs.request_id
+                assert mine.deltas == theirs.deltas
+                assert mine.newly_dead == theirs.newly_dead
+                assert mine.num_augmentations == theirs.num_augmentations
+        return ref
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("cls", [NumpyWeightBackend, NumbaWeightBackend])
+    def test_hand_built_block(self, cls, record):
+        ref = self._run(cls, record, self.PREFIX, [self.BLOCK])
+        assert ref.total_augmentations > 0
+        assert ref.is_dead(1) and ref.is_dead(4)
+        assert not ref.is_dead(5) and not ref.is_dead(7)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("cls", [NumpyWeightBackend, NumbaWeightBackend])
+    def test_state_carries_across_calls(self, cls, record):
+        rng = np.random.default_rng(9)
+        edges = [f"e{i}" for i in range(10)]
+        capacities = {e: int(rng.integers(0, 6)) for e in edges}
+        arrivals = []
+        for rid in range(300):
+            k = int(rng.integers(1, 4))
+            path = tuple(edges[int(i)] for i in rng.choice(len(edges), size=k, replace=False))
+            arrivals.append((rid, path, float(rng.uniform(1.0, 6.0))))
+        blocks = [arrivals[:1], arrivals[1:120], arrivals[120:121], arrivals[121:]]
+        ref = self._run(cls, record, [], blocks, capacities=capacities, g=8.0)
+        assert ref.total_augmentations > 0 and ref._dead
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("cls", [NumpyWeightBackend, NumbaWeightBackend])
+    def test_block_without_hot_entries(self, cls, record):
+        block = [(1, ("w",), 1.0), (2, ("w", "v"), 2.0), (3, ("v", "x"), 3.0)]
+        ref = self._run(cls, record, self.PREFIX, [block])
+        assert ref.total_augmentations == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, ("w",), 1.0), (2, ("w",), 1.0), (3, ("w",), 0.0), (3, ("w",), -1.0)],
+        ids=["registered-id", "repeated-id", "zero-cost", "negative-cost"],
+    )
+    @pytest.mark.parametrize("cls", [NumpyWeightBackend, NumbaWeightBackend])
+    def test_refused_block_leaves_no_trace(self, cls, bad):
+        backend = cls(self.CAPACITIES, g=2.0)
+        for rid, path, cost in self.PREFIX:
+            backend.process_arrival_indexed(rid, backend.edge_indices_of(path), cost)
+        before, alive = backend.export_state(), list(backend._edge_alive)
+        # The refused arrival comes after two valid ones that would overload x.
+        block = [(1, ("x", "y"), 1.0), (2, ("x", "y"), 1.0), bad]
+        with pytest.raises(ValueError):
+            backend.process_arrival_block_indexed(*_csr(backend, block))
+        assert backend.export_state() == before
+        assert backend._edge_alive == alive
