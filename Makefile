@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service profile-replay ci
+.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service profile-replay profile-memory ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -160,6 +160,17 @@ profile-service:
 # optimization starts from this profile.
 profile-replay:
 	$(PYTHON) benchmarks/profile_replay.py --seed 7
+
+# Traced memory growth and GC-tracked objects per arrival of the session
+# `repro serve` builds (numpy, retain_log=False), fed perfbench's inputs
+# (seed 101): service_window's randomized session in batches of 8 at 12,000
+# and 48,000 arrivals, and session_doubling's doubling session in batches of
+# 64.  One line each, with the rejection cost (~20 s).  ROADMAP item 6's
+# bounded-state target is measured with it.
+profile-memory:
+	$(PYTHON) benchmarks/profile_memory.py --workload service_window --seed 101
+	$(PYTHON) benchmarks/profile_memory.py --workload service_window --scale 4 --seed 101
+	$(PYTHON) benchmarks/profile_memory.py --workload session_doubling --seed 101
 
 # Refresh the committed baseline after an intentional perf change.
 bench-baseline:

@@ -132,7 +132,6 @@ def _evaluate_sharded_trial(instance: AdmissionInstance, trial: _Trial) -> Compe
         spec.shards,
         spec.algorithm,
         backend=spec.backend,
-        record=spec.record,
         seed=seed,
         algorithm_kwargs=spec.algorithm_param_dict(),
         retain_log=False,

@@ -72,7 +72,6 @@ class Runner:
         config = EngineConfig(
             backend=spec.backend,
             jobs=1,  # worker-side: trials already fanned out by run_trials
-            record=spec.record,
             vectorized=spec.vectorized,
         )
         return RegistryAlgorithmFactory(

@@ -59,9 +59,9 @@ class FixedInstanceSource:
 class RegistryAlgorithmFactory:
     """Picklable ``(instance, rng) -> algorithm`` factory for one registry key.
 
-    ``config`` travels as the backend spec so algorithms pick up the
-    ``record`` mode along with the backend; ``kwargs`` are the extra builder
-    arguments (``weighted=True``, ``eps=0.2``, ...).  ``problem`` selects the
+    ``config`` travels as the backend spec, of which the algorithms read
+    only the backend name; ``kwargs`` are the extra builder arguments
+    (``weighted=True``, ``eps=0.2``, ...).  ``problem`` selects the
     admission or set-cover registry.
     """
 

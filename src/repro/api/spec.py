@@ -110,14 +110,11 @@ class RunSpec:
     trials / jobs / seed:
         Positive trial and worker counts and the integer master seed.  Seeds
         derive per trial before dispatch, so ``jobs`` never changes a number.
-    record:
-        Materialize per-arrival weight-mechanism diagnostics (as everywhere
-        else in the engine; never changes a reported number).
     vectorized:
         Route compiled runs through the whole-trace executor
         (:mod:`repro.engine.vectorized`) — the ``mode="compiled"`` default
         fast path.  ``RunSpec(vectorized=False)`` is the per-arrival escape
-        hatch; like ``record`` it never changes a reported number.
+        hatch; it never changes a reported number.
     shards / workers:
         Streaming scale-out (``mode="streaming"`` only).  ``shards`` > 1
         partitions the edges by namespace across a
@@ -158,7 +155,6 @@ class RunSpec:
     trials: int = 1
     jobs: int = 1
     seed: int = 0
-    record: bool = True
     vectorized: bool = True
     shards: int = 1
     workers: int = 1
@@ -423,7 +419,7 @@ class RunSpec:
         removing a scenario never perturbs another cell's numbers, a single
         cell reproduces in isolation, and a grid over one backend reproduces
         ``repro sweep`` bit for bit.  Extra keyword arguments (``trials``,
-        ``jobs``, ``offline``, ``record``, ...) are applied to every spec.
+        ``jobs``, ``offline``, ``vectorized``, ...) are applied to every spec.
         """
         if not scenarios:
             raise RunSpecError("need at least one scenario")

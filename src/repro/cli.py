@@ -183,14 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="parallel workers for experiments and trials (1 = serial, 0 = all cores)",
     )
-    run_parser.add_argument(
-        "--no-compile", action="store_true",
-        help="disable the compiled-instance fast path (A/B timing; results are identical)",
-    )
-    run_parser.add_argument(
-        "--no-record", action="store_true",
-        help="skip per-arrival weight-mechanism diagnostics where no algorithm consumes them",
-    )
 
     demo_parser = subparsers.add_parser("demo", help="run a small end-to-end demo")
     demo_parser.add_argument("problem", choices=["admission", "setcover"], help="which demo to run")
@@ -475,8 +467,6 @@ def _cmd_run(args, out) -> int:
         ilp_time_limit=args.ilp_time_limit,
         backend=args.backend,
         jobs=args.jobs,
-        compile=not args.no_compile,
-        record=not args.no_record,
     )
     if args.experiment.lower() == "all":
         ids = sorted(all_experiments(), key=lambda e: int(e[1:]))

@@ -189,7 +189,7 @@ class DoublingFractionalAdmissionControl:
         force_accept_tags: Iterable[str] = (),
         unweighted: bool = False,
         backend: BackendSpec = None,
-        record: Optional[bool] = None,
+        record: bool = False,
         name: Optional[str] = None,
     ):
         self._capacities = {e: int(c) for e, c in capacities.items()}

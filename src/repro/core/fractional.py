@@ -38,7 +38,6 @@ from repro.engine.backends import (
     WeightBackend,
     make_weight_backend,
     resolve_backend_name,
-    resolve_record_flag,
 )
 from repro.engine.registry import ADMISSION_ALGORITHMS
 from repro.instances.admission import AdmissionInstance
@@ -69,8 +68,10 @@ class FractionalDecision:
 
     request_id: int
     cost_class: str
-    #: weight-mechanism activity triggered by this arrival (None for SMALL,
-    #: and for every class when the algorithm runs with ``record=False``).
+    #: weight-mechanism activity triggered by this arrival; ``None`` for
+    #: SMALL, and for every class unless the algorithm runs with
+    #: ``record=True``.  The randomized rounding's shadow is the one such
+    #: run, and the rounding drops each outcome once it has read it.
     outcome: Optional[ArrivalOutcome]
     #: the request's own rejected fraction right after the arrival.
     fraction_rejected: float
@@ -126,12 +127,12 @@ class FractionalAdmissionControl:
         ``"numpy"``), an :class:`~repro.engine.config.EngineConfig`, or
         ``None`` for the scalar reference backend.
     record:
-        Materialize per-arrival :class:`ArrivalOutcome` diagnostics (deltas,
-        kills, step counts).  ``None`` defers to the backend spec
-        (an ``EngineConfig``'s ``record`` field) and defaults to ``True``.
-        With ``record=False`` the decisions carry ``outcome=None`` and the
-        weight mechanism skips all delta materialization; fractions, costs
-        and the decision log are unchanged.
+        Materialize each arrival's :class:`ArrivalOutcome` (deltas, kills,
+        step counts) on its decision.  Only the randomized rounding reads
+        them, so only its shadow passes ``True``.  With the default
+        ``False`` the decisions carry ``outcome=None`` and the weight
+        mechanism skips all delta materialization; fractions, costs and the
+        decision log are the same either way.
     """
 
     #: Construction-time configuration, deliberately outside the checkpoint
@@ -149,7 +150,7 @@ class FractionalAdmissionControl:
         force_accept_tags: Iterable[str] = (),
         unweighted: bool = False,
         backend: BackendSpec = None,
-        record: Optional[bool] = None,
+        record: bool = False,
         name: Optional[str] = None,
     ):
         self._original_capacities: Dict[EdgeId, int] = {e: int(c) for e, c in capacities.items()}
@@ -173,7 +174,7 @@ class FractionalAdmissionControl:
             self.g = 2.0 * self.m * self.c
 
         self.backend = resolve_backend_name(backend)
-        self.record = resolve_record_flag(backend, record)
+        self.record = bool(record)
         self._weights: WeightBackend = make_weight_backend(
             backend, self._original_capacities, g=self.g, max_capacity=self.c
         )

@@ -129,9 +129,9 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
             force_accept_tags=self.force_accept_tags,
             unweighted=not self.weighted,
             backend=backend,
-            # The rounding consumes the shadow's per-arrival deltas, so the
-            # record-free mode is never legal here regardless of the engine
-            # configuration.
+            # Step 3 rounds the shadow's per-arrival deltas, so this is the
+            # one caller that records them; _round_shadow_decision drops
+            # each outcome once it has been rounded.
             record=True,
         )
         self.backend = self._shadow.backend
@@ -220,15 +220,21 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         return self._round_shadow_decision(request, frac)
 
     def _round_shadow_decision(self, request: Request, frac: FractionalDecision) -> Decision:
-        """Steps 2–4: round the shadow's decision into accept/reject/preempt."""
+        """Steps 2–4: round the shadow's decision into accept/reject/preempt.
+
+        The rounding is the outcome's only reader, so the outcome is dropped
+        once rounded: the shadow's decision keeps its fraction, not its deltas.
+        """
         if frac.cost_class == CostClass.SMALL:
             # R_small requests are rejected outright (cheap, paid in full).
             return self._reject(request)
 
         if frac.cost_class in (CostClass.BIG, CostClass.FORCED):
-            return self._process_permanent(request, frac)
-
-        return self._process_normal(request, frac)
+            decision = self._process_permanent(request, frac)
+        else:
+            decision = self._process_normal(request, frac)
+        frac.outcome = None
+        return decision
 
     # -- normal requests ----------------------------------------------------------------
     def _process_normal(self, request: Request, frac: FractionalDecision) -> Decision:

@@ -30,7 +30,6 @@ from repro.engine.backends import (
     WeightBackend,
     make_weight_backend,
     resolve_backend_name,
-    resolve_record_flag,
 )
 from repro.engine.config import EngineConfig
 from repro.engine.executor import derive_seed_pairs, execute
@@ -75,7 +74,6 @@ __all__ = [
     "WeightBackend",
     "make_weight_backend",
     "resolve_backend_name",
-    "resolve_record_flag",
     "EngineConfig",
     "derive_seed_pairs",
     "execute",

@@ -76,7 +76,6 @@ __all__ = [
     "BackendSpec",
     "make_weight_backend",
     "resolve_backend_name",
-    "resolve_record_flag",
 ]
 
 #: Anything an algorithm accepts where a backend choice is expected.
@@ -151,6 +150,10 @@ class WeightBackend:
     #: the constructor from the same capacity map restore_state() requires.
     _LINT_STATE_EXEMPT = frozenset({"_edge_index"})
 
+    #: Request id -> the dense edge indices it was registered with.  Every
+    #: backend fills it at registration, so its keys are the registered ids.
+    _edge_idxs_by_id: Dict[int, Tuple[int, ...]]
+
     def __init__(
         self,
         capacities: Mapping[EdgeId, int],
@@ -223,7 +226,26 @@ class WeightBackend:
 
     def _edge_idxs_of_request(self, request_id: int) -> Tuple[int, ...]:
         """Dense edge indices the request was registered with."""
-        raise NotImplementedError
+        return self._edge_idxs_by_id[request_id]
+
+    def _check_new_ids(self, request_ids: Sequence[int]) -> None:
+        """Refuse a run that holds a registered id or repeats one, before any state changes."""
+        known = self._edge_idxs_by_id
+        if len(set(request_ids)) != len(request_ids) or not known.keys().isdisjoint(request_ids):
+            seen: Set[int] = set()
+            for rid in request_ids:
+                if rid in known or rid in seen:
+                    raise ValueError(f"request {rid} already registered")
+                seen.add(rid)
+
+    @staticmethod
+    def _checked_costs(costs: np.ndarray) -> np.ndarray:
+        """The block path's costs as ``float64``; ``ValueError`` unless every one is > 0."""
+        costs = np.asarray(costs, dtype=np.float64)
+        bad = np.flatnonzero(~(costs > 0))
+        if bad.shape[0]:
+            raise ValueError(f"cost must be > 0, got {float(costs[bad[0]])!r}")
+        return costs
 
     def _alive_requests_indexed(self, eidx: int) -> Set[int]:
         raise NotImplementedError
@@ -449,9 +471,11 @@ class WeightBackend:
 
         Request ``r`` carries cost ``costs[r]`` and the dense edge indices
         ``flat_edge_idxs[offsets[r]:offsets[r + 1]]``.  Equivalent to calling
-        :meth:`_register_indexed` per request in order; :meth:`restore_state`
-        uses it to rebuild a checkpoint's requests.
+        :meth:`_register_indexed` per request in order, except that a refused
+        call (a registered or repeated id) changes nothing;
+        :meth:`restore_state` uses it to rebuild a checkpoint's requests.
         """
+        self._check_new_ids(request_ids)
         fl = flat_edge_idxs.tolist()
         offs = offsets.tolist()
         for r, rid in enumerate(request_ids):
@@ -474,7 +498,10 @@ class WeightBackend:
         with ``record`` one :class:`ArrivalOutcome` per arrival (``None``
         without).  This loop over the per-arrival path is the reference;
         :class:`NumpyWeightBackend` overrides it with the room-split kernel.
+        Both check every cost and id first, so a refused call changes nothing.
         """
+        costs = self._checked_costs(costs)
+        self._check_new_ids(request_ids)
         fractions = np.empty(len(request_ids), dtype=np.float64)
         outcomes: Optional[List[ArrivalOutcome]] = [] if record else None
         fl = flat_edge_idxs.tolist()
@@ -678,9 +705,6 @@ class PythonWeightBackend(WeightBackend):
 
     def is_dead(self, request_id: int) -> bool:
         return request_id in self._dead
-
-    def _edge_idxs_of_request(self, request_id: int) -> Tuple[int, ...]:
-        return self._edge_idxs_by_id[request_id]
 
     def _alive_requests_indexed(self, eidx: int) -> Set[int]:
         alive = self._alive_on_edge[eidx]
@@ -924,18 +948,12 @@ class NumpyWeightBackend(WeightBackend):
     ) -> int:
         """Write a run of new requests' slot rows at once, in arrival order.
 
-        Every id is checked first (neither registered nor repeated), so a
-        refused run changes nothing.  The rows start at weight 0, alive; no
-        edge vector is touched.  Returns the run's first slot.
+        Every id is checked first (:meth:`_check_new_ids`), so a refused run
+        changes nothing.  The rows start at weight 0, alive; no edge vector is
+        touched.  Returns the run's first slot.
         """
+        self._check_new_ids(request_ids)
         k = len(request_ids)
-        slot_of = self._slot
-        if len(set(request_ids)) != k or not slot_of.keys().isdisjoint(request_ids):
-            seen: Set[int] = set()
-            for rid in request_ids:
-                if rid in slot_of or rid in seen:
-                    raise ValueError(f"request {rid} already registered")
-                seen.add(rid)
         self._ensure_slot_capacity(k)
         base = self._n
         self._n = base + k
@@ -943,7 +961,7 @@ class NumpyWeightBackend(WeightBackend):
         self._cost[base : base + k] = costs
         self._alive[base : base + k] = True
         self._ids.extend(request_ids)
-        slot_of.update(zip(request_ids, range(base, base + k)))
+        self._slot.update(zip(request_ids, range(base, base + k)))
         fl = flat_edge_idxs.tolist()
         offs = offsets.tolist()
         self._edge_idxs_by_id.update(
@@ -1034,9 +1052,6 @@ class NumpyWeightBackend(WeightBackend):
 
     def is_dead(self, request_id: int) -> bool:
         return request_id in self._dead
-
-    def _edge_idxs_of_request(self, request_id: int) -> Tuple[int, ...]:
-        return self._edge_idxs_by_id[request_id]
 
     def _alive_requests_indexed(self, eidx: int) -> Set[int]:
         ids = self._ids
@@ -1206,10 +1221,7 @@ class NumpyWeightBackend(WeightBackend):
         registered or repeated id, a cost not above 0) changes nothing.
         """
         k = len(request_ids)
-        costs = np.asarray(costs, dtype=np.float64)
-        bad = np.flatnonzero(~(costs > 0))
-        if bad.shape[0]:
-            raise ValueError(f"cost must be > 0, got {float(costs[bad[0]])!r}")
+        costs = self._checked_costs(costs)
         fractions = np.zeros(k, dtype=np.float64)
         outcomes = [ArrivalOutcome(request_id=rid) for rid in request_ids] if record else None
         if k == 0:
@@ -1263,20 +1275,6 @@ def resolve_backend_name(spec: BackendSpec) -> str:
     if isinstance(spec, str):
         return spec.strip().lower()
     raise TypeError(f"backend must be None, a name or an EngineConfig, got {spec!r}")
-
-
-def resolve_record_flag(spec: BackendSpec, override: Optional[bool] = None) -> bool:
-    """Resolve the ``record`` mode from an explicit override or an engine config.
-
-    ``override`` wins when given; otherwise an :class:`EngineConfig` spec
-    contributes its ``record`` field; plain names default to ``True`` (full
-    diagnostics — the reference behaviour).
-    """
-    if override is not None:
-        return bool(override)
-    if isinstance(spec, EngineConfig):
-        return bool(spec.record)
-    return True
 
 
 def make_weight_backend(

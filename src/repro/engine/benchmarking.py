@@ -5,9 +5,7 @@ Six canonical benchmarks cover the library's hot paths:
 * the *weight-update* micro-benchmark exercises the multiplicative weight
   mechanism — the hottest loop — on an instance with >= 1000 edges whose two
   hot edges accumulate alive sets in the thousands, streamed through the
-  indexed, record-free fast path the compiled pipeline uses in production
-  (``indexed=False`` / ``record=True`` reproduce the legacy per-arrival
-  path for comparison);
+  indexed, record-free fast path the compiled pipeline uses in production;
 * the *scaling* benchmark runs the full Section-2 fractional algorithm
   end-to-end — compile, intern, classify, augment — on a >= 10k-request
   instance, which is the regime the compiled-instance layer exists for;
@@ -205,29 +203,20 @@ class BenchResult:
 def run_weight_update_bench(
     backend: str,
     workload: Optional[WeightUpdateWorkload] = None,
-    *,
-    indexed: bool = True,
-    record: bool = False,
 ) -> BenchResult:
     """Run the weight-update micro-benchmark on one backend and time it.
 
-    By default the arrivals stream through the indexed, record-free fast path
-    (what the compiled pipeline executes); ``indexed=False`` / ``record=True``
-    reproduce the pre-compiled per-arrival path.  The augmentation count and
-    fractional cost are identical in every mode — only the wall clock moves.
+    The arrivals stream through the indexed, record-free fast path (what the
+    compiled pipeline executes).
     """
     workload = workload or weight_update_workload(quick=True)
     capacities = workload.capacities()
     arrivals = workload.arrivals()
     start = time.perf_counter()
     state = make_weight_backend(backend, capacities, g=workload.g)
-    if indexed:
-        # The workload's edge ids are already the dense interning 0..m-1.
-        for rid, edges, cost in arrivals:
-            state.process_arrival_indexed(rid, edges, cost, record=record)
-    else:
-        for rid, edges, cost in arrivals:
-            state.process_arrival(rid, edges, cost)
+    # The workload's edge ids are already the dense interning 0..m-1.
+    for rid, edges, cost in arrivals:
+        state.process_arrival_indexed(rid, edges, cost, record=False)
     seconds = time.perf_counter() - start
     return BenchResult(
         name="weight_update",
@@ -364,9 +353,7 @@ def run_scaling_bench(
     instance = workload.instance()
     start = time.perf_counter()
     compiled = compile_instance(instance)
-    algorithm = FractionalAdmissionControl.for_instance(
-        instance, g=workload.g, backend=backend, record=False
-    )
+    algorithm = FractionalAdmissionControl.for_instance(instance, g=workload.g, backend=backend)
     algorithm.process_compiled_sequence(compiled, vectorized=vectorized)
     seconds = time.perf_counter() - start
     return BenchResult(
@@ -494,7 +481,6 @@ def run_stream_resume_bench(
         instance.capacities,
         algorithm="fractional",
         backend=backend,
-        record=False,
         name="stream-resume-bench",
     )
     checkpoint: Optional[str] = None
@@ -649,7 +635,6 @@ def run_shard_scaling_bench(
         num_workers,
         "fractional",
         backend=backend,
-        record=False,
         seed=workload.seed,
         algorithm_kwargs={"g": workload.g},
         retain_log=False,

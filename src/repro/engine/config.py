@@ -3,7 +3,7 @@
 :class:`EngineConfig` is the one object that travels from the command line
 (``--backend numpy --jobs 4``) down through :class:`repro.experiments.base.
 ExperimentConfig` into algorithm constructors (their ``backend=`` argument)
-and into the backend, jobs and record fields of each
+and into the backend and jobs fields of each
 :class:`~repro.api.spec.RunSpec`.  It is a frozen, picklable dataclass so it
 can cross process boundaries unchanged.
 """
@@ -40,12 +40,6 @@ class EngineConfig:
     jobs:
         Worker count for the parallel trial executor; ``1`` runs serially,
         ``0`` (or any non-positive value) means one worker per CPU core.
-    record:
-        Materialize per-arrival :class:`~repro.engine.backends.ArrivalOutcome`
-        deltas, kills and step counts.  ``False`` skips the diagnostics on
-        the pure fractional paths (algorithms that *consume* deltas — the
-        randomized rounding — keep recording regardless).  Never changes a
-        reported number.
     vectorized:
         Route compiled contiguous arrival ranges through the whole-trace
         executor (:mod:`repro.engine.vectorized`), which hands runs of
@@ -57,7 +51,6 @@ class EngineConfig:
 
     backend: str = DEFAULT_BACKEND
     jobs: int = 1
-    record: bool = True
     vectorized: bool = True
 
     @property

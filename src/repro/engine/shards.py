@@ -37,7 +37,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.engine.backends import BackendSpec, resolve_backend_name, resolve_record_flag
+from repro.engine.backends import BackendSpec, resolve_backend_name
 from repro.instances.request import EdgeId, Request, RequestSequence
 from repro.instances.serialize import (
     CHECKPOINT_SCHEMA,
@@ -153,7 +153,6 @@ class _ShardConfig:
     capacities: Dict[EdgeId, int]
     algorithm: str
     backend: str
-    record: bool
     seed: int
     algorithm_kwargs: Dict[str, Any]
     vectorized: bool
@@ -189,7 +188,6 @@ def _handle_start(conn, config: _ShardConfig):
                 config.capacities,
                 algorithm=config.algorithm,
                 backend=config.backend,
-                record=config.record,
                 seed=config.seed,
                 algorithm_kwargs=config.algorithm_kwargs,
                 retain_log=config.retain_log,
@@ -345,7 +343,7 @@ class ProcessShardPool:
     num_shards:
         Number of namespace partitions, and of worker processes when the
         shards run out of process.
-    algorithm / backend / record / algorithm_kwargs / retain_log / vectorized:
+    algorithm / backend / algorithm_kwargs / retain_log / vectorized:
         As for :class:`~repro.engine.streaming.StreamingSession`, applied to
         every shard session.
     seed:
@@ -373,7 +371,6 @@ class ProcessShardPool:
         algorithm: str = "fractional",
         *,
         backend: BackendSpec = None,
-        record: Optional[bool] = None,
         seed: int = 0,
         namespace_of: Optional[Callable[[EdgeId], str]] = None,
         algorithm_kwargs: Optional[Dict[str, Any]] = None,
@@ -388,7 +385,6 @@ class ProcessShardPool:
         self.num_shards = int(num_shards)
         self.algorithm_key = algorithm
         self.backend = resolve_backend_name(backend)
-        self.record = resolve_record_flag(backend, record)
         self.seed = int(seed)
         self.name = name
         self._workers: List[Optional[_Worker]] = [None] * self.num_shards
@@ -415,7 +411,6 @@ class ProcessShardPool:
                     capacities=caps,
                     algorithm=algorithm,
                     backend=self.backend,
-                    record=self.record,
                     seed=stable_seed(self.seed, "stream-shard", k),
                     algorithm_kwargs=dict(algorithm_kwargs or {}),
                     vectorized=bool(vectorized),
@@ -641,7 +636,6 @@ class ProcessShardPool:
             "name": self.name,
             "algorithm": self.algorithm_key,
             "backend": self.backend,
-            "record": self.record,
             "seed": self.seed,
             "num_shards": self.num_shards,
             "shards": shards,
@@ -677,7 +671,6 @@ class ProcessShardPool:
             num_shards,
             checkpoint["algorithm"],
             backend=backend if backend is not None else checkpoint["backend"],
-            record=bool(checkpoint["record"]),
             seed=int(checkpoint["seed"]),
             namespace_of=namespace_of,
             retain_log=retain_log,

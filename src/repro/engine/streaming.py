@@ -26,8 +26,9 @@ future evolution depends on and nothing else, as plain JSON columns (one
 list per field: request ids, CSR paths, costs, weights, classes, decision
 kinds), never one object per request.  Per-arrival diagnostics
 (:class:`~repro.engine.backends.ArrivalOutcome` deltas, kills and step
-counts) are reproducible artefacts, not state — restored decisions carry
-``outcome=None`` exactly like a ``record=False`` run.  Schema versioning
+counts) are not state, and the one algorithm that records them drops
+each once it has been rounded, so the envelope carries no diagnostics mode
+either.  Restored decisions carry ``outcome=None``.  Schema versioning
 lives in :mod:`repro.instances.serialize` (``CHECKPOINT_SCHEMA``): loaders
 reject versions they do not know instead of guessing.  Saves are fsynced
 before the rename that publishes them.
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.engine.backends import BackendSpec, resolve_backend_name, resolve_record_flag
+from repro.engine.backends import BackendSpec, resolve_backend_name
 from repro.engine.registry import Registry
 from repro.instances.compiled import compile_sequence, intern_edges
 from repro.instances.request import EdgeId, Request, RequestSequence
@@ -67,24 +68,21 @@ STREAMING_ALGORITHMS: Registry = Registry("streaming algorithm")
 
 
 @STREAMING_ALGORITHMS.register("fractional")
-def _build_fractional(capacities, *, random_state, backend, record, **kwargs):
+def _build_fractional(capacities, *, random_state, backend, **kwargs):
     from repro.core.fractional import FractionalAdmissionControl
 
-    return FractionalAdmissionControl(capacities, backend=backend, record=record, **kwargs)
+    return FractionalAdmissionControl(capacities, backend=backend, **kwargs)
 
 
 @STREAMING_ALGORITHMS.register("doubling-fractional")
-def _build_doubling_fractional(capacities, *, random_state, backend, record, **kwargs):
+def _build_doubling_fractional(capacities, *, random_state, backend, **kwargs):
     from repro.core.doubling import DoublingFractionalAdmissionControl
 
-    return DoublingFractionalAdmissionControl(
-        capacities, backend=backend, record=record, **kwargs
-    )
+    return DoublingFractionalAdmissionControl(capacities, backend=backend, **kwargs)
 
 
 @STREAMING_ALGORITHMS.register("randomized")
-def _build_randomized(capacities, *, random_state, backend, record, **kwargs):
-    # The rounding consumes shadow deltas, so `record` does not apply here.
+def _build_randomized(capacities, *, random_state, backend, **kwargs):
     from repro.core.randomized import RandomizedAdmissionControl
 
     return RandomizedAdmissionControl(
@@ -93,7 +91,7 @@ def _build_randomized(capacities, *, random_state, backend, record, **kwargs):
 
 
 @STREAMING_ALGORITHMS.register("doubling")
-def _build_doubling(capacities, *, random_state, backend, record, **kwargs):
+def _build_doubling(capacities, *, random_state, backend, **kwargs):
     from repro.core.doubling import DoublingAdmissionControl
 
     return DoublingAdmissionControl(
@@ -138,8 +136,8 @@ class StreamingSession:
         already-built algorithm object.  Sessions around externally-built
         objects stream fine but cannot be checkpointed (the checkpoint could
         not name how to rebuild them).
-    backend / record:
-        Weight-backend spec and diagnostics mode, as everywhere else.
+    backend:
+        Weight-backend spec, as everywhere else.
     seed:
         Integer seed for the algorithm's RNG (randomized rounding).  Stored
         in checkpoints for provenance; the *exact* RNG state is checkpointed
@@ -167,7 +165,6 @@ class StreamingSession:
         algorithm: Union[str, Any] = "fractional",
         *,
         backend: BackendSpec = None,
-        record: Optional[bool] = None,
         seed: Optional[int] = None,
         algorithm_kwargs: Optional[Dict[str, Any]] = None,
         retain_log: bool = True,
@@ -178,7 +175,6 @@ class StreamingSession:
         if not self._interning.num_edges:
             raise ValueError("a streaming session needs at least one edge")
         self.backend = resolve_backend_name(backend)
-        self.record = resolve_record_flag(backend, record)
         self.seed = None if seed is None else int(seed)
         self.vectorized = bool(vectorized)
         self.name = name
@@ -192,7 +188,6 @@ class StreamingSession:
                 self.capacities(),
                 random_state=as_generator(self.seed),
                 backend=backend if backend is not None else self.backend,
-                record=record,
                 **self._kwargs,
             )
         else:
@@ -401,7 +396,6 @@ class StreamingSession:
             "algorithm": self.algorithm_key,
             "algorithm_kwargs": self._kwargs,
             "backend": self.backend,
-            "record": self.record,
             "seed": self.seed,
             "num_processed": self.num_processed,
             "capacities": [
@@ -435,7 +429,6 @@ class StreamingSession:
             capacities,
             algorithm=checkpoint["algorithm"],
             backend=backend if backend is not None else checkpoint["backend"],
-            record=bool(checkpoint["record"]),
             seed=checkpoint["seed"],
             algorithm_kwargs=dict(checkpoint.get("algorithm_kwargs") or {}),
             retain_log=retain_log,

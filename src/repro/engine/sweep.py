@@ -173,7 +173,6 @@ def run_sweep_specs(
                 # The spec requires an explicit positive worker count; resolve
                 # EngineConfig's "0 = all cores" convention before building it.
                 jobs=config.effective_jobs,
-                record=config.record,
                 offline=offline,
                 ilp_time_limit=ilp_time_limit,
                 label=f"{scenario.key} x {algorithm}",

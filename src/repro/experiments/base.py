@@ -46,13 +46,6 @@ class ExperimentConfig:
     jobs:
         Worker count for the parallel trial executor (``1`` = serial,
         ``0`` = one worker per core).
-    compile:
-        Compile admission instances once (edge interning + CSR paths) and
-        stream them through the algorithms' indexed fast paths.  Results are
-        identical either way; ``--no-compile`` exists for A/B timing.
-    record:
-        Materialize per-arrival weight-mechanism diagnostics.  Algorithms
-        that consume them (the randomized rounding) keep recording regardless.
     """
 
     quick: bool = True
@@ -61,8 +54,6 @@ class ExperimentConfig:
     ilp_time_limit: float = 20.0
     backend: str = "python"
     jobs: int = 1
-    compile: bool = True
-    record: bool = True
 
     def scaled_trials(self, full: int) -> int:
         """Number of trials to run: ``num_trials`` when quick, ``full`` otherwise."""
@@ -70,11 +61,8 @@ class ExperimentConfig:
 
     @property
     def engine(self) -> EngineConfig:
-        """The engine view of this configuration (backend + jobs + record).
-
-        ``compile`` stays here: the experiments map it onto each spec's mode.
-        """
-        return EngineConfig(backend=self.backend, jobs=self.jobs, record=self.record)
+        """The engine view of this configuration (backend + jobs)."""
+        return EngineConfig(backend=self.backend, jobs=self.jobs)
 
 
 @dataclass

@@ -74,8 +74,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 (("weighted", False),),
             ),
             backend=config.backend,
-            mode="compiled" if config.compile else "batch",
-            record=config.record,
             trials=1,
             offline="lp",
             label=f"E10 admission m={m}",
@@ -125,7 +123,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 problem="setcover",
             ),
             backend=config.backend,
-            record=config.record,
             trials=1,
             offline="lp",
             label=f"E10 setcover n={n} m={m}",

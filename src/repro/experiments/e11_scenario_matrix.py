@@ -51,11 +51,10 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         _scenarios(config),
         _algorithms(config),
         backends=[config.backend],
-        modes=["compiled" if config.compile else "batch"],
+        modes=["compiled"],
         seed=config.seed,
         trials=config.scaled_trials(5),
         jobs=config.engine.effective_jobs,
-        record=config.record,
         offline="lp",
         ilp_time_limit=config.ilp_time_limit,
     )

@@ -110,8 +110,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                     OracleAlphaFractional(config.engine) if weighted else "fractional"
                 ),
                 backend=config.backend,
-                mode="compiled" if config.compile else "batch",
-                record=config.record,
                 trials=trials,
                 jobs=config.engine.effective_jobs,
                 seed=stable_seed(config.seed, m, c, weighted),

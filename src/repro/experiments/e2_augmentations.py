@@ -73,8 +73,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             factory=E2Workload(m, c),
             algorithm=OracleAlphaFractional(config.engine),
             backend=config.backend,
-            mode="compiled" if config.compile else "batch",
-            record=config.record,
             trials=trials,
             jobs=config.engine.effective_jobs,
             seed=stable_seed(config.seed, m, c, "e2"),

@@ -81,8 +81,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 algorithm="doubling",
                 algorithm_params={"weighted": True},
                 backend=config.backend,
-                mode="compiled" if config.compile else "batch",
-                record=config.record,
                 trials=trials,
                 jobs=config.engine.effective_jobs,
                 seed=stable_seed(config.seed, m, c, workload_name),

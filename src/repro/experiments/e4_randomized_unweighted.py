@@ -63,8 +63,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 algorithm="randomized",
                 algorithm_params={"weighted": False},
                 backend=config.backend,
-                mode="compiled" if config.compile else "batch",
-                record=config.record,
                 trials=trials,
                 jobs=config.engine.effective_jobs,
                 seed=stable_seed(config.seed, m, c, workload_name, "e4"),

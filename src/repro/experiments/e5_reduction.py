@@ -92,7 +92,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 factory=lambda rng, make=make, n=n, m=m: make(n, m, rng),
                 algorithm="reduction",
                 backend=config.backend,
-                record=config.record,
                 trials=trials,
                 jobs=config.engine.effective_jobs,
                 seed=stable_seed(config.seed, n, m, workload_name, "e5"),

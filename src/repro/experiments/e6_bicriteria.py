@@ -94,7 +94,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 algorithm="bicriteria",
                 algorithm_params={"eps": eps},
                 backend=config.backend,
-                record=config.record,
                 trials=trials,
                 jobs=config.engine.effective_jobs,
                 seed=stable_seed(config.seed, n, m, eps, "e6"),

@@ -119,8 +119,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             factory=E7Workload(m, c),
             algorithm=OracleAlphaFractional(config.engine),
             backend=config.backend,
-            mode="compiled" if config.compile else "batch",
-            record=config.record,
             trials=trials,
             jobs=config.engine.effective_jobs,
             seed=stable_seed(config.seed, m, c, "e7-frac"),
@@ -147,7 +145,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
             algorithm="bicriteria",
             algorithm_params={"eps": 0.2},
             backend=config.backend,
-            record=config.record,
             trials=trials,
             jobs=config.engine.effective_jobs,
             seed=stable_seed(config.seed, n, m, "e7-bic"),

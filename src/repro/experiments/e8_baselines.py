@@ -88,8 +88,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                     tuple(sorted(extra.items())),
                 ),
                 backend=config.backend,
-                mode="compiled" if config.compile else "batch",
-                record=config.record,
                 trials=1,
                 offline="ilp",
                 ilp_time_limit=config.ilp_time_limit,

@@ -136,8 +136,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                     factory=E9Workload(m, c, cost_name),
                     algorithm=algorithm,
                     backend=config.backend,
-                    mode="compiled" if config.compile else "batch",
-                    record=config.record,
                     trials=trials,
                     jobs=config.engine.effective_jobs,
                     # One master seed per cell: all three configurations see

@@ -72,8 +72,11 @@ CHECKPOINT_KIND = "streaming-checkpoint"
 #: the version, and loaders reject versions they do not know.  Schema 2 has
 #: one sharded kind (the shard pool's, without routing-strategy fields);
 #: schema 3 stores each algorithm's state as plain JSON columns (one row per
-#: request or decision) instead of one object per request.
-CHECKPOINT_SCHEMA = 3
+#: request or decision) instead of one object per request; schema 4 drops
+#: the session's and the pool's ``record`` field, because whether an
+#: algorithm records is fixed by the algorithm (only the randomized
+#: rounding's shadow does), not session state.
+CHECKPOINT_SCHEMA = 4
 
 
 class TraceFormatError(ValueError):

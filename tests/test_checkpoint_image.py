@@ -1,11 +1,11 @@
-"""The columnar checkpoint image (``CHECKPOINT_SCHEMA`` 3) and its durable write.
+"""The columnar checkpoint image (``CHECKPOINT_SCHEMA`` 4) and its durable write.
 
 Resume equivalence lives in ``tests/test_streaming.py``.  These tests pin the
-image itself: re-exporting a restored session gives the same document, on
-either backend, so restoring drops nothing; the sparsely stored rows
-(arrivals the overload guard rejected, tags, forced acceptances) survive;
-and ``dump_checkpoint`` fsyncs the data before it renames the file into
-place.
+image itself: its envelope carries no diagnostics mode; re-exporting a
+restored session gives the same document, on either backend, so restoring
+drops nothing; the sparsely stored rows (arrivals the overload guard
+rejected, tags, forced acceptances) survive; and ``dump_checkpoint`` fsyncs
+the data before it renames the file into place.
 """
 
 import json
@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.engine.shards import INLINE, ProcessShardPool
 from repro.engine.streaming import StreamingSession
 from repro.instances.request import Request
 from repro.instances.serialize import dump_checkpoint, load_checkpoint
@@ -67,6 +68,23 @@ class TestImageRoundTrip:
         restored = StreamingSession.restore(document, backend=other).checkpoint()
         assert restored["backend"] == other
         assert without_backend(restored) == without_backend(document)
+
+    def test_envelope_is_schema_4_without_record(self, algorithm, backend):
+        document = served_session(algorithm, backend).checkpoint()
+        assert document["schema"] == 4
+        assert "record" not in document
+
+
+def test_pool_envelope_is_schema_4_without_record():
+    instance = make_instance()
+    with ProcessShardPool(instance.capacities, 2, "randomized", seed=4, start_method=INLINE) as pool:
+        pool.submit_batch(list(instance.requests))
+        document = pool.checkpoint()
+    shards = [shard for shard in document["shards"] if shard is not None]
+    assert shards
+    for envelope in (document, *shards):
+        assert envelope["schema"] == 4
+        assert "record" not in envelope
 
 
 class TestSparseRows:

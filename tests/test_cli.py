@@ -122,6 +122,12 @@ class TestEngineFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "E1", "--backend", "cuda"])
 
+    @pytest.mark.parametrize("flag", ["--no-record", "--no-compile"])
+    def test_run_rejects_removed_flags(self, flag):
+        # Recording and compilation are fixed by the code, not by flags.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "E1", flag])
+
     def test_run_with_numpy_backend(self):
         code, output = run_cli(
             ["run", "E2", "--quick", "--trials", "1", "--ilp-time-limit", "5",

@@ -213,3 +213,23 @@ class TestRefusedCompiledArrival:
             assert algo.process_indexed(valid, i) == fresh.process_indexed(valid, i)
         assert algo.export_state() == fresh.export_state()
         assert algo.fractional_cost() == fresh.fractional_cost() > 0.0
+
+
+class TestRecordDefault:
+    """Only the randomized rounding reads outcomes, so nothing else records them."""
+
+    def test_default_algorithm_does_not_record(self):
+        algo = FractionalAdmissionControl({"e": 1})
+        assert algo.record is False
+        for i in range(4):
+            algo.process(Request(i, {"e"}, 1.0))
+        assert algo.num_augmentations > 0
+        assert all(d.outcome is None for d in algo.decisions())
+
+    def test_engine_config_and_session_do_not_record(self):
+        from repro.engine.config import EngineConfig
+        from repro.engine.streaming import StreamingSession
+
+        assert FractionalAdmissionControl({"e": 1}, backend=EngineConfig("numpy")).record is False
+        assert StreamingSession({"e": 1}, "fractional").algorithm.record is False
+        assert StreamingSession({"e": 1}, "doubling-fractional").algorithm.inner.record is False

@@ -219,3 +219,60 @@ class TestOverloadGuard:
     def test_guard_disabled_by_default(self):
         algo = RandomizedAdmissionControl({"e": 1}, weighted=False, random_state=0)
         assert not algo.overload_guard
+
+
+def _forced_and_big_instance():
+    """A congested instance whose arrivals fall in every cost class but SMALL.
+
+    With ``alpha=2`` the cost-5 arrivals are BIG; the ``vip``-tagged ones are
+    FORCED under ``force_accept_tags={"vip"}``; the rest are NORMAL.
+    """
+    from repro.instances.admission import AdmissionInstance
+
+    paths = [{"a"}, {"a", "b"}, {"b"}, {"b", "c"}, {"c"}, {"a", "c"}]
+    requests = [
+        Request(i, paths[i % 6], 1.0 + (7 * i) % 5, tag="vip" if i % 5 == 3 else None)
+        for i in range(30)
+    ]
+    return AdmissionInstance({"a": 1, "b": 2, "c": 1}, requests)
+
+
+class TestOutcomeLifetime:
+    """The shadow records each arrival's outcome for the rounding, which drops it once read."""
+
+    def test_shadow_records(self):
+        algo = RandomizedAdmissionControl({"e": 1}, random_state=0)
+        assert algo.shadow.record is True
+
+    @pytest.mark.parametrize("via", ["process", "process_indexed"])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("algorithm", ["randomized", "doubling"])
+    def test_every_outcome_is_dropped_once_rounded(self, algorithm, backend, via):
+        from repro.core.doubling import DoublingAdmissionControl
+        from repro.core.fractional import CostClass
+        from repro.instances.compiled import compile_instance
+
+        instance = _forced_and_big_instance()
+        common = dict(force_accept_tags={"vip"}, random_state=3, backend=backend)
+        if algorithm == "randomized":
+            algo = RandomizedAdmissionControl(instance.capacities, alpha=2.0, **common)
+            shadow = algo.shadow
+        else:
+            algo = DoublingAdmissionControl(instance.capacities, **common)
+            shadow = algo.inner.shadow
+        if via == "process":
+            for request in instance.requests:
+                algo.process(request)
+        else:
+            compiled = compile_instance(instance)
+            for i in range(compiled.num_requests):
+                algo.process_indexed(compiled, i)
+
+        decisions = shadow.decisions()
+        assert len(decisions) == instance.num_requests
+        classes = {d.cost_class for d in decisions}
+        assert {CostClass.FORCED, CostClass.NORMAL} <= classes
+        if algorithm == "randomized":
+            assert CostClass.BIG in classes
+        assert shadow.num_augmentations > 0
+        assert all(d.outcome is None for d in decisions)

@@ -333,3 +333,44 @@ class TestRoomSplitKernel:
             backend.process_arrival_block_indexed(*_csr(backend, block))
         assert backend.export_state() == before
         assert backend._edge_alive == alive
+
+
+class TestAtomicRefusals:
+    """A refused block or batch registration changes nothing, on every backend.
+
+    The python backend runs the base class's reference loops, which check
+    every id (and, on the block path, every cost) before the first arrival.
+    """
+
+    CAPACITIES = {"x": 1, "y": 1}
+    GOOD = [(1, ("x", "y"), 1.0), (2, ("x", "y"), 1.0)]
+
+    def _backend(self, cls):
+        backend = cls(self.CAPACITIES, g=2.0)
+        backend.process_arrival_indexed(0, backend.edge_indices_of(("x",)), 1.0)
+        return backend
+
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, ("x",), 1.0), (1, ("x",), 1.0), (3, ("x",), 0.0), (3, ("x",), -1.0)],
+        ids=["registered-id", "repeated-id", "zero-cost", "negative-cost"],
+    )
+    @pytest.mark.parametrize("cls", [PythonWeightBackend, NumpyWeightBackend])
+    def test_refused_block_changes_nothing(self, cls, bad):
+        backend = self._backend(cls)
+        before = backend.export_state()
+        with pytest.raises(ValueError):
+            backend.process_arrival_block_indexed(*_csr(backend, [*self.GOOD, bad]))
+        assert backend.export_state() == before
+        assert backend.total_augmentations == 0
+
+    @pytest.mark.parametrize(
+        "bad", [(0, ("x",), 1.0), (1, ("x",), 1.0)], ids=["registered-id", "repeated-id"]
+    )
+    @pytest.mark.parametrize("cls", [PythonWeightBackend, NumpyWeightBackend])
+    def test_refused_batch_registration_changes_nothing(self, cls, bad):
+        backend = self._backend(cls)
+        before = backend.export_state()
+        with pytest.raises(ValueError, match="already registered"):
+            backend.register_batch_indexed(*_csr(backend, [*self.GOOD, bad]))
+        assert backend.export_state() == before

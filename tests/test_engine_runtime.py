@@ -21,7 +21,7 @@ class TestEngineConfig:
 
     def test_fields(self):
         assert [f.name for f in fields(EngineConfig)] == [
-            "backend", "jobs", "record", "vectorized",
+            "backend", "jobs", "vectorized",
         ]
 
     def test_resolve_accepts_backend_name(self):

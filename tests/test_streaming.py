@@ -42,20 +42,16 @@ def make_instance(seed, *, num_requests=48):
     )
 
 
-def run_full(instance, algorithm, backend, *, record=None, seed=0, batch=7):
-    session = StreamingSession(
-        instance.capacities, algorithm=algorithm, backend=backend, record=record, seed=seed
-    )
+def run_full(instance, algorithm, backend, *, seed=0, batch=7):
+    session = StreamingSession(instance.capacities, algorithm=algorithm, backend=backend, seed=seed)
     session.submit_stream(iter(instance.requests), batch_size=batch)
     return session
 
 
-def run_with_cut(instance, algorithm, backend, cut, *, record=None, seed=0, batch=7):
+def run_with_cut(instance, algorithm, backend, cut, *, seed=0, batch=7):
     """Stream to ``cut``, checkpoint through JSON, restore, stream the rest."""
     requests = list(instance.requests)
-    first = StreamingSession(
-        instance.capacities, algorithm=algorithm, backend=backend, record=record, seed=seed
-    )
+    first = StreamingSession(instance.capacities, algorithm=algorithm, backend=backend, seed=seed)
     first.submit_stream(iter(requests[:cut]), batch_size=batch)
     document = json.loads(json.dumps(first.checkpoint()))
     resumed = StreamingSession.restore(document)
@@ -76,17 +72,16 @@ def assert_logs_equal(expected, actual, tol=1e-9):
 
 
 class TestCheckpointRoundTrip:
-    """Snapshot mid-stream x cut points x backends x record modes x seeds."""
+    """Snapshot mid-stream x cut points x backends x seeds."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("seed", range(10))
-    def test_fractional_resume_matches_uninterrupted(self, backend, record, seed):
+    def test_fractional_resume_matches_uninterrupted(self, backend, seed):
         instance = make_instance(seed)
         n = instance.num_requests
-        full = run_full(instance, "fractional", backend, record=record)
+        full = run_full(instance, "fractional", backend)
         for cut in (1, n // 4, n // 2, 3 * n // 4):
-            resumed = run_with_cut(instance, "fractional", backend, cut, record=record)
+            resumed = run_with_cut(instance, "fractional", backend, cut)
             assert_logs_equal(full.decision_log(), resumed.decision_log())
             assert resumed.algorithm.fractional_cost() == pytest.approx(
                 full.algorithm.fractional_cost(), abs=1e-9
@@ -163,9 +158,10 @@ class TestCheckpointRoundTrip:
 
 
 class TestCheckpointValidation:
-    # Schema 1 predates the single shard-pool kind and schema 2 the columnar
-    # algorithm state; there is no converter.
-    @pytest.mark.parametrize("schema", [99, 1, 2])
+    # Schema 1 predates the single shard-pool kind, schema 2 the columnar
+    # algorithm state and schema 3 still carries ``record``; there is no
+    # converter.
+    @pytest.mark.parametrize("schema", [99, 1, 2, 3])
     def test_unknown_schema_rejected(self, schema):
         instance = make_instance(0)
         session = run_full(instance, "fractional", "python")
