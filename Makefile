@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service profile-replay profile-memory ci
+.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service profile-replay profile-memory profile-startup ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -103,17 +103,18 @@ shard-smoke:
 service-smoke:
 	$(PYTHON) -m repro.service.smoke
 
-# Resource-leak smoke: the service, shard, streaming and CLI tests in Python's
-# development mode with every ResourceWarning (an unclosed file, socket or
-# pipe, a child never waited for) raised as an error.  A warning raised in a
-# finalizer reaches pytest as PytestUnraisableExceptionWarning, so that one
-# is an error too.  Its filter goes to pytest's -W: the interpreter parses
-# its own -W options before site-packages is importable and drops any
-# category outside the builtins.
+# Resource-leak smoke: the service, shard, streaming, CLI and start-up import
+# tests in Python's development mode with every ResourceWarning (an unclosed
+# file, socket or pipe, a child never waited for) raised as an error.  A
+# warning raised in a finalizer reaches pytest as
+# PytestUnraisableExceptionWarning, so that one is an error too.  Its filter
+# goes to pytest's -W: the interpreter parses its own -W options before
+# site-packages is importable and drops any category outside the builtins.
 leak-smoke:
 	$(PYTHON) -X dev -W error::ResourceWarning -m pytest \
 		-W error::pytest.PytestUnraisableExceptionWarning -q -p no:cacheprovider \
-		tests/test_service.py tests/test_shards.py tests/test_streaming.py tests/test_cli.py
+		tests/test_service.py tests/test_shards.py tests/test_streaming.py tests/test_cli.py \
+		tests/test_startup_imports.py
 
 # The end-to-end benchmark's own tests (perfbench/, about 30 s).  They also
 # catch a library change that renames an entry point the benchmark traces.
@@ -171,6 +172,14 @@ profile-memory:
 	$(PYTHON) benchmarks/profile_memory.py --workload service_window --seed 101
 	$(PYTHON) benchmarks/profile_memory.py --workload service_window --scale 4 --seed 101
 	$(PYTHON) benchmarks/profile_memory.py --workload session_doubling --seed 101
+
+# The import log of one `repro serve --listen` start-up (python -X importtime,
+# on the serve smoke's trace, randomized on numpy): the modules it loaded and
+# the top-25 entries by cumulative time.  Imports are a start-up's largest
+# stage; tests/test_startup_imports.py keeps scipy, networkx and the
+# experiment stack off this closure, and the next start-up cut starts here.
+profile-startup:
+	$(PYTHON) benchmarks/profile_startup.py
 
 # Refresh the committed baseline after an intentional perf change.
 bench-baseline:

@@ -90,39 +90,10 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.analysis import evaluate_admission_run, evaluate_setcover_run, format_records
-from repro.core import run_admission, run_setcover
-from repro.engine.benchmarking import (
-    REGRESSION_FACTOR,
-    SCALING_THROUGHPUT_FLOOR,
-    check_shard_scaling,
-    check_throughput_floor,
-    compare_to_baseline,
-    default_baseline_path,
-    run_scaling_bench,
-    run_service_loadtest_bench,
-    run_shard_scaling_suite,
-    run_stream_resume_bench,
-    run_sweep_bench,
-    run_weight_update_bench,
-    scaling_100k_workload,
-    scaling_workload,
-    service_loadtest_workload,
-    stream_resume_workload,
-    sweep_workload,
-    weight_update_workload,
-)
-from repro.engine.executor import execute
 from repro.engine.registry import WEIGHT_BACKENDS
-from repro.engine.runtime import (
-    ensure_builtin_registrations,
-    make_admission_algorithm,
-    make_setcover_algorithm,
-)
-from repro.experiments import ExperimentConfig, all_experiments, run_experiment
-from repro.workloads import overloaded_edge_adversary, random_setcover_instance
+from repro.engine.runtime import ensure_builtin_registrations
 
 __all__ = ["main", "build_parser"]
 
@@ -132,15 +103,24 @@ def _backend_choices() -> List[str]:
     return WEIGHT_BACKENDS.keys()
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (``--trials``)."""
+def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (``--trials``)."""
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for seeds fed straight to an RNG (``demo --seed``)."""
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo_parser = subparsers.add_parser("demo", help="run a small end-to-end demo")
     demo_parser.add_argument("problem", choices=["admission", "setcover"], help="which demo to run")
-    demo_parser.add_argument("--seed", type=int, default=0, help="random seed")
+    demo_parser.add_argument("--seed", type=_non_negative_int, default=0, help="random seed")
     demo_parser.add_argument(
         "--backend", choices=backends, default="python",
         help="weight-mechanism backend used by the paper's algorithms",
@@ -415,6 +395,8 @@ def _cmd_list(args, out) -> int:
     what = getattr(args, "what", "all")
     sections = []
     if what in ("all", "experiments"):
+        from repro.experiments import all_experiments
+
         experiments = all_experiments()
         lines = []
         for experiment_id in sorted(experiments, key=lambda e: int(e[1:]) if e[1:].isdigit() else 0):
@@ -453,13 +435,21 @@ def _cmd_list(args, out) -> int:
     return 0
 
 
-def _experiment_job(item: Tuple[str, ExperimentConfig]):
-    """Run one experiment (module-level so the process pool can pickle it)."""
+def _experiment_job(item):
+    """Run one ``(experiment_id, ExperimentConfig)`` item.
+
+    Module-level so the process pool can pickle it.
+    """
+    from repro.experiments import run_experiment
+
     experiment_id, config = item
     return run_experiment(experiment_id, config)
 
 
 def _cmd_run(args, out) -> int:
+    from repro.engine.executor import execute
+    from repro.experiments import ExperimentConfig, all_experiments, run_experiment
+
     config = ExperimentConfig(
         quick=args.quick,
         seed=args.seed,
@@ -493,6 +483,11 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_demo(args, out) -> int:
+    from repro.analysis import evaluate_admission_run, evaluate_setcover_run, format_records
+    from repro.core import run_admission, run_setcover
+    from repro.engine.runtime import make_admission_algorithm, make_setcover_algorithm
+    from repro.workloads import overloaded_edge_adversary, random_setcover_instance
+
     if args.problem == "admission":
         instance = overloaded_edge_adversary(16, 2, num_hot_edges=3, random_state=args.seed)
         print(instance.describe(), file=out)
@@ -674,6 +669,27 @@ def _cmd_lint(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
+    from repro.engine.benchmarking import (
+        REGRESSION_FACTOR,
+        SCALING_THROUGHPUT_FLOOR,
+        check_shard_scaling,
+        check_throughput_floor,
+        compare_to_baseline,
+        default_baseline_path,
+        run_scaling_bench,
+        run_service_loadtest_bench,
+        run_shard_scaling_suite,
+        run_stream_resume_bench,
+        run_sweep_bench,
+        run_weight_update_bench,
+        scaling_100k_workload,
+        scaling_workload,
+        service_loadtest_workload,
+        stream_resume_workload,
+        sweep_workload,
+        weight_update_workload,
+    )
+
     workload = weight_update_workload(quick=args.quick)
     if args.requests is not None:
         workload = dataclasses.replace(workload, num_requests=args.requests)

@@ -40,11 +40,6 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
-try:  # scipy ships with the offline solvers; degrade gracefully without it.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is a hard dep of repro.offline
-    _sparse = None
-
 from repro.core.protocols import InfeasibleArrivalError, OnlineSetCoverAlgorithm
 from repro.engine.backends import BackendSpec, resolve_backend_name
 from repro.engine.registry import SETCOVER_ALGORITHMS
@@ -148,15 +143,17 @@ class BicriteriaOnlineSetCover(OnlineSetCoverAlgorithm):
                 for j in self._element_order
             }
             self._w: Dict[SetId, float] = {}
-            self._incidence = None
+            # Element-by-set incidence, so the potential's element weights are
+            # one sparse product (a SetSystem has at least one non-empty set).
+            from scipy import sparse
+
             lengths = [self._elem_sets[j].shape[0] for j in self._element_order]
-            if _sparse is not None and sum(lengths):
-                rows = np.repeat(np.arange(len(self._element_order), dtype=np.intp), lengths)
-                cols = np.concatenate([self._elem_sets[j] for j in self._element_order])
-                self._incidence = _sparse.csr_matrix(
-                    (np.ones(rows.shape[0]), (rows, cols)),
-                    shape=(len(self._element_order), self.m),
-                )
+            rows = np.repeat(np.arange(len(self._element_order), dtype=np.intp), lengths)
+            cols = np.concatenate([self._elem_sets[j] for j in self._element_order])
+            self._incidence = sparse.csr_matrix(
+                (np.ones(rows.shape[0]), (rows, cols)),
+                shape=(len(self._element_order), self.m),
+            )
         else:
             #: set weights ``w_S`` (initialised to ``1/(2m)``).
             self._w = {sid: 1.0 / (2.0 * self.m) for sid in system.set_ids()}
@@ -199,14 +196,7 @@ class BicriteriaOnlineSetCover(OnlineSetCoverAlgorithm):
         if self._vectorized:
             if not self._element_order:
                 return 0.0
-            if self._incidence is not None:
-                wj = self._incidence @ self._wv
-            else:
-                wj = np.fromiter(
-                    (self._wv[self._elem_sets[j]].sum() for j in self._element_order),
-                    dtype=np.float64,
-                    count=len(self._element_order),
-                )
+            wj = self._incidence @ self._wv
             cover = np.fromiter(
                 (self._coverage[j] for j in self._element_order),
                 dtype=np.float64,

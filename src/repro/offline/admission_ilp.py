@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import LinearConstraint, milp
 
 from repro.instances.admission import AdmissionInstance
 
@@ -59,6 +57,9 @@ def solve_admission_ilp(
     mip_rel_gap:
         Relative optimality gap passed to HiGHS (0.0 = prove optimality).
     """
+    from scipy import sparse
+    from scipy.optimize import LinearConstraint, milp
+
     requests = list(instance.requests)
     n = len(requests)
     if n == 0:

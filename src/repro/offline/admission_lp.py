@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.instances.admission import AdmissionInstance
 
@@ -66,6 +64,9 @@ def solve_admission_lp(instance: AdmissionInstance) -> FractionalSolution:
     feasible), so a non-optimal status indicates a numerical problem and is
     surfaced in the ``status`` field.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     requests = list(instance.requests)
     n = len(requests)
     if n == 0:

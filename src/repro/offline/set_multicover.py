@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import LinearConstraint, linprog, milp
 
 from repro.instances.setcover import ElementId, SetCoverInstance, SetId, SetSystem
 
@@ -66,6 +64,8 @@ def demands_from_instance(instance: SetCoverInstance) -> Dict[ElementId, int]:
 
 def _constraint_matrix(system: SetSystem, demanded: List[ElementId]):
     """Sparse element-by-set incidence matrix restricted to demanded elements."""
+    from scipy import sparse
+
     set_ids = system.set_ids()
     set_index = {sid: k for k, sid in enumerate(set_ids)}
     rows: List[int] = []
@@ -104,6 +104,8 @@ def solve_set_multicover_ilp(
         If some demand exceeds the number of sets containing the element
         (the instance is infeasible for every algorithm).
     """
+    from scipy.optimize import LinearConstraint, milp
+
     error = _check_feasible(system, demands)
     if error:
         raise ValueError(error)
@@ -141,6 +143,8 @@ def solve_set_multicover_lp(
     system: SetSystem, demands: Mapping[ElementId, int]
 ) -> FractionalCoverSolution:
     """LP relaxation of set multi-cover (a lower bound on the integral optimum)."""
+    from scipy.optimize import linprog
+
     error = _check_feasible(system, demands)
     if error:
         raise ValueError(error)

@@ -101,6 +101,8 @@ class ServiceConfig:
             self._set("seed", int(self.seed))
         except (TypeError, ValueError):
             raise ServiceConfigError(f"--seed must be an integer, got {self.seed!r}") from None
+        if self.seed < 0:
+            raise ServiceConfigError(f"--seed must be >= 0, got {self.seed}")
         if self.name is None:
             self._set("name", f"serve:{Path(self.trace).stem}")
 

@@ -45,6 +45,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.instances.serialize import request_from_state
 from repro.service.config import ServiceConfig, ServiceConfigError
 from repro.service.health import HealthMonitor
 from repro.service.runtime import ServingRun
@@ -246,8 +247,6 @@ class AdmissionService:
                 pass
 
     def _handle_frame(self, frame: Dict[str, Any], writer: asyncio.StreamWriter) -> None:
-        from repro.instances.serialize import request_from_state
-
         op = frame["op"]
         seq = frame.get("seq")
         if op not in CLIENT_OPS:

@@ -84,6 +84,12 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
 
+    def test_run_accepts_negative_master_seed(self):
+        # Trial seeds derive from --seed, so it may be negative here.
+        code, output = run_cli(["run", "E2", "--quick", "--trials", "1", "--seed", "-1"])
+        assert code == 0
+        assert "[E2]" in output
+
     def test_run_lowercase_id(self):
         code, output = run_cli(["run", "e10", "--quick", "--trials", "1"])
         assert code == 0
@@ -110,6 +116,14 @@ class TestDemoCommand:
         code, output = run_cli(["demo", "admission", "--seed", "1", "--backend", "numpy"])
         assert code == 0
         assert "Admission control vs offline optimum" in output
+
+    @pytest.mark.parametrize("problem", ["admission", "setcover"])
+    def test_demo_rejects_negative_seed_as_usage_error(self, capsys, problem):
+        # The demo seeds numpy's generator directly, which refuses negatives.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["demo", problem, "--seed", "-1"], out=io.StringIO())
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
 
 class TestEngineFlags:
@@ -179,6 +193,17 @@ class TestSweepCommand:
                   "--trials", "0"], out=io.StringIO())
         assert excinfo.value.code == 2
         assert "argument --trials: must be at least 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("streaming", [[], ["--streaming"]], ids=["batch", "streaming"])
+    def test_sweep_accepts_negative_master_seed(self, streaming):
+        # Cell seeds derive from --seed, so it may be negative here, also
+        # when the trials run through the serving layer.
+        code, output = run_cli(
+            ["sweep", "--scenarios", "cheap_expensive", "--algorithms", "fractional,randomized",
+             "--trials", "1", "--seed", "-1", *streaming]
+        )
+        assert code == 0
+        assert "ratio[randomized]" in output
 
     def test_sweep_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="scenario"):
@@ -422,6 +447,17 @@ class TestServeCommand:
         )
         assert code == 0
         assert log.read_text() == full_log.read_text()
+
+    @pytest.mark.parametrize(
+        "listen", [[], ["--listen", "127.0.0.1:0"]], ids=["replay", "listen"]
+    )
+    def test_serve_rejects_negative_seed(self, trace_path, listen):
+        code, output = run_cli(
+            ["serve", "--trace", str(trace_path), "--algorithm", "randomized",
+             "--seed", "-1", *listen]
+        )
+        assert code == 2
+        assert "error: --seed must be >= 0, got -1" in output
 
     def test_serve_resume_requires_checkpoint(self, trace_path):
         code, output = run_cli(["serve", "--trace", str(trace_path), "--resume"])

@@ -85,6 +85,7 @@ class TestServiceConfig:
         "kwargs, message",
         [
             (dict(batch=0), "--batch must be >= 1"),
+            (dict(seed=-1), "--seed must be >= 0, got -1"),
             (dict(batch_wait_ms=-1.0), "--batch-wait-ms must be >= 0, got -1.0"),
             (dict(resume=True), "--resume requires --checkpoint"),
             (dict(checkpoint_every=5), "--checkpoint-every requires --checkpoint"),
