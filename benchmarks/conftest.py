@@ -1,10 +1,11 @@
 """Shared configuration for the benchmark suite.
 
-Each ``test_bench_e*.py`` file regenerates one experiment from DESIGN.md's
-experiment index (the paper has no tables/figures of its own — see
-EXPERIMENTS.md).  The benchmark measures the wall-clock cost of regenerating
-the experiment's rows and prints the resulting table so the numbers can be
-compared against EXPERIMENTS.md directly from the benchmark output.
+Each ``test_bench_e*.py`` file regenerates one experiment of the index
+``repro list experiments`` prints (the paper has no tables or figures of its
+own).  The benchmark measures the wall-clock cost of regenerating the
+experiment's rows and prints the resulting table, so the numbers can be
+compared with a ``repro run`` of the same experiment directly from the
+benchmark output.
 
 Besides the human-readable tables the session also emits a machine-readable
 ``BENCH_engine.json`` at the repository root: per-experiment (and per-micro-
@@ -27,7 +28,8 @@ import pytest
 from repro.experiments import ExperimentConfig
 
 # Benchmarks use the quick grid with a single trial so the whole suite stays
-# in the tens-of-seconds range; EXPERIMENTS.md records fuller runs.
+# in the tens-of-seconds range; ``repro run`` without ``--quick`` runs the
+# full grid.
 BENCH_CONFIG = ExperimentConfig(
     quick=True,
     num_trials=1,
@@ -74,14 +76,23 @@ def run_and_report(benchmark, experiment_id: str, config: ExperimentConfig):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write the machine-readable per-benchmark report next to the repo root."""
+    """Merge this session's records into the report next to the repo root.
+
+    Entries the session ran replace their old values and every other entry
+    stays, so running one benchmark file keeps the rest of the report; an
+    absent or unreadable report starts fresh.
+    """
     if not _BENCH_RECORDS:
         return
+    path = Path(str(session.config.rootpath)) / "BENCH_engine.json"
+    try:
+        kept = dict(json.loads(path.read_text())["benchmarks"])
+    except (OSError, ValueError, KeyError, TypeError):
+        kept = {}
     payload = {
         "schema": 1,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "default_backend": BENCH_CONFIG.backend,
-        "benchmarks": dict(sorted(_BENCH_RECORDS.items())),
+        "benchmarks": dict(sorted({**kept, **_BENCH_RECORDS}.items())),
     }
-    path = Path(str(session.config.rootpath)) / "BENCH_engine.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,8 +1,8 @@
 """Benchmark E10: Scaling — ratio growth and runtime vs instance size.
 
-Regenerates experiment E10 from DESIGN.md's experiment index and prints the
-table recorded in EXPERIMENTS.md.  The benchmark time is the wall-clock cost of
-reproducing the whole experiment row set (quick grid, one trial).
+Regenerates experiment E10 (``repro list experiments`` indexes them) and
+prints its table.  The benchmark time is the wall-clock cost of reproducing
+the whole experiment row set (quick grid, one trial).
 """
 
 from conftest import run_and_report

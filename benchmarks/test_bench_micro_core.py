@@ -1,8 +1,7 @@
 """Micro-benchmarks of the library's hot paths.
 
 These are not experiments from the paper; they track the implementation's own
-performance (per the repository's hpc notes in DESIGN.md): the weight
-mechanism's per-arrival cost, the bicriteria augmentation cost, the reduction
+performance: the weight mechanism's per-arrival cost, the bicriteria augmentation cost, the reduction
 solver's per-element cost, and the offline solvers.
 """
 

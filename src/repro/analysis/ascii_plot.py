@@ -3,7 +3,7 @@
 The paper has no figures; the scaling experiments still want to *show* how the
 measured competitive ratio grows with the instance parameters next to the
 polylog bound, and a terminal-friendly scatter/line rendering is enough for
-EXPERIMENTS.md and benchmark output.
+experiment reports and benchmark output.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Plain-text tables and report formatting for experiments and benchmarks.
 
-The benchmark harness prints the same rows EXPERIMENTS.md records, so the
-format lives in one place.  No third-party table library is used: the output
+The benchmark harness and ``repro run`` print the same rows, so the format
+lives in one place.  No third-party table library is used: the output
 has to be readable inside pytest-benchmark captures and CI logs.
 """
 

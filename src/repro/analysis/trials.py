@@ -71,26 +71,23 @@ def _evaluate_fractional_trial(
 ) -> CompetitiveRecord:
     """Evaluate a fractional-style algorithm (no integral ``result()``).
 
-    The Section-2 fractional algorithm exposes ``process_sequence`` /
-    ``fractional_cost`` instead of the integral
-    :class:`~repro.core.protocols.AdmissionResult` protocol; its natural
-    comparator is the *fractional* optimum (the LP), exactly as in E1, so the
-    spec's ``offline`` knob is ignored here and the record says ``lp``.
+    The Section-2 fractional algorithm exposes ``fractional_cost`` instead of
+    the integral :class:`~repro.core.protocols.AdmissionResult` protocol; its
+    natural comparator is the *fractional* optimum (the LP), exactly as in
+    E1, so the spec's ``offline`` knob is ignored here and the record says
+    ``lp``.
     """
     start = time.perf_counter()
     if spec.mode == "streaming":
         _stream_through_session(instance, algorithm, vectorized=spec.vectorized)
-    elif spec.mode == "compiled" and hasattr(algorithm, "process_compiled_range"):
+    elif spec.mode == "compiled":
         compiled = compile_instance(instance)
         algorithm.process_compiled_range(
             compiled, 0, compiled.num_requests, vectorized=spec.vectorized
         )
     else:
-        # Fractional-style algorithms without a range path (the doubling
-        # wrapper, externally-built objects) keep the sequence entry point.
-        algorithm.process_sequence(
-            compile_instance(instance) if spec.mode == "compiled" else instance.requests
-        )
+        for request in instance.requests:
+            algorithm.process(request)
     extra: Dict[str, Any] = {
         "num_augmentations": getattr(algorithm, "num_augmentations", None),
         "online_seconds": time.perf_counter() - start,
@@ -184,11 +181,7 @@ def _run_trial(trial: _Trial) -> CompetitiveRecord:
             _stream_through_session(instance, algorithm, vectorized=spec.vectorized)
             result = algorithm.result()
         else:
-            compiled = (
-                compile_instance(instance)
-                if spec.mode == "compiled" and hasattr(algorithm, "process_indexed")
-                else None
-            )
+            compiled = compile_instance(instance) if spec.mode == "compiled" else None
             result = run_admission(
                 algorithm, instance, compiled=compiled, vectorized=spec.vectorized
             )

@@ -295,7 +295,7 @@ class RunSpec:
         if self.mode != "streaming":
             return
         if not isinstance(self.algorithm, str):
-            return  # externally-built algorithms stream through the session fallback
+            return  # externally-built algorithms stream through a session as built
         from repro.engine.streaming import STREAMING_ALGORITHMS
 
         if self.algorithm not in STREAMING_ALGORITHMS:

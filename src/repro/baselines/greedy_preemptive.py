@@ -2,10 +2,9 @@
 
 Two natural deterministic policies in the spirit of the simple algorithms of
 Blum, Kalai and Kleinberg (WADS 2001).  The exact BKK algorithms are not
-reproduced here (the WADS paper is not available offline — see the
-substitution table in DESIGN.md); these baselines fill the same role in the
-experiments: deterministic, feasible, reasonable, and beatable by the paper's
-primal–dual approach on adversarial inputs.
+reproduced here (the WADS paper is not available offline); these baselines
+fill the same role in the experiments: deterministic, feasible, reasonable,
+and beatable by the paper's primal–dual approach on adversarial inputs.
 
 * :class:`KeepExpensive` — always admit the newcomer, then evict the cheapest
   conflicting requests until feasible.  On unit costs this behaves like a

@@ -3,8 +3,8 @@
 Blum, Kalai and Kleinberg's ``O(sqrt m)``-competitive algorithm is built around
 the idea that a request should only be preempted in favour of sufficiently
 more valuable traffic, with the threshold tied to the instance size.  The
-original construction is not available offline (see DESIGN.md's substitution
-table); :class:`ThresholdPreemption` reconstructs the *style*: an accepted
+original construction is not available offline, so this is a stand-in:
+:class:`ThresholdPreemption` reconstructs the *style*: an accepted
 request is preempted only when the arriving request is at least
 ``threshold_factor`` times as expensive, with ``threshold_factor`` defaulting
 to ``sqrt(m)``.

@@ -75,8 +75,9 @@ Both subcommands are thin adapters over one frozen, eagerly-validated
 :class:`~repro.service.ServiceConfig` — the service-layer analogue of
 :class:`~repro.api.spec.RunSpec`.
 
-The CLI prints exactly the tables recorded in EXPERIMENTS.md (on the chosen
-grid) so results can be regenerated and diffed from a shell.  ``--backend``
+The CLI prints each experiment's result table (on the chosen grid; ``repro
+list experiments`` names them) so results can be regenerated and diffed
+from a shell.  ``--backend``
 selects the weight-mechanism backend every algorithm is built with, and
 ``--jobs`` fans experiments / trials out over the engine executor; neither
 changes any reported number.

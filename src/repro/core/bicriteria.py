@@ -29,7 +29,7 @@ keeps the true potential below its pre-augmentation value.
 
 The paper assumes unit set costs in this section; the implementation enforces
 that by default (``allow_weighted=True`` lifts the check and simply runs the
-same algorithm, without a guarantee — see DESIGN.md).
+same algorithm, without a guarantee).
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ assumption that ``alpha`` is known with the classic doubling trick:
 
 The wrappers below implement that scheme around
 :class:`~repro.core.fractional.FractionalAdmissionControl` and
-:class:`~repro.core.randomized.RandomizedAdmissionControl`.  One documented
-simplification (see DESIGN.md): requests registered during earlier phases keep
-the normalised costs they were registered with — re-normalising them online is
-impossible without rewriting history, and the effect is a constant factor.
+:class:`~repro.core.randomized.RandomizedAdmissionControl`, as one shared
+class with a thin subclass per algorithm.  One simplification: requests
+registered during earlier phases keep the normalised costs they were
+registered with — re-normalising them online is impossible without rewriting
+history, and the effect is a constant factor.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ from repro.engine.backends import BackendSpec
 from repro.engine.registry import ADMISSION_ALGORITHMS
 from repro.instances.admission import AdmissionInstance
 from repro.instances.compiled import CompiledInstance
-from repro.instances.request import Decision, EdgeId, Request, RequestSequence
+from repro.instances.request import Decision, EdgeId, Request
 from repro.instances.serialize import decode_edge_id, encode_edge_id
 from repro.utils.mathx import log2_guarded
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive
 
 __all__ = ["AlphaSchedule", "DoublingFractionalAdmissionControl", "DoublingAdmissionControl"]
+
+#: What one arrival returns: the wrapped algorithm's own decision.
+_Decision = Union[Decision, FractionalDecision]
 
 
 @dataclass
@@ -147,29 +151,126 @@ class AlphaSchedule:
         self._edge_min_cost = dict(zip(edges, min_costs))
 
 
-def _process_with_schedule(schedule, capacities, inner, request, process_inner, compiled=None):
-    """The one check → observe → process → maybe-double sandwich both wrappers share.
+class _GuessAndDouble:
+    """The guess-and-double wrapper both algorithms share.
 
-    ``process_inner`` is a thunk invoking the wrapped algorithm (per-request
-    or compiled-indexed); keeping the guess-update ordering in a single place
-    guarantees the compiled and uncompiled paths can never diverge.  The
-    wrapped algorithm's own checks run first (for a compiled arrival, its
-    interning's too), so an arrival it refuses never reaches the schedule.
+    It owns the :class:`AlphaSchedule` and the one step every arrival takes,
+    whichever entry point it comes through: the wrapped algorithm's
+    read-only checks (for a compiled arrival, its interning's too), so an
+    arrival the algorithm refuses never reaches the schedule; the schedule
+    counts the arrival and may take the first guess; the wrapped algorithm
+    decides; the guess doubles while the online cost exceeds its limit.
+    Every ``process*`` entry point of the wrapped algorithm is defined here
+    or in a subclass, so none is reached past the schedule.
     """
-    inner.check_arrival(request)
-    if compiled is not None:
-        inner.check_compiled(compiled)
-    if schedule.observe_request(request, capacities):
-        inner.update_alpha(schedule.alpha)
-    decision = process_inner()
-    # maybe_double() ignores the cost until there is a guess, so skip reading
-    # it (an O(n) pass) while there is none.
-    if schedule.alpha is not None and schedule.maybe_double(inner.fractional_cost()):
-        inner.update_alpha(schedule.alpha)
-    return decision
+
+    #: Checkpoint ``kind`` of the wrapper's exported state (set by each subclass).
+    _KIND = ""
+    #: Read-only constructor copy used for the schedule's m/c parameters;
+    #: restore rebuilds the wrapper from the same capacities (RPR004 allowlist).
+    _LINT_STATE_EXEMPT = frozenset({"_capacities"})
+
+    def __init__(
+        self,
+        capacities: Mapping[EdgeId, int],
+        inner: Union[FractionalAdmissionControl, RandomizedAdmissionControl],
+        threshold_factor: float,
+        name: Optional[str],
+    ):
+        self._capacities = {e: int(c) for e, c in capacities.items()}
+        self.name = name or type(self).__name__
+        self._inner = inner
+        self.schedule = AlphaSchedule(
+            m=len(self._capacities),
+            c=max(self._capacities.values()),
+            threshold_factor=threshold_factor,
+        )
+
+    @property
+    def inner(self) -> Union[FractionalAdmissionControl, RandomizedAdmissionControl]:
+        """The wrapped algorithm."""
+        return self._inner
+
+    @property
+    def alpha(self) -> Optional[float]:
+        """Current guess of the optimal cost."""
+        return self.schedule.alpha
+
+    def check_arrival(self, request: Request) -> None:
+        """The wrapped algorithm's read-only arrival checks (the schedule refuses nothing)."""
+        self._inner.check_arrival(request)
+
+    def process(self, request: Request) -> _Decision:
+        """Process one request, updating the guess before and after."""
+        return self._decide(request, None, 0)
+
+    def process_indexed(self, compiled: CompiledInstance, i: int) -> _Decision:
+        """Compiled fast path of :meth:`process` (same guess updates)."""
+        return self._decide(compiled.request(i), compiled, i)
+
+    def process_compiled_range(
+        self, compiled: CompiledInstance, lo: int, hi: int, *, vectorized: bool = True
+    ) -> None:
+        """Process arrivals ``[lo, hi)`` of a compiled instance, one :meth:`process_indexed` each.
+
+        The guess may change between any two arrivals, so this per-arrival
+        loop is the wrapper's only path and ``vectorized`` changes nothing.
+        """
+        for i in range(lo, hi):
+            self.process_indexed(compiled, i)
+
+    def _decide(self, request: Request, compiled: Optional[CompiledInstance], i: int) -> _Decision:
+        """Check, observe, decide and maybe double, for one arrival of either entry point."""
+        inner = self._inner
+        schedule = self.schedule
+        inner.check_arrival(request)
+        if compiled is not None:
+            inner.check_compiled(compiled)
+        if schedule.observe_request(request, self._capacities):
+            inner.update_alpha(schedule.alpha)
+        if compiled is None:
+            decision = inner.process(request)
+        else:
+            decision = inner.process_indexed(compiled, i)
+        # maybe_double() ignores the cost until there is a guess, so skip reading
+        # it (an O(n) pass) while there is none.
+        if schedule.alpha is not None and schedule.maybe_double(inner.fractional_cost()):
+            inner.update_alpha(schedule.alpha)
+        return decision
+
+    def fractional_cost(self) -> float:
+        """Objective value of the wrapped algorithm's fractional solution."""
+        return self._inner.fractional_cost()
+
+    def decisions(self) -> List[_Decision]:
+        """Chronological decisions of the wrapped algorithm."""
+        return self._inner.decisions()
+
+    def decisions_since(self, start: int) -> List[_Decision]:
+        """Decisions appended at or after index ``start`` (a cheap tail read)."""
+        return self._inner.decisions_since(start)
+
+    def was_processed(self, request_id: int) -> bool:
+        """True if a request with this id has already arrived (read-only)."""
+        return self._inner.was_processed(request_id)
+
+    def export_state(self) -> Dict[str, object]:
+        """JSON-serialisable snapshot: the wrapped algorithm plus the schedule."""
+        return {
+            "kind": self._KIND,
+            "schedule": self.schedule.export_state(),
+            "inner": self._inner.export_state(),
+        }
+
+    def restore_state(self, state: Mapping[str, object]) -> None:
+        """Restore an :meth:`export_state` snapshot into this (fresh) wrapper."""
+        if state.get("kind") != self._KIND:
+            raise ValueError(f"not a {self._KIND} state: kind={state.get('kind')!r}")
+        self.schedule.restore_state(state["schedule"])
+        self._inner.restore_state(state["inner"])
 
 
-class DoublingFractionalAdmissionControl:
+class DoublingFractionalAdmissionControl(_GuessAndDouble):
     """Fractional algorithm with online estimation of ``alpha``.
 
     Mirrors the :class:`~repro.core.fractional.FractionalAdmissionControl`
@@ -177,9 +278,7 @@ class DoublingFractionalAdmissionControl:
     the guess internally.
     """
 
-    #: Read-only constructor copy used for the schedule's m/c parameters;
-    #: restore rebuilds the wrapper from the same capacities (RPR004 allowlist).
-    _LINT_STATE_EXEMPT = frozenset({"_capacities"})
+    _KIND = "doubling-fractional"
 
     def __init__(
         self,
@@ -192,9 +291,7 @@ class DoublingFractionalAdmissionControl:
         record: bool = False,
         name: Optional[str] = None,
     ):
-        self._capacities = {e: int(c) for e, c in capacities.items()}
-        self.name = name or type(self).__name__
-        self._inner = FractionalAdmissionControl(
+        inner = FractionalAdmissionControl(
             capacities,
             alpha=None,
             force_accept_tags=force_accept_tags,
@@ -202,61 +299,12 @@ class DoublingFractionalAdmissionControl:
             backend=backend,
             record=record,
         )
-        self.schedule = AlphaSchedule(
-            m=len(self._capacities),
-            c=max(self._capacities.values()),
-            threshold_factor=threshold_factor,
-        )
+        super().__init__(capacities, inner, threshold_factor, name)
 
-    @property
-    def inner(self) -> FractionalAdmissionControl:
-        """The wrapped fractional algorithm."""
-        return self._inner
-
-    @property
-    def alpha(self) -> Optional[float]:
-        """Current guess of the optimal cost."""
-        return self.schedule.alpha
-
-    def process(self, request: Request) -> FractionalDecision:
-        """Process one request, updating the guess before and after."""
-        return _process_with_schedule(
-            self.schedule, self._capacities, self._inner, request,
-            lambda: self._inner.process(request),
-        )
-
-    def process_indexed(self, compiled: CompiledInstance, i: int) -> FractionalDecision:
-        """Compiled fast path of :meth:`process` (same guess updates)."""
-        return _process_with_schedule(
-            self.schedule, self._capacities, self._inner, compiled.request(i),
-            lambda: self._inner.process_indexed(compiled, i), compiled,
-        )
-
-    def process_sequence(
-        self,
-        requests: Union["CompiledInstance", RequestSequence, Iterable[Request]],
-        *,
-        vectorized: bool = True,
-    ) -> FractionalRunResult:
-        """Process a whole sequence (compiled or not) and return the run summary.
-
-        ``vectorized`` is accepted for interface parity with the plain
-        fractional algorithm and ignored: the guess updates of the doubling
-        scheme fire between *every* pair of arrivals, so the whole-trace
-        executor's bulk stretches do not apply (see ARCHITECTURE.md).
-        """
-        del vectorized
-        if isinstance(requests, CompiledInstance):
-            for i in range(requests.num_requests):
-                self.process_indexed(requests, i)
-            return self.run_result()
-        for request in requests:
-            self.process(request)
-        return self.run_result()
-
-    def fractional_cost(self) -> float:
-        """Objective value of the wrapped fractional solution."""
-        return self._inner.fractional_cost()
+    # The fractional algorithm's sequence entry points, run through this
+    # wrapper's process, process_compiled_range and run_result.
+    process_compiled_sequence = FractionalAdmissionControl.process_compiled_sequence
+    process_sequence = FractionalAdmissionControl.process_sequence
 
     def fractions(self) -> Dict[int, float]:
         """Rejected fraction per request."""
@@ -273,36 +321,9 @@ class DoublingFractionalAdmissionControl:
         result.alpha = self.schedule.alpha
         return result
 
-    def decisions(self) -> List[FractionalDecision]:
-        """Chronological fractional decisions of the wrapped algorithm."""
-        return self._inner.decisions()
-
-    def decisions_since(self, start: int) -> List[FractionalDecision]:
-        """Decisions appended at or after index ``start`` (a cheap tail read)."""
-        return self._inner.decisions_since(start)
-
-    def was_processed(self, request_id: int) -> bool:
-        """True if a request with this id has already arrived (read-only)."""
-        return self._inner.was_processed(request_id)
-
     def check_invariants(self) -> List[str]:
         """Delegate to the wrapped algorithm's invariant checker."""
         return self._inner.check_invariants()
-
-    def export_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot: the wrapped algorithm plus the schedule."""
-        return {
-            "kind": "doubling-fractional",
-            "schedule": self.schedule.export_state(),
-            "inner": self._inner.export_state(),
-        }
-
-    def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore an :meth:`export_state` snapshot into this (fresh) wrapper."""
-        if state.get("kind") != "doubling-fractional":
-            raise ValueError(f"not a doubling-fractional state: kind={state.get('kind')!r}")
-        self.schedule.restore_state(state["schedule"])
-        self._inner.restore_state(state["inner"])
 
     @classmethod
     def for_instance(cls, instance: AdmissionInstance, **kwargs) -> "DoublingFractionalAdmissionControl":
@@ -312,18 +333,17 @@ class DoublingFractionalAdmissionControl:
         return cls(instance.capacities, **kwargs)
 
 
-class DoublingAdmissionControl:
+class DoublingAdmissionControl(_GuessAndDouble):
     """Randomized algorithm with online estimation of ``alpha``.
 
     Duck-types the :class:`~repro.core.protocols.OnlineAdmissionAlgorithm`
-    interface by delegation, so it can be used anywhere the randomized
-    algorithm can (in particular with
-    :func:`~repro.core.protocols.run_admission`).
+    interface, so it can be used anywhere the randomized algorithm can (in
+    particular with :func:`~repro.core.protocols.run_admission`): the entry
+    points are the wrapper's own, and state queries (``rejection_cost``,
+    ``accepted_ids``, ...) are delegated to the inner algorithm.
     """
 
-    #: Read-only constructor copy used for the schedule's m/c parameters;
-    #: restore rebuilds the wrapper from the same capacities (RPR004 allowlist).
-    _LINT_STATE_EXEMPT = frozenset({"_capacities"})
+    _KIND = "doubling"
 
     def __init__(
         self,
@@ -338,9 +358,7 @@ class DoublingAdmissionControl:
         backend: BackendSpec = None,
         name: Optional[str] = None,
     ):
-        self._capacities = {e: int(c) for e, c in capacities.items()}
-        self.name = name or type(self).__name__
-        self._inner = RandomizedAdmissionControl(
+        inner = RandomizedAdmissionControl(
             capacities,
             weighted=weighted,
             alpha=None,
@@ -351,35 +369,7 @@ class DoublingAdmissionControl:
             backend=backend,
             name=name,
         )
-        self.schedule = AlphaSchedule(
-            m=len(self._capacities),
-            c=max(self._capacities.values()),
-            threshold_factor=threshold_factor,
-        )
-
-    @property
-    def inner(self) -> RandomizedAdmissionControl:
-        """The wrapped randomized algorithm."""
-        return self._inner
-
-    @property
-    def alpha(self) -> Optional[float]:
-        """Current guess of the optimal cost."""
-        return self.schedule.alpha
-
-    def process(self, request: Request) -> Decision:
-        """Process one request, updating the guess before and after."""
-        return _process_with_schedule(
-            self.schedule, self._capacities, self._inner, request,
-            lambda: self._inner.process(request),
-        )
-
-    def process_indexed(self, compiled: CompiledInstance, i: int) -> Decision:
-        """Compiled fast path of :meth:`process` (same guess updates)."""
-        return _process_with_schedule(
-            self.schedule, self._capacities, self._inner, compiled.request(i),
-            lambda: self._inner.process_indexed(compiled, i), compiled,
-        )
+        super().__init__(capacities, inner, threshold_factor, name)
 
     def result(self) -> AdmissionResult:
         """Result of the wrapped algorithm, annotated with the doubling diagnostics."""
@@ -389,21 +379,6 @@ class DoublingAdmissionControl:
         result.extra["alpha_phases"] = list(self.schedule.phase_alphas)
         result.extra["num_phases"] = self.schedule.num_phases
         return result
-
-    def export_state(self) -> Dict[str, object]:
-        """JSON-serialisable snapshot: the wrapped algorithm plus the schedule."""
-        return {
-            "kind": "doubling",
-            "schedule": self.schedule.export_state(),
-            "inner": self._inner.export_state(),
-        }
-
-    def restore_state(self, state: Mapping[str, object]) -> None:
-        """Restore an :meth:`export_state` snapshot into this (fresh) wrapper."""
-        if state.get("kind") != "doubling":
-            raise ValueError(f"not a doubling state: kind={state.get('kind')!r}")
-        self.schedule.restore_state(state["schedule"])
-        self._inner.restore_state(state["inner"])
 
     def __getattr__(self, item):
         # Delegate state queries (rejection_cost, accepted_ids, ...) to the inner algorithm.

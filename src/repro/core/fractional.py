@@ -35,6 +35,7 @@ import numpy as np
 from repro.engine.backends import (
     ArrivalOutcome,
     BackendSpec,
+    EdgeIndices,
     WeightBackend,
     make_weight_backend,
     resolve_backend_name,
@@ -273,19 +274,8 @@ class FractionalAdmissionControl:
         """Process one arriving request and return its fractional decision."""
         rid = request.request_id
         forced = self._check_arrival(rid, request.cost, request.tag, request.ordered_edges)
-        self._original_cost[rid] = request.cost
-
-        # Forced acceptance (set-cover reduction phase-2 requests).
-        if forced:
-            decision = self._accept_permanently(request, CostClass.FORCED)
-        elif self.alpha is not None and request.cost < self.small_threshold:
-            decision = self._reject_small(request)
-        elif self.alpha is not None and request.cost > self.big_threshold:
-            decision = self._accept_permanently(request, CostClass.BIG)
-        else:
-            decision = self._process_normal(request)
-        self._decisions.append(decision)
-        return decision
+        edge_idxs = self._weights.edge_indices_of(request.ordered_edges)
+        return self._decide(rid, request.cost, forced, edge_idxs)
 
     # -- compiled (array-native) processing --------------------------------------------
     def _translation_for(self, compiled: CompiledInstance) -> Optional[np.ndarray]:
@@ -330,10 +320,9 @@ class FractionalAdmissionControl:
     def process_indexed(self, compiled: CompiledInstance, i: int) -> FractionalDecision:
         """Process arrival ``i`` of a compiled instance through the fast path.
 
-        Performs the exact same classification and float operations as
-        :meth:`process` on the corresponding :class:`Request`, but feeds the
-        weight mechanism dense edge indices (no per-edge hashing) and honours
-        the ``record`` mode.
+        The same decision as :meth:`process` on the corresponding
+        :class:`Request`, but the weight mechanism gets the compiled dense
+        edge indices (no per-edge hashing).
         """
         rid = int(compiled.request_ids[i])
         cost = float(compiled.costs[i])
@@ -344,8 +333,19 @@ class FractionalAdmissionControl:
         translate = self._translation_for(compiled)
         if translate is not None:
             edge_idxs = translate[edge_idxs]
-        self._original_cost[rid] = cost
+        return self._decide(rid, cost, forced, edge_idxs)
 
+    def _decide(
+        self, rid: int, cost: float, forced: bool, edge_idxs: EdgeIndices
+    ) -> FractionalDecision:
+        """Classify a checked arrival (Section 2's preprocessing) and apply its class.
+
+        FORCED and BIG arrivals are accepted for good and reserve capacity on
+        their edges, SMALL ones are rejected outright, and NORMAL ones go
+        through the weight mechanism; ``edge_idxs`` are the backend's dense
+        indices of the arrival's path, in canonical order.
+        """
+        self._original_cost[rid] = cost
         if forced or (self.alpha is not None and cost > self.big_threshold):
             cost_class = CostClass.FORCED if forced else CostClass.BIG
             self._class_of[rid] = cost_class
@@ -378,11 +378,10 @@ class FractionalAdmissionControl:
         runs of arrivals to the weight backend's block kernel: path entries
         that provably cannot overflow their edge register in bulk, only the
         rest are stepped — same decisions, fractions, weights and exceptions
-        as the per-arrival loop.  Subclasses that customise
-        :meth:`process_indexed` (the guess-and-double wrapper) automatically
-        fall back to the per-arrival loop so their hooks keep firing.
+        as the per-arrival :meth:`process_indexed` loop ``vectorized=False``
+        runs.
         """
-        if vectorized and type(self).process_indexed is FractionalAdmissionControl.process_indexed:
+        if vectorized:
             from repro.engine.vectorized import run_compiled_trace
 
             run_compiled_trace(self, compiled, lo, hi)
@@ -396,32 +395,6 @@ class FractionalAdmissionControl:
         """Process every arrival of a compiled instance and return the summary."""
         self.process_compiled_range(compiled, 0, compiled.num_requests, vectorized=vectorized)
         return self.run_result()
-
-    def _reject_small(self, request: Request) -> FractionalDecision:
-        """``R_small`` handling: reject the whole request immediately."""
-        self._class_of[request.request_id] = CostClass.SMALL
-        self._small_cost += request.cost
-        return FractionalDecision(request.request_id, CostClass.SMALL, None, 1.0)
-
-    def _accept_permanently(self, request: Request, cost_class: str) -> FractionalDecision:
-        """``R_big`` handling: accept for good and reserve capacity on its edges."""
-        self._class_of[request.request_id] = cost_class
-        edge_idxs = self._weights.edge_indices_of(request.ordered_edges)
-        outcome = self._weights.process_capacity_reduction_batch(
-            edge_idxs, request.request_id, record=self.record
-        )
-        return FractionalDecision(request.request_id, cost_class, outcome, 0.0)
-
-    def _process_normal(self, request: Request) -> FractionalDecision:
-        """Regular handling through the weight mechanism."""
-        self._class_of[request.request_id] = CostClass.NORMAL
-        normalized = self._normalized_cost(request.cost)
-        edge_idxs = self._weights.edge_indices_of(request.ordered_edges)
-        outcome = self._weights.process_arrival_indexed(
-            request.request_id, edge_idxs, normalized, record=self.record
-        )
-        fraction = min(self._weights.weight(request.request_id), 1.0)
-        return FractionalDecision(request.request_id, CostClass.NORMAL, outcome, fraction)
 
     # -- results --------------------------------------------------------------------
     def fraction_rejected(self, request_id: int) -> float:

@@ -98,7 +98,10 @@ class OnlineAdmissionAlgorithm(ABC):
     Subclasses implement :meth:`process`.  The base class maintains the
     accepted/rejected/preempted bookkeeping, the per-edge load of currently
     accepted requests, and the decision log, through the protected helpers
-    ``_accept``, ``_reject`` and ``_preempt``.
+    ``_accept``, ``_reject`` and ``_preempt``.  It also supplies the compiled
+    entry points every caller uses for a compiled arrival,
+    :meth:`process_indexed` and :meth:`process_compiled_range`; a subclass
+    overrides them only to run the same decision on dense edge indices.
 
     Parameters
     ----------
@@ -126,6 +129,23 @@ class OnlineAdmissionAlgorithm(ABC):
     @abstractmethod
     def process(self, request: Request) -> Decision:
         """Handle one arriving request and return the decision for it."""
+
+    def process_indexed(self, compiled: CompiledInstance, i: int) -> Decision:
+        """Handle arrival ``i`` of a compiled instance: :meth:`process` on its request."""
+        return self.process(compiled.request(i))
+
+    def process_compiled_range(
+        self, compiled: CompiledInstance, lo: int, hi: int, *, vectorized: bool = True
+    ) -> None:
+        """Handle arrivals ``[lo, hi)`` of a compiled instance, one :meth:`process_indexed` each.
+
+        ``vectorized`` selects a block executor where an algorithm has one
+        (:class:`~repro.core.fractional.FractionalAdmissionControl`); this
+        per-arrival loop is the only path of every other algorithm, so here
+        it changes nothing.
+        """
+        for i in range(lo, hi):
+            self.process_indexed(compiled, i)
 
     # -- bookkeeping helpers (used by subclasses) -------------------------------
     def check_arrival(self, request: Request) -> None:
@@ -259,23 +279,19 @@ def run_admission(
 ) -> AdmissionResult:
     """Feed every request of ``instance`` to ``algorithm`` and return the result.
 
-    When a :class:`~repro.instances.compiled.CompiledInstance` view of the
-    same instance is supplied and the algorithm exposes
-    ``process_compiled_range`` (the whole-trace executor; ``vectorized=False``
-    is the per-arrival escape hatch) or ``process_indexed``, arrivals stream
-    through the array-native fast path; otherwise the classic per-request
-    path is used.  Results are identical either way.
+    Without ``compiled`` each request goes through ``process``.  With a
+    :class:`~repro.instances.compiled.CompiledInstance` view of the same
+    instance, the whole range goes through ``process_compiled_range`` (the
+    block executor where the algorithm has one; ``vectorized=False`` is the
+    per-arrival escape hatch).  Results are identical either way.
     """
-    if compiled is not None and hasattr(algorithm, "process_compiled_range"):
+    if compiled is None:
+        for request in instance.requests:
+            algorithm.process(request)
+    else:
         algorithm.process_compiled_range(
             compiled, 0, compiled.num_requests, vectorized=vectorized
         )
-    elif compiled is not None and hasattr(algorithm, "process_indexed"):
-        for i in range(compiled.num_requests):
-            algorithm.process_indexed(compiled, i)
-    else:
-        for request in instance.requests:
-            algorithm.process(request)
     return algorithm.result()
 
 

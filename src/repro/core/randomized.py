@@ -16,7 +16,7 @@ and rounds its weight *increases* into actual rejections:
 parameters so the ablation experiment can vary them.
 
 The implementation also supports two practical extensions used elsewhere in
-the library and documented in DESIGN.md:
+the library (neither is part of the paper's algorithm):
 
 * *forced acceptances* — requests whose tag is listed in ``force_accept_tags``
   are always accepted and treated like the paper's ``R_big`` class (their
@@ -188,16 +188,7 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
     # ------------------------------------------------------------------------------
     def process(self, request: Request) -> Decision:
         """Process one arriving request (steps 1–4 of Section 3)."""
-        self._register_arrival(request)
-        self._requests_by_id[request.request_id] = request
-
-        # Optional Section-3 guard: edges with >= 4mc^2 requests get everything rejected.
-        if self.overload_guard and self._apply_overload_guard(request):
-            return self._decisions[-1]
-
-        # Step 1: run the fractional shadow (weight augmentations).
-        frac = self._shadow.process(request)
-        return self._round_shadow_decision(request, frac)
+        return self._decide(request, None, 0)
 
     def process_indexed(self, compiled, i: int) -> Decision:
         """Process arrival ``i`` of a compiled instance (the array-native path).
@@ -207,16 +198,24 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         bookkeeping still sees the original :class:`Request` object, so
         decision logs and results are identical to :meth:`process`.
         """
-        request = compiled.request(i)
         # A foreign interning raises here, before the arrival is recorded.
         self.check_compiled(compiled)
+        return self._decide(compiled.request(i), compiled, i)
+
+    def _decide(self, request: Request, compiled, i: int) -> Decision:
+        """Steps 1–4 for one arrival; the shadow runs on arrival ``i`` of ``compiled`` if given."""
         self._register_arrival(request)
         self._requests_by_id[request.request_id] = request
 
+        # Optional Section-3 guard: edges with >= 4mc^2 requests get everything rejected.
         if self.overload_guard and self._apply_overload_guard(request):
             return self._decisions[-1]
 
-        frac = self._shadow.process_indexed(compiled, i)
+        # Step 1: run the fractional shadow (weight augmentations).
+        if compiled is None:
+            frac = self._shadow.process(request)
+        else:
+            frac = self._shadow.process_indexed(compiled, i)
         return self._round_shadow_decision(request, frac)
 
     def _round_shadow_decision(self, request: Request, frac: FractionalDecision) -> Decision:

@@ -190,18 +190,12 @@ class OnlineSetCoverViaAdmissionControl(OnlineSetCoverAlgorithm):
         self._phase2_cost = max(system.costs().values(), default=1.0) + 1.0
 
         # Phase 1: feed every set request; they all fit, so they are accepted.
-        # The block is known up front, so compile it once and stream it
-        # through the admission algorithm's array-native fast path.
-        phase1_sequence = RequestSequence(phase1)
-        if hasattr(self._admission, "process_indexed"):
-            compiled = compile_sequence(
-                phase1_sequence, self._capacities, name="reduction-phase1"
-            )
-            for i in range(compiled.num_requests):
-                self._admission.process_indexed(compiled, i)
-        else:
-            for request in phase1_sequence:
-                self._admission.process(request)
+        # The block is known up front, so compile it once and hand it to the
+        # admission algorithm's compiled range.
+        compiled = compile_sequence(
+            RequestSequence(phase1), self._capacities, name="reduction-phase1"
+        )
+        self._admission.process_compiled_range(compiled, 0, compiled.num_requests)
         self._next_request_id = len(phase1)
         self._known_rejections: set = set()
         self._sync_purchases()

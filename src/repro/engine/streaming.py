@@ -133,9 +133,11 @@ class StreamingSession:
     algorithm:
         A :data:`STREAMING_ALGORITHMS` key (``"fractional"``,
         ``"randomized"``, ``"doubling"``, ``"doubling-fractional"``) or an
-        already-built algorithm object.  Sessions around externally-built
-        objects stream fine but cannot be checkpointed (the checkpoint could
-        not name how to rebuild them).
+        already-built admission algorithm (any object with ``check_arrival``,
+        ``process_compiled_range`` and ``decisions_since``, as every
+        algorithm here has).  Sessions around externally-built objects
+        stream fine but cannot be checkpointed (the checkpoint could not
+        name how to rebuild them).
     backend:
         Weight-backend spec, as everywhere else.
     seed:
@@ -154,7 +156,7 @@ class StreamingSession:
         nothing accumulates in the session.
     vectorized:
         Route compiled micro-batches through the whole-trace executor
-        (:mod:`repro.engine.vectorized`) when the algorithm supports it.
+        (:mod:`repro.engine.vectorized`) when the algorithm has one.
         A runtime preference like ``retain_log`` — it never changes a
         decision, so it is not checkpoint state and is chosen per session.
     """
@@ -244,53 +246,33 @@ class StreamingSession:
         return fresh
 
     # -- streaming ----------------------------------------------------------------
-    def _reject_processed(self, requests: Iterable[Request]) -> None:
-        """Raise ValueError if any of ``requests`` was processed before.
-
-        A read-only query, run before the algorithm sees the first arrival,
-        so a rejected batch leaves no trace in the engine.  Algorithms
-        without the ``was_processed`` query check ids on their own.
-        """
-        was_processed = getattr(self._algorithm, "was_processed", None)
-        if was_processed is None:
-            return
-        for request in requests:
-            if was_processed(request.request_id):
-                raise ValueError(f"request id {request.request_id} was already processed")
-
     def submit(self, request: Request) -> Dict[str, Any]:
-        """Process one arrival; returns the normalized decision entry.
+        """Process one arrival as a one-arrival :meth:`submit_batch`.
 
-        Preemptions triggered by the arrival appear in :meth:`decision_log`
-        (they are decisions about *other* requests), not in the return value.
-        Like :meth:`submit_batch`, an edge without a capacity or an id
-        processed before raises :class:`ValueError` before the algorithm
-        sees the arrival.
+        Returns the arrival's own normalized decision entry.  Preemptions
+        triggered by the arrival appear in :meth:`decision_log` (they are
+        decisions about *other* requests), not in the return value.  An
+        arrival :meth:`submit_batch` refuses raises the same
+        :class:`ValueError` before the algorithm sees it.
         """
-        edge_index = self._interning.edge_index
-        unknown = [e for e in request.ordered_edges if e not in edge_index]
-        if unknown:
-            raise ValueError(f"request {request.request_id} uses unknown edges {unknown[:3]!r}")
-        self._reject_processed((request,))
-        decision = self._algorithm.process(request)
-        self.num_processed += 1
-        self._sync_log()
-        return _normalize_decision(decision)
+        rid = request.request_id
+        return next(entry for entry in self.submit_batch((request,)) if entry["id"] == rid)
 
     def submit_batch(self, requests: Iterable[Request]) -> List[Dict[str, Any]]:
-        """Process a micro-batch through the compiled fast path.
+        """Process a micro-batch through the algorithm's ``process_compiled_range``.
 
         The batch is compiled against the session's interning (the weight
         backend's order, so no per-arrival translation; only the batch's own
-        paths are built) and streamed through the algorithm's
-        ``process_compiled_range`` (the whole-trace executor when the session
-        is ``vectorized``) or ``process_indexed``; algorithms without an
-        indexed path fall back to per-request processing.  Decisions are
+        paths are built) and handed to ``process_compiled_range`` in one
+        call: the whole-trace executor when the session is ``vectorized`` and
+        the algorithm has one, else the per-arrival loop.  Decisions are
         identical to submitting one by one — batching is purely mechanical.
 
-        The batch is atomic: ids repeated within it, ids processed before
-        and edges without a capacity raise :class:`ValueError` before the
-        algorithm sees its first arrival.
+        The batch is atomic: ids repeated within it (``RequestSequence``),
+        edges without a capacity (the compile) and every arrival the
+        algorithm's read-only ``check_arrival`` refuses (an id processed
+        before, a non-unit cost in unweighted mode) raise
+        :class:`ValueError` before the algorithm sees its first arrival.
         Returns every decision entry the batch produced, preemptions
         included.
         """
@@ -298,17 +280,12 @@ class StreamingSession:
         if not batch:
             return []
         compiled = compile_sequence(batch, self._interning, name=f"{self.name}-batch")
-        self._reject_processed(batch)
-        if hasattr(self._algorithm, "process_compiled_range"):
-            self._algorithm.process_compiled_range(
-                compiled, 0, compiled.num_requests, vectorized=self.vectorized
-            )
-        elif hasattr(self._algorithm, "process_indexed"):
-            for i in range(compiled.num_requests):
-                self._algorithm.process_indexed(compiled, i)
-        else:
-            for request in batch:
-                self._algorithm.process(request)
+        check_arrival = self._algorithm.check_arrival
+        for request in batch:
+            check_arrival(request)
+        self._algorithm.process_compiled_range(
+            compiled, 0, compiled.num_requests, vectorized=self.vectorized
+        )
         self.num_processed += len(batch)
         return self._sync_log()
 

@@ -156,9 +156,10 @@ def run_sweep_specs(
         for algorithm, key in zip(algorithms, canonical):
             # The facade's eager validation restricts mode="streaming" to the
             # streaming-capable registry keys; `repro sweep --streaming` also
-            # streams baselines through the session's per-request fallback, by
-            # handing such cells a pre-built (callable) factory, which the
-            # spec accepts for externally-managed algorithms.
+            # streams baselines through a session (their inherited
+            # per-arrival range), by handing such cells a pre-built
+            # (callable) factory, which the spec accepts for
+            # externally-managed algorithms.
             spec_algorithm: Any = key
             if streaming and key not in STREAMING_ALGORITHMS:
                 spec_algorithm = RegistryAlgorithmFactory(key, config, (), "admission")

@@ -6,7 +6,7 @@ Every experiment module (``e1_fractional`` ... ``e10_scaling``) exposes::
     run(config: ExperimentConfig | None = None) -> ExperimentResult
 
 The benchmark suite calls ``run`` with ``quick=True`` settings and prints the
-resulting table; the EXPERIMENTS.md numbers come from the default (fuller)
+resulting table; ``repro run`` without ``--quick`` uses the default (fuller)
 settings.  Keeping configuration in one dataclass makes the sweeps
 reproducible (a single master seed) and lets the scaling experiment reuse the
 other experiments' machinery.
@@ -31,8 +31,8 @@ class ExperimentConfig:
     Attributes
     ----------
     quick:
-        Use the reduced parameter grid (what the benchmarks run); the full
-        grid is used for the numbers recorded in EXPERIMENTS.md.
+        Use the reduced parameter grid (what the benchmarks run) instead of
+        the full grid ``repro run`` uses by default.
     seed:
         Master seed; every trial derives its own stream from it.
     num_trials:

@@ -77,8 +77,7 @@ DEFAULT_SCHEMA_SPECS: Tuple[SchemaSpec, ...] = (
             ("func", "core/fractional.py", "FractionalAdmissionControl.export_state"),
             ("func", "core/randomized.py", "RandomizedAdmissionControl.export_state"),
             ("func", "core/doubling.py", "AlphaSchedule.export_state"),
-            ("func", "core/doubling.py", "DoublingFractionalAdmissionControl.export_state"),
-            ("func", "core/doubling.py", "DoublingAdmissionControl.export_state"),
+            ("func", "core/doubling.py", "_GuessAndDouble.export_state"),
         ),
     ),
     SchemaSpec(

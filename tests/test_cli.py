@@ -612,7 +612,7 @@ class TestBenchCommand:
              "--stream-requests", "400", "--service-requests", "100",
              "--baseline", str(baseline), "--write-baseline"]
         )
-        assert code == 0
+        assert code == 0, output
         assert baseline.exists()
         payload = json.loads(baseline.read_text())
         assert set(payload["benchmarks"]) == {
@@ -633,7 +633,7 @@ class TestBenchCommand:
              "--stream-requests", "400", "--service-requests", "100",
              "--baseline", str(baseline)]
         )
-        assert code == 0
+        assert code == 0, output
         assert "benchmark gate passed" in output
 
     def test_bench_fails_on_regression(self, tmp_path):

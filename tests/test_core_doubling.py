@@ -231,3 +231,43 @@ class TestForeignInterningLeavesNoTrace:
         for i in range(valid.num_requests):
             assert algo.process_indexed(valid, i) == fresh.process_indexed(valid, i)
         assert algo.export_state() == fresh.export_state()
+
+
+class TestWrapperOwnsEveryEntryPoint:
+    """No entry point of the wrapped algorithm is reached past the schedule."""
+
+    @pytest.mark.parametrize("wrapper", [DoublingAdmissionControl, DoublingFractionalAdmissionControl])
+    def test_every_inner_process_attribute_resolves_on_the_wrapper_class(self, wrapper):
+        algo = wrapper({"a": 1, "b": 1})
+        names = [name for name in dir(algo.inner) if name.startswith("process")]
+        assert {"process", "process_indexed", "process_compiled_range"} <= set(names)
+        # A class-level lookup never reaches the instance's __getattr__ delegation.
+        assert [name for name in names if not hasattr(type(algo), name)] == []
+
+    def test_inner_range_override_is_never_reached(self, monkeypatch):
+        from repro.engine.streaming import StreamingSession
+        from repro.instances.compiled import compile_instance
+        from repro.workloads.admission_traffic import bursty_workload
+
+        instance = bursty_workload(num_edges=16, num_requests=200, capacity=3, random_state=7)
+
+        def outcomes():
+            session = StreamingSession(instance.capacities, algorithm="doubling", seed=5)
+            session.submit_stream(iter(instance.requests), batch_size=8)
+            algo = DoublingAdmissionControl.for_instance(instance, random_state=5)
+            result = run_admission(algo, instance, compiled=compile_instance(instance))
+            return (
+                session.decision_log(),
+                session.algorithm.schedule.phase_alphas,
+                result.decisions,
+                algo.schedule.phase_alphas,
+            )
+
+        reference = outcomes()
+        assert reference[1] and reference[3]
+
+        def refuse(self, compiled, lo, hi, *, vectorized=True):
+            raise AssertionError("the wrapper reached its inner algorithm's range")
+
+        monkeypatch.setattr(RandomizedAdmissionControl, "process_compiled_range", refuse, raising=False)
+        assert outcomes() == reference

@@ -493,7 +493,7 @@ class TestRPR005:
                     exporters.add((path.relative_to(root).as_posix(), f"{node.name}.export_state"))
         (checkpoint,) = [spec for spec in DEFAULT_SCHEMA_SPECS if spec.name == "checkpoint"]
         scopes = {(rel, dotted) for kind, rel, dotted in checkpoint.scopes if kind == "func"}
-        assert len(exporters) >= 6
+        assert len(exporters) >= 5
         assert sorted(exporters - scopes) == []
 
     def test_frame_literal_conformance(self, tmp_path):

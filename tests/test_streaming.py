@@ -309,6 +309,32 @@ class TestBatchAtomicity:
         assert_logs_equal(clean.submit_batch(requests[4:12]), hit.submit_batch(requests[4:12]))
         assert_logs_equal(clean.decision_log(), hit.decision_log())
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("algorithm", STREAMING_ALGORITHMS.keys())
+    def test_algorithm_refusal_leaves_no_trace(self, algorithm, backend):
+        # An unweighted algorithm refuses a non-unit cost; the batch's
+        # earlier arrivals must not be decided either.
+        instance = make_instance(4)
+        unit = [request.with_cost(1.0) for request in instance.requests]
+        kwargs = {"weighted": False} if algorithm in ("randomized", "doubling") else {"unweighted": True}
+
+        def started():
+            session = StreamingSession(
+                instance.capacities, algorithm=algorithm, backend=backend, seed=3,
+                algorithm_kwargs=kwargs,
+            )
+            session.submit_batch(unit[:4])
+            return session
+
+        clean, hit = started(), started()
+        bad = unit[4:6] + [unit[6].with_cost(2.0)]
+        with pytest.raises(ValueError, match="unit costs"):
+            hit.submit_batch(bad)
+        assert hit.num_processed == clean.num_processed == 4
+        assert hit.checkpoint() == clean.checkpoint()
+        assert_logs_equal(clean.submit_batch(unit[4:12]), hit.submit_batch(unit[4:12]))
+        assert_logs_equal(clean.decision_log(), hit.decision_log())
+
     @staticmethod
     def bad_pool_batch(pool, capacities, requests, kind):
         """Twelve valid arrivals over both shards, then one that must sink the batch."""
