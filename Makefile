@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-invariants typecheck examples-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service profile-replay profile-memory profile-startup ci
+.PHONY: test lint lint-invariants typecheck examples-smoke sweep-smoke serve-smoke shard-smoke service-smoke leak-smoke bench-smoke perfbench-smoke bench-baseline bench-suite profile profile-scaling profile-service profile-replay profile-memory profile-startup ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -44,6 +44,25 @@ examples-smoke:
 	$(PYTHON) examples/adversarial_showdown.py
 	$(PYTHON) examples/cdn_replica_placement.py
 	$(PYTHON) examples/isp_admission_control.py
+
+# Sweep smoke: the same sweep compiled on one job and streamed through
+# sessions on two jobs must write byte-identical --out reports and, apart from
+# the "report written to" line, byte-identical stdout (sweep determinism and
+# streaming equivalence).
+SWEEP_SMOKE_ARGS = --scenarios cheap_expensive,bursty \
+	--algorithms fractional,randomized,reject-when-full,keep-expensive --trials 2 --seed 3
+sweep-smoke:
+	@rm -rf .sweep-smoke && mkdir -p .sweep-smoke
+	$(PYTHON) -m repro sweep $(SWEEP_SMOKE_ARGS) --jobs 1 \
+		--out .sweep-smoke/compiled.json > .sweep-smoke/compiled.txt
+	$(PYTHON) -m repro sweep $(SWEEP_SMOKE_ARGS) --streaming --jobs 2 \
+		--out .sweep-smoke/streaming.json > .sweep-smoke/streaming.txt
+	cmp .sweep-smoke/compiled.json .sweep-smoke/streaming.json
+	grep -v 'report written to' .sweep-smoke/compiled.txt > .sweep-smoke/compiled.report
+	grep -v 'report written to' .sweep-smoke/streaming.txt > .sweep-smoke/streaming.report
+	cmp .sweep-smoke/compiled.report .sweep-smoke/streaming.report
+	@rm -rf .sweep-smoke
+	@echo "sweep smoke passed: compiled --jobs 1 and streaming --jobs 2 reports identical"
 
 # Streaming-service smoke: record a trace, serve half of it with a checkpoint,
 # resume in a fresh process, and verify the combined decision log is byte-for-
@@ -122,9 +141,9 @@ perfbench-smoke:
 	$(PYTHON) -m pytest perfbench/tests -q
 
 # Reproduce the CI pipeline locally: lint, invariant lint, typecheck, tests,
-# examples smoke, serve smoke, shard smoke, service smoke, leak smoke,
-# perfbench tests, bench gate.
-ci: lint lint-invariants typecheck test examples-smoke serve-smoke shard-smoke service-smoke leak-smoke perfbench-smoke bench-smoke
+# examples smoke, sweep smoke, serve smoke, shard smoke, service smoke, leak
+# smoke, perfbench tests, bench gate.
+ci: lint lint-invariants typecheck test examples-smoke sweep-smoke serve-smoke shard-smoke service-smoke leak-smoke perfbench-smoke bench-smoke
 
 # Weight-update + 10k-request scaling benchmarks per backend; fails on a >2x
 # regression against benchmarks/baseline_bench.json.

@@ -107,10 +107,9 @@ def evaluate_admission_run(
     result: AdmissionResult,
     *,
     offline: str = "ilp",
-    randomized_bound: bool = True,
     ilp_time_limit: Optional[float] = 30.0,
 ) -> CompetitiveRecord:
-    """Compare a finished admission run against the offline optimum.
+    """Compare a finished integral admission run against the offline optimum.
 
     ``offline`` selects the comparator: ``"ilp"`` (exact integral OPT, with a
     time limit), ``"lp"`` (fractional OPT — the right comparator for the
@@ -126,7 +125,7 @@ def evaluate_admission_run(
         raise ValueError(f"unknown offline comparator {offline!r}")
 
     ratio = safe_ratio(result.rejection_cost, offline_cost)
-    bound = bound_for_admission_instance(instance, randomized=randomized_bound)
+    bound = bound_for_admission_instance(instance, randomized=True)
     return CompetitiveRecord(
         algorithm=result.algorithm,
         instance_name=instance.name,
@@ -161,10 +160,10 @@ def evaluate_fractional_run(
 ) -> CompetitiveRecord:
     """Compare a fractional online cost against the fractional optimum (the LP).
 
-    The comparator of the Section-2 algorithm and of sharded fractional runs,
-    whose online cost is a sum over shards.  The LP solve is cached: oracle-
-    alpha factories and invariant probes may solve the same instance's LP in
-    the same worker.  ``feasible`` is not checked here; it is always ``True``.
+    The comparator of the Section-2 algorithm, alone or summed over a shard
+    pool.  The LP solve is cached: oracle-alpha factories and invariant probes
+    may solve the same instance's LP in the same worker.  ``feasible`` is not
+    checked here; it is always ``True``.
     """
     opt = solve_admission_lp_cached(instance)
     ratio = safe_ratio(online_cost, opt.cost)
@@ -193,7 +192,6 @@ def evaluate_setcover_run(
     result: SetCoverResult,
     *,
     offline: str = "ilp",
-    bicriteria_bound: bool = False,
     ilp_time_limit: Optional[float] = 30.0,
 ) -> CompetitiveRecord:
     """Compare a finished set-cover run against the offline multi-cover optimum."""
@@ -208,7 +206,9 @@ def evaluate_setcover_run(
         raise ValueError(f"unknown offline comparator {offline!r}")
 
     ratio = safe_ratio(result.cost, offline_cost)
-    bound = bound_for_setcover_instance(instance, bicriteria=bicriteria_bound)
+    # A bicriteria run gets its own bound and may stop at its relaxed demands.
+    bicriteria = "bicriteria_satisfied" in result.extra
+    bound = bound_for_setcover_instance(instance, bicriteria=bicriteria)
     feasible = result.satisfied or bool(result.extra.get("bicriteria_satisfied", False))
     return CompetitiveRecord(
         algorithm=result.algorithm,

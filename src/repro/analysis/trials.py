@@ -25,7 +25,7 @@ from repro.analysis.competitive import (
     evaluate_fractional_run,
     evaluate_setcover_run,
 )
-from repro.core.protocols import run_admission, run_setcover
+from repro.core.protocols import run_setcover
 from repro.engine.executor import derive_seed_pairs, execute
 from repro.instances.admission import AdmissionInstance
 from repro.instances.compiled import compile_instance
@@ -49,21 +49,36 @@ class _Trial:
     algo_seed: Any
 
 
-def _stream_through_session(
-    instance: AdmissionInstance, algorithm, *, vectorized: bool = True
-) -> None:
-    """Feed an instance through a :class:`StreamingSession` micro-batch loop.
+def _feed(instance: AdmissionInstance, algorithm, spec: "RunSpec") -> None:
+    """Run every arrival of ``instance`` through ``algorithm`` as ``spec.mode`` says.
 
-    Decisions are identical to the batch pipelines (same per-arrival float
-    operations); this path exists so sweeps can exercise the serving-layer
-    code end to end.
+    ``batch`` calls ``process`` per request, ``compiled`` hands the compiled
+    instance to ``process_compiled_range``, and ``streaming`` submits the
+    arrivals in micro-batches: to a
+    :class:`~repro.engine.streaming.StreamingSession` around the algorithm,
+    or, for a sharded spec, to the algorithm itself, a
+    :class:`~repro.engine.shards.ProcessShardPool`.  Decisions are the same
+    in every mode.
     """
-    from repro.engine.streaming import StreamingSession
+    if spec.mode == "streaming":
+        if spec.shards == 1:
+            from repro.engine.streaming import StreamingSession
 
-    session = StreamingSession(
-        instance.capacities, algorithm=algorithm, vectorized=vectorized, name=instance.name
-    )
-    session.submit_stream(iter(instance.requests))
+            algorithm = StreamingSession(
+                instance.capacities,
+                algorithm=algorithm,
+                vectorized=spec.vectorized,
+                name=instance.name,
+            )
+        algorithm.submit_stream(iter(instance.requests))
+    elif spec.mode == "compiled":
+        compiled = compile_instance(instance)
+        algorithm.process_compiled_range(
+            compiled, 0, compiled.num_requests, vectorized=spec.vectorized
+        )
+    else:
+        for request in instance.requests:
+            algorithm.process(request)
 
 
 def _evaluate_fractional_trial(
@@ -75,19 +90,10 @@ def _evaluate_fractional_trial(
     the integral :class:`~repro.core.protocols.AdmissionResult` protocol; its
     natural comparator is the *fractional* optimum (the LP), exactly as in
     E1, so the spec's ``offline`` knob is ignored here and the record says
-    ``lp``.
+    ``lp``.  A shard pool reports the sum of its shards' costs.
     """
     start = time.perf_counter()
-    if spec.mode == "streaming":
-        _stream_through_session(instance, algorithm, vectorized=spec.vectorized)
-    elif spec.mode == "compiled":
-        compiled = compile_instance(instance)
-        algorithm.process_compiled_range(
-            compiled, 0, compiled.num_requests, vectorized=spec.vectorized
-        )
-    else:
-        for request in instance.requests:
-            algorithm.process(request)
+    _feed(instance, algorithm, spec)
     extra: Dict[str, Any] = {
         "num_augmentations": getattr(algorithm, "num_augmentations", None),
         "online_seconds": time.perf_counter() - start,
@@ -105,60 +111,36 @@ def _evaluate_fractional_trial(
     )
 
 
-def _evaluate_sharded_trial(instance: AdmissionInstance, trial: _Trial) -> CompetitiveRecord:
-    """Evaluate one trial through the sharded streaming layer.
+def _shard_pool(instance: AdmissionInstance, trial: _Trial):
+    """The :class:`~repro.engine.shards.ProcessShardPool` a sharded trial runs.
 
-    Builds a :class:`~repro.engine.shards.ProcessShardPool` over the
-    instance's capacities (shards in-process when ``workers == 1``, else one
-    worker process per shard), streams the arrivals through it, and
-    aggregates the per-shard fractional costs.  Shard decisions do not
-    depend on where a shard runs, so the reported ratio is independent of
-    worker count.  The comparator is the *global* LP optimum, as in
-    :func:`_evaluate_fractional_trial`.
+    Its shard sessions run in-process when ``workers == 1``, else one worker
+    process per shard; a shard's decisions do not depend on where it runs.
+    The sessions build from the registry key, which sees no instance, so a
+    ``fractional`` pool is handed the defaults its unsharded build takes
+    from the instance (unit costs run unweighted).
     """
+    from repro.core.fractional import FractionalAdmissionControl
     from repro.engine.shards import INLINE, ProcessShardPool
 
     spec = trial.spec
+    kwargs = spec.algorithm_param_dict()
+    if spec.algorithm == "fractional":
+        kwargs = FractionalAdmissionControl.instance_kwargs(instance, kwargs)
     # The fractional mechanism is deterministic; the session seed is provenance
     # only, but derive it from the trial's seed pair so it stays reproducible.
     seed = int(as_generator(trial.algo_seed).integers(2**31 - 1))
-
-    start = time.perf_counter()
-    with ProcessShardPool(
+    return ProcessShardPool(
         instance.capacities,
         spec.shards,
         spec.algorithm,
         backend=spec.backend,
         seed=seed,
-        algorithm_kwargs=spec.algorithm_param_dict(),
+        algorithm_kwargs=kwargs,
         retain_log=False,
         vectorized=spec.vectorized,
-        name=instance.name,
+        name=spec.algorithm,
         start_method=None if spec.workers > 1 else INLINE,
-    ) as pool:
-        pool.submit_stream(iter(instance.requests))
-        shard_lines = list(pool.summary()["shards"].values())
-    online_seconds = time.perf_counter() - start
-
-    missing = [line["name"] for line in shard_lines if "fractional_cost" not in line]
-    if missing:
-        raise TypeError(
-            f"sharded trials aggregate fractional costs, but shards {missing} report "
-            f"none; algorithm {spec.algorithm!r} is not fractional-style"
-        )
-    augmentations = [line.get("augmentations") for line in shard_lines]
-    return evaluate_fractional_run(
-        instance,
-        float(sum(line["fractional_cost"] for line in shard_lines)),
-        algorithm=spec.algorithm,
-        extra={
-            "num_augmentations": (
-                None if any(a is None for a in augmentations) else int(sum(augmentations))
-            ),
-            "online_seconds": online_seconds,
-            "shards": spec.shards,
-            "workers": spec.workers,
-        },
     )
 
 
@@ -169,7 +151,10 @@ def _run_trial(trial: _Trial) -> CompetitiveRecord:
     if spec.shards > 1:
         # Sharded streaming builds its sessions per shard from the algorithm
         # registry key; the single-object algorithm factory is bypassed.
-        return _evaluate_sharded_trial(instance, trial)
+        with _shard_pool(instance, trial) as pool:
+            record = _evaluate_fractional_trial(instance, pool, spec)
+        record.extra.update(shards=spec.shards, workers=spec.workers)
+        return record
     algorithm = trial.algorithm_factory(instance, as_generator(trial.algo_seed))
     if spec.problem == "admission" and not hasattr(algorithm, "result"):
         # Fractional-style algorithms never produce an integral result; they
@@ -177,21 +162,11 @@ def _run_trial(trial: _Trial) -> CompetitiveRecord:
         record = _evaluate_fractional_trial(instance, algorithm, spec)
     elif spec.problem == "admission":
         start = time.perf_counter()
-        if spec.mode == "streaming":
-            _stream_through_session(instance, algorithm, vectorized=spec.vectorized)
-            result = algorithm.result()
-        else:
-            compiled = compile_instance(instance) if spec.mode == "compiled" else None
-            result = run_admission(
-                algorithm, instance, compiled=compiled, vectorized=spec.vectorized
-            )
+        _feed(instance, algorithm, spec)
+        result = algorithm.result()
         online_seconds = time.perf_counter() - start
         record = evaluate_admission_run(
-            instance,
-            result,
-            offline=spec.offline,
-            randomized_bound=spec.randomized_bound,
-            ilp_time_limit=spec.ilp_time_limit,
+            instance, result, offline=spec.offline, ilp_time_limit=spec.ilp_time_limit
         )
         record.extra.setdefault("online_seconds", online_seconds)
     else:
@@ -199,11 +174,7 @@ def _run_trial(trial: _Trial) -> CompetitiveRecord:
         result = run_setcover(algorithm, instance)
         online_seconds = time.perf_counter() - start
         record = evaluate_setcover_run(
-            instance,
-            result,
-            offline=spec.offline,
-            bicriteria_bound=spec.bicriteria_bound,
-            ilp_time_limit=spec.ilp_time_limit,
+            instance, result, offline=spec.offline, ilp_time_limit=spec.ilp_time_limit
         )
         record.extra.setdefault("online_seconds", online_seconds)
     # The probe runs in the worker while the algorithm object is still alive,

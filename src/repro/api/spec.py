@@ -31,10 +31,10 @@ in a worker process.  All validation failures raise :class:`RunSpecError`.
 
 :meth:`RunSpec.grid` expands scenarios x algorithms x backends x modes into a
 list of specs whose per-cell seeds are derived with
-:func:`repro.utils.rng.stable_seed` from ``(seed, source key, algorithm)`` —
-the derivation :func:`~repro.engine.sweep.run_sweep_specs` (``repro sweep``)
-uses too, so a grid reproduces a sweep bit for bit and adding a scenario
-never perturbs another's numbers.
+:func:`repro.utils.rng.stable_seed` from ``(seed, source key, algorithm)``,
+so adding a scenario never perturbs another's numbers.
+:func:`~repro.engine.sweep.run_sweep_specs` (``repro sweep``) expands its
+cells through it.
 """
 
 from __future__ import annotations
@@ -120,17 +120,17 @@ class RunSpec:
         partitions the edges by namespace across a
         :class:`~repro.engine.shards.ProcessShardPool`, whose sessions run
         in-process; ``workers`` > 1 runs the same sessions in one worker
-        process per shard.  Decisions do not depend on where a shard runs, so
-        reported numbers are independent of ``workers``.  ``shards`` defaults
-        to ``workers`` when only ``workers`` is given.
+        process per shard.  The shard sessions build from a
+        :data:`~repro.engine.streaming.STREAMING_ALGORITHMS` key.  Decisions
+        do not depend on where a shard runs, so reported numbers are
+        independent of ``workers``.  ``shards`` defaults to ``workers`` when
+        only ``workers`` is given.
     offline:
         Offline comparator for integral algorithms: ``"lp"`` (fast lower
         bound, the default) or ``"ilp"`` (exact OPT).  Fractional algorithms
         always compare against the LP.
     ilp_time_limit:
         Time limit (s) for exact offline solves when ``offline="ilp"``.
-    randomized_bound / bicriteria_bound:
-        Which theoretical bound annotates the records (admission / set cover).
     probe:
         Optional ``(instance, algorithm) -> mapping`` measurement hook run
         right after the online run in the worker; its result is merged into
@@ -160,8 +160,6 @@ class RunSpec:
     workers: int = 1
     offline: str = "lp"
     ilp_time_limit: Optional[float] = 20.0
-    randomized_bound: bool = True
-    bicriteria_bound: bool = False
     probe: Optional[Callable[..., Mapping[str, Any]]] = None
     label: Optional[str] = None
 
@@ -172,7 +170,6 @@ class RunSpec:
         self._validate_algorithm()
         self._validate_backend()
         self._validate_counts()
-        self._validate_streaming_conflicts()
         self._validate_sharding()
         # Normalise the parameter mappings into hashable tuples so specs stay
         # frozen, comparable, and picklable.
@@ -291,20 +288,6 @@ class RunSpec:
         except (TypeError, ValueError):
             raise RunSpecError(f"seed must be an integer, got {self.seed!r}") from None
 
-    def _validate_streaming_conflicts(self) -> None:
-        if self.mode != "streaming":
-            return
-        if not isinstance(self.algorithm, str):
-            return  # externally-built algorithms stream through a session as built
-        from repro.engine.streaming import STREAMING_ALGORITHMS
-
-        if self.algorithm not in STREAMING_ALGORITHMS:
-            raise RunSpecError(
-                f"algorithm {self.algorithm!r} cannot run in mode='streaming'; "
-                f"streaming-capable algorithms: {_known(STREAMING_ALGORITHMS.keys())}. "
-                f"Use mode='batch' or mode='compiled' for offline-style algorithms."
-            )
-
     def _validate_sharding(self) -> None:
         for field_name in ("shards", "workers"):
             value = getattr(self, field_name)
@@ -331,6 +314,14 @@ class RunSpec:
             raise RunSpecError(
                 "sharded streaming requires an algorithm registry key (sessions are "
                 "built per shard/worker); callable algorithms cannot be sharded"
+            )
+        from repro.engine.streaming import STREAMING_ALGORITHMS
+
+        if self.algorithm not in STREAMING_ALGORITHMS:
+            raise RunSpecError(
+                f"algorithm {self.algorithm!r} cannot be sharded: shard sessions build "
+                f"from a streaming algorithm key ({_known(STREAMING_ALGORITHMS.keys())}); "
+                f"run it with shards=1, workers=1"
             )
         if self.probe is not None:
             raise RunSpecError(
@@ -414,12 +405,12 @@ class RunSpec:
         """Expand scenarios x algorithms x backends x modes into a spec list.
 
         Per-cell seeds derive from ``(seed, scenario key, algorithm)`` via
-        :func:`~repro.utils.rng.stable_seed` — the derivation
-        :func:`~repro.engine.sweep.run_sweep_specs` uses too — so adding or
-        removing a scenario never perturbs another cell's numbers, a single
-        cell reproduces in isolation, and a grid over one backend reproduces
-        ``repro sweep`` bit for bit.  Extra keyword arguments (``trials``,
-        ``jobs``, ``offline``, ``vectorized``, ...) are applied to every spec.
+        :func:`~repro.utils.rng.stable_seed`, so adding or removing a
+        scenario never perturbs another cell's numbers and a single cell
+        reproduces in isolation.  ``repro sweep``
+        (:func:`~repro.engine.sweep.run_sweep_specs`) is this grid over one
+        backend and one mode.  Extra keyword arguments (``trials``, ``jobs``,
+        ``offline``, ``vectorized``, ...) are applied to every spec.
         """
         if not scenarios:
             raise RunSpecError("need at least one scenario")

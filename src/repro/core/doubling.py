@@ -288,7 +288,6 @@ class DoublingFractionalAdmissionControl(_GuessAndDouble):
         force_accept_tags: Iterable[str] = (),
         unweighted: bool = False,
         backend: BackendSpec = None,
-        record: bool = False,
         name: Optional[str] = None,
     ):
         inner = FractionalAdmissionControl(
@@ -297,7 +296,6 @@ class DoublingFractionalAdmissionControl(_GuessAndDouble):
             force_accept_tags=force_accept_tags,
             unweighted=unweighted,
             backend=backend,
-            record=record,
         )
         super().__init__(capacities, inner, threshold_factor, name)
 
@@ -328,9 +326,7 @@ class DoublingFractionalAdmissionControl(_GuessAndDouble):
     @classmethod
     def for_instance(cls, instance: AdmissionInstance, **kwargs) -> "DoublingFractionalAdmissionControl":
         """Construct the wrapper for a concrete instance."""
-        if "unweighted" not in kwargs and instance.is_unit_cost():
-            kwargs["unweighted"] = True
-        return cls(instance.capacities, **kwargs)
+        return cls(instance.capacities, **FractionalAdmissionControl.instance_kwargs(instance, kwargs))
 
 
 class DoublingAdmissionControl(_GuessAndDouble):
@@ -381,7 +377,11 @@ class DoublingAdmissionControl(_GuessAndDouble):
         return result
 
     def __getattr__(self, item):
-        # Delegate state queries (rejection_cost, accepted_ids, ...) to the inner algorithm.
+        # Delegate state queries (rejection_cost, accepted_ids, ...) to the inner
+        # algorithm.  Copy and unpickle look attributes up before ``__dict__``
+        # is filled; without ``_inner`` there is nothing to delegate to.
+        if item == "_inner":
+            raise AttributeError(item)
         return getattr(self._inner, item)
 
     @classmethod

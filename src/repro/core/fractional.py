@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -575,9 +575,13 @@ class FractionalAdmissionControl:
         cls, instance: AdmissionInstance, **kwargs
     ) -> "FractionalAdmissionControl":
         """Construct the algorithm for a concrete instance's capacities."""
-        if "unweighted" not in kwargs and instance.is_unit_cost():
-            kwargs["unweighted"] = True
-        return cls(instance.capacities, **kwargs)
+        return cls(instance.capacities, **cls.instance_kwargs(instance, kwargs))
+
+    @staticmethod
+    def instance_kwargs(instance: AdmissionInstance, kwargs: Mapping[str, Any]) -> Dict[str, Any]:
+        """``kwargs`` over the instance's defaults: unit costs run unweighted
+        (``g = 1``, the O(log c) case of Theorem 2)."""
+        return {"unweighted": True, **kwargs} if instance.is_unit_cost() else dict(kwargs)
 
     def process_sequence(
         self,

@@ -7,8 +7,8 @@ whose edges all lie in one shard sees exactly the state it would see in one
 global session.  Replicating the capacity map across workers is not — every
 replica would admit against the full capacity on its own.
 
-* Every edge belongs to a *namespace* (:func:`default_namespace`, or a
-  caller's ``namespace_of``), and every namespace maps to shard
+* Every edge belongs to a *namespace* (:func:`default_namespace`), and
+  every namespace maps to shard
   ``stable_seed(namespace, "stream-shard") % num_shards``.  The mapping is
   independent of ``PYTHONHASHSEED``, so it survives process restarts.  This
   module owns that decision: :class:`ProcessShardPool` makes it once per
@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.backends import BackendSpec, resolve_backend_name
 from repro.instances.request import EdgeId, Request, RequestSequence
@@ -87,8 +87,8 @@ def default_namespace(edge: EdgeId) -> str:
     multi-edge request must land inside one shard, and without declared
     namespaces there is no partition that can guarantee it — one edge per
     namespace would reject the first multi-edge request it sees.  Such
-    workloads shard trivially (one live shard) under the default; pass a
-    topology-aware ``namespace_of`` to actually spread them.
+    workloads shard trivially (one live shard); to spread them, give their
+    edge ids namespace prefixes.
     """
     text = edge if isinstance(edge, str) else repr(edge)
     return text.split(":", 1)[0] if ":" in text else "default"
@@ -101,7 +101,6 @@ def _shard_of_namespace(namespace: str, num_shards: int) -> int:
 def validate_shard_partition(
     shards: Sequence[Optional[Mapping[str, Any]]],
     num_shards: int,
-    namespace_of: Optional[Callable[[EdgeId], str]] = None,
     *,
     what: str = "checkpoint",
 ) -> None:
@@ -117,7 +116,6 @@ def validate_shard_partition(
     Raises :class:`~repro.instances.serialize.CheckpointFormatError` on any
     mismatch, naming the offending shard/namespace.
     """
-    resolve = namespace_of or default_namespace
     if len(shards) != int(num_shards):
         raise CheckpointFormatError(
             f"{what} carries {len(shards)} shard slots but num_shards={num_shards}; "
@@ -129,14 +127,14 @@ def validate_shard_partition(
             continue
         for item in shard.get("capacities", []):
             edge = decode_edge_id(item["edge"])
-            namespace = resolve(edge)
+            namespace = default_namespace(edge)
             expected = _shard_of_namespace(namespace, int(num_shards))
             if expected != index:
                 raise CheckpointFormatError(
                     f"{what} shard {index} holds edge {edge!r} whose namespace "
                     f"{namespace!r} hashes to shard {expected} of {num_shards}; the "
                     "checkpoint was written under a different partition (changed "
-                    "shard count or namespace_of) and cannot be resumed safely"
+                    "shard count) and cannot be resumed safely"
                 )
 
 
@@ -348,9 +346,6 @@ class ProcessShardPool:
         every shard session.
     seed:
         Shard ``k`` runs with ``stable_seed(seed, "stream-shard", k)``.
-    namespace_of:
-        Edge -> namespace (:func:`default_namespace` by default).  A callable
-        is not checkpoint state; pass the same one to :meth:`restore`.
     start_method:
         ``"inline"`` runs the sessions in the calling process.  Anything else
         is a ``multiprocessing`` start method for one worker process per
@@ -372,7 +367,6 @@ class ProcessShardPool:
         *,
         backend: BackendSpec = None,
         seed: int = 0,
-        namespace_of: Optional[Callable[[EdgeId], str]] = None,
         algorithm_kwargs: Optional[Dict[str, Any]] = None,
         retain_log: bool = True,
         vectorized: bool = True,
@@ -390,12 +384,11 @@ class ProcessShardPool:
         self._workers: List[Optional[_Worker]] = [None] * self.num_shards
         self._closed = False
 
-        namespace_of = namespace_of or default_namespace
         #: The namespace -> shard decision, made once per edge.
         self._shard_of_edge: Dict[EdgeId, int] = {}
         shard_caps: List[Dict[EdgeId, int]] = [{} for _ in range(self.num_shards)]
         for edge, cap in capacities.items():
-            shard = _shard_of_namespace(namespace_of(edge), self.num_shards)
+            shard = _shard_of_namespace(default_namespace(edge), self.num_shards)
             self._shard_of_edge[edge] = shard
             shard_caps[shard][edge] = int(cap)
 
@@ -624,6 +617,16 @@ class ProcessShardPool:
             "shards": shards,
         }
 
+    def fractional_cost(self) -> float:
+        """Objective value of the pool's fractional solution: the sum over its shards."""
+        return float(sum(line["fractional_cost"] for line in self._ask_all(("summary",)).values()))
+
+    @property
+    def num_augmentations(self) -> Optional[int]:
+        """Weight augmentations summed over the shards (``None`` if a shard counts none)."""
+        counts = [line["augmentations"] for line in self._ask_all(("summary",)).values()]
+        return None if None in counts else int(sum(counts))
+
     # -- checkpointing ------------------------------------------------------------
     def checkpoint(self) -> Dict[str, Any]:
         """Drain and snapshot the whole pool: one session checkpoint per shard."""
@@ -651,7 +654,6 @@ class ProcessShardPool:
         checkpoint: Mapping[str, Any],
         *,
         backend: BackendSpec = None,
-        namespace_of: Optional[Callable[[EdgeId], str]] = None,
         retain_log: bool = True,
         start_method: Optional[str] = None,
     ) -> "ProcessShardPool":
@@ -659,20 +661,19 @@ class ProcessShardPool:
 
         The shard vector is validated against ``num_shards`` and the
         namespace partition before any shard starts, so a checkpoint from a
-        differently-sized pool (or another ``namespace_of``) fails with
-        :class:`CheckpointFormatError` instead of misrouting.
+        differently-sized pool fails with :class:`CheckpointFormatError`
+        instead of misrouting.
         """
         validate_checkpoint(checkpoint, expected_kind=POOL_CHECKPOINT_KIND)
         shards = list(checkpoint["shards"])
         num_shards = int(checkpoint["num_shards"])
-        validate_shard_partition(shards, num_shards, namespace_of, what="pool checkpoint")
+        validate_shard_partition(shards, num_shards, what="pool checkpoint")
         return cls(
             _capacities_union(shards),
             num_shards,
             checkpoint["algorithm"],
             backend=backend if backend is not None else checkpoint["backend"],
             seed=int(checkpoint["seed"]),
-            namespace_of=namespace_of,
             retain_log=retain_log,
             name=checkpoint.get("name", "shard-pool"),
             start_method=start_method,

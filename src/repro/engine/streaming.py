@@ -59,8 +59,10 @@ from repro.utils.rng import as_generator
 
 __all__ = ["StreamingSession", "STREAMING_ALGORITHMS"]
 
-#: Builders for the streaming-capable algorithms.  Streaming sessions cannot
-#: inspect a full instance up front (there is none), so unlike
+#: Builders for the algorithms a session can build, and rebuild from a
+#: checkpoint, by name (``repro serve``, shard pools, restore).  Any admission
+#: algorithm streams when handed to a session as an object.  Streaming
+#: sessions cannot inspect a full instance up front (there is none), so unlike
 #: :data:`~repro.engine.registry.ADMISSION_ALGORITHMS` these builders take the
 #: capacity mapping directly and never infer weighted/unweighted from costs —
 #: pass ``unweighted=True`` / ``weighted=False`` explicitly when that is meant.

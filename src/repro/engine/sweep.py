@@ -1,13 +1,13 @@
 """The scenario x algorithm matrix behind ``repro sweep``.
 
-:func:`run_sweep_specs` compiles every (scenario, algorithm) cell into one
-:class:`~repro.api.spec.RunSpec`, runs it with
+:func:`run_sweep_specs` expands the (scenario, algorithm) cells with
+:meth:`repro.api.spec.RunSpec.grid`, runs them with
 :meth:`repro.api.runner.Runner.run`, and keeps the trial rows in a
 :class:`SweepResult`, whose :meth:`~SweepResult.report` is what ``repro
 sweep`` prints and whose :meth:`~SweepResult.save` writes ``--out``.  Both
 read :meth:`repro.api.results.ResultSet.aggregate`, with its ``source``
-column named ``scenario``.  Code that wants the tidy rows directly writes
-the same matrix as a grid::
+column named ``scenario``.  Code that wants the tidy rows directly runs
+the same grid::
 
     from repro.api import RunSpec, Runner
 
@@ -16,10 +16,8 @@ the same matrix as a grid::
     results = Runner().run(specs)
     print(results.comparison_table())
 
-Cell seeds derive with :func:`repro.utils.rng.stable_seed` from
-``(master seed, scenario key, algorithm key)`` — the derivation
-:meth:`RunSpec.grid` uses too — so adding or removing a scenario never
-perturbs the numbers of the others, and a single cell can be reproduced in
+Cell seeds are the grid's, so adding or removing a scenario never perturbs
+the numbers of the others, and a single cell can be reproduced in
 isolation.
 """
 
@@ -32,7 +30,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.api.results import ResultSet
-from repro.api.sources import RegistryAlgorithmFactory
 from repro.engine.config import EngineConfig
 from repro.scenarios.registry import Scenario
 
@@ -120,69 +117,35 @@ def run_sweep_specs(
     streaming: bool = False,
     overrides: Optional[Dict[str, Tuple[Tuple[str, Any], ...]]] = None,
 ) -> SweepResult:
-    """Compile a sweep into run specs, execute them, and collect their rows.
+    """Expand a sweep with :meth:`RunSpec.grid`, run it, and collect its rows.
 
-    What the CLI's ``sweep`` subcommand and the sweep benchmark run.  Cell
-    seeds, factories and the execution path are exactly those of
-    :meth:`repro.api.spec.RunSpec.grid` + :class:`repro.api.runner.Runner`.
+    What the CLI's ``sweep`` subcommand and the sweep benchmark run.
     ``overrides`` maps a scenario key to its ``(name, value)`` parameter
-    pairs.
+    pairs.  Empty and duplicate axes raise the grid's
+    :class:`~repro.api.spec.RunSpecError`.
     """
     from repro.api import Runner, RunSpec
 
-    from repro.engine.streaming import STREAMING_ALGORITHMS
-    from repro.utils.rng import stable_seed
-
-    if not scenarios:
-        raise ValueError("need at least one scenario")
-    if not algorithms:
-        raise ValueError("need at least one algorithm")
-    keys = [s.key for s in scenarios]
-    dup = sorted({k for k in keys if keys.count(k) > 1})
-    if dup:
-        raise ValueError(f"duplicate scenario keys in sweep: {dup}")
-    # Rows (and so the report) carry the registry's canonical lower-case key,
-    # so keys differing only in case are one cell.  Cell seeds still derive
-    # from the key as given, as in RunSpec.grid.
-    canonical = [a.strip().lower() for a in algorithms]
-    dup = sorted({a for a in canonical if canonical.count(a) > 1})
-    if dup:
-        raise ValueError(f"duplicate algorithm keys in sweep: {dup}")
-    overrides = overrides or {}
-    mode = "streaming" if streaming else "compiled"
+    specs = RunSpec.grid(
+        scenarios,
+        algorithms,
+        backends=(config.backend,),
+        modes=("streaming" if streaming else "compiled",),
+        seed=seed,
+        scenario_overrides={key: dict(pairs) for key, pairs in (overrides or {}).items()},
+        trials=num_trials,
+        # The spec requires an explicit positive worker count; resolve
+        # EngineConfig's "0 = all cores" convention before building it.
+        jobs=config.effective_jobs,
+        offline=offline,
+        ilp_time_limit=ilp_time_limit,
+    )
     runner = Runner()
-    results = ResultSet()
-    for scenario in scenarios:
-        for algorithm, key in zip(algorithms, canonical):
-            # The facade's eager validation restricts mode="streaming" to the
-            # streaming-capable registry keys; `repro sweep --streaming` also
-            # streams baselines through a session (their inherited
-            # per-arrival range), by handing such cells a pre-built
-            # (callable) factory, which the spec accepts for
-            # externally-managed algorithms.
-            spec_algorithm: Any = key
-            if streaming and key not in STREAMING_ALGORITHMS:
-                spec_algorithm = RegistryAlgorithmFactory(key, config, (), "admission")
-            spec = RunSpec(
-                scenario=scenario,
-                algorithm=spec_algorithm,
-                backend=config.backend,
-                mode=mode,
-                seed=stable_seed(seed, scenario.key, algorithm, "sweep"),
-                scenario_params=dict(overrides.get(scenario.key, ())),
-                trials=num_trials,
-                # The spec requires an explicit positive worker count; resolve
-                # EngineConfig's "0 = all cores" convention before building it.
-                jobs=config.effective_jobs,
-                offline=offline,
-                ilp_time_limit=ilp_time_limit,
-                label=f"{scenario.key} x {algorithm}",
-            )
-            results.extend(runner.run(spec))
     return SweepResult(
-        results=results,
+        results=ResultSet(row for spec in specs for row in runner.run(spec)),
         scenarios=[s.key for s in scenarios],
-        algorithms=canonical,
+        # Rows carry the registry's canonical lower-case key.
+        algorithms=list(dict.fromkeys(spec.algorithm_key for spec in specs)),
         backend=config.backend,
         seed=seed,
         num_trials=num_trials,

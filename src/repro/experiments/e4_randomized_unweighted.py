@@ -68,7 +68,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=stable_seed(config.seed, m, c, workload_name, "e4"),
                 offline="ilp",
                 ilp_time_limit=config.ilp_time_limit,
-                randomized_bound=True,
                 label=f"{workload_name} m={m} c={c}",
             )
             cell = runner.run(spec)

@@ -99,7 +99,6 @@ def run(config: Optional[ExperimentConfig] = None) -> ExperimentResult:
                 seed=stable_seed(config.seed, n, m, eps, "e6"),
                 offline="ilp",
                 ilp_time_limit=config.ilp_time_limit,
-                bicriteria_bound=True,
                 probe=coverage_probe,
                 label=f"E6 n={n} m={m} eps={eps}",
             )

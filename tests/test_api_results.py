@@ -1,4 +1,5 @@
-"""ResultSet tests: tidy rows, aggregation, filtering, JSON/JSONL round-trip."""
+"""ResultSet tests: tidy rows, aggregation, filtering, JSON/JSONL round-trip,
+and one row per spec whatever the execution mode or shard count."""
 
 import math
 
@@ -182,3 +183,38 @@ class TestFacadeRows:
         ]
         assert [g["ratio_mean"] for g in groups] == pytest.approx([50.0, 1.0])
         assert results.filter(algorithm="keep-expensive").ratios() == pytest.approx([1.0])
+
+
+def _row_numbers(**spec):
+    from repro.api import Runner, RunSpec
+
+    return [(row.online_cost, row.ratio, row.feasible) for row in Runner().run(RunSpec(**spec))]
+
+
+def _admission_keys():
+    from repro.engine.registry import ADMISSION_ALGORITHMS
+    from repro.engine.runtime import ensure_builtin_registrations
+
+    ensure_builtin_registrations()
+    return ADMISSION_ALGORITHMS.keys()
+
+
+class TestOneRowPerSpec:
+    """Every admission key gives one row in every mode; shards give the unsharded row."""
+
+    @pytest.mark.parametrize("scenario", ["bursty", "zipf_costs"])  # unit cost, weighted
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("key", _admission_keys())
+    def test_every_key_gives_one_row_in_every_mode(self, key, backend, scenario):
+        rows = [
+            _row_numbers(scenario=scenario, algorithm=key, backend=backend, mode=mode, trials=2, seed=5)
+            for mode in ("batch", "compiled", "streaming")
+        ]
+        assert rows[0] == rows[1] == rows[2]
+
+    @pytest.mark.parametrize("scenario", ["bursty", "line_intervals"])  # one live shard each
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("scale_out", [{"shards": 2}, {"shards": 2, "workers": 2}])
+    def test_sharded_fractional_gives_the_unsharded_row(self, scale_out, backend, scenario):
+        spec = dict(scenario=scenario, algorithm="fractional", backend=backend, mode="streaming", seed=3)
+        assert _row_numbers(**spec, **scale_out) == _row_numbers(**spec)

@@ -1,7 +1,7 @@
 """RunSpec eager-validation tests: every bad spec fails at construction time.
 
-The satellite contract: unknown algorithm/scenario/backend keys, streaming x
-offline-algorithm conflicts, and non-positive trials/jobs all raise with
+The satellite contract: unknown algorithm/scenario/backend keys, sharding x
+non-streaming-key conflicts, and non-positive trials/jobs all raise with
 self-describing messages — asserted exactly — before any worker runs.
 """
 
@@ -146,14 +146,14 @@ class TestModeValidation:
 
 
 class TestStreamingConflicts:
-    def test_offline_style_algorithm_cannot_stream_exact_message(self):
+    def test_baseline_streams_unsharded_but_cannot_shard_exact_message(self):
+        assert _spec(algorithm="reject-when-full", mode="streaming").mode == "streaming"
         known = ", ".join(STREAMING_ALGORITHMS.keys())
         with pytest.raises(RunSpecError) as err:
-            _spec(algorithm="reject-when-full", mode="streaming")
+            _spec(algorithm="reject-when-full", mode="streaming", shards=2)
         assert str(err.value) == (
-            f"algorithm 'reject-when-full' cannot run in mode='streaming'; "
-            f"streaming-capable algorithms: {known}. "
-            f"Use mode='batch' or mode='compiled' for offline-style algorithms."
+            f"algorithm 'reject-when-full' cannot be sharded: shard sessions build "
+            f"from a streaming algorithm key ({known}); run it with shards=1, workers=1"
         )
 
     def test_setcover_cannot_stream_exact_message(self):

@@ -203,16 +203,11 @@ class TestRandomizedCompiledEquivalence:
         assert plain_result.rejection_cost == pytest.approx(fast_result.rejection_cost, abs=TOL)
         assert plain.schedule.phase_alphas == fast.schedule.phase_alphas
 
-    @pytest.mark.parametrize("record", [True, False])
-    def test_doubling_fractional_compiled(self, record):
+    def test_doubling_fractional_compiled(self):
         instance = random_instance(7)
-        plain = DoublingFractionalAdmissionControl.for_instance(
-            instance, backend="numpy", record=record
-        )
+        plain = DoublingFractionalAdmissionControl.for_instance(instance, backend="numpy")
         plain.process_sequence(instance.requests)
-        fast = DoublingFractionalAdmissionControl.for_instance(
-            instance, backend="numpy", record=record
-        )
+        fast = DoublingFractionalAdmissionControl.for_instance(instance, backend="numpy")
         fast.process_sequence(compile_instance(instance))
         assert plain.fractional_cost() == pytest.approx(fast.fractional_cost(), abs=TOL)
         assert plain.fractions() == pytest.approx(fast.fractions(), abs=TOL)

@@ -1,5 +1,8 @@
 """Tests for the guess-and-double wrappers (Section 2 preprocessing)."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.doubling import (
@@ -271,3 +274,39 @@ class TestWrapperOwnsEveryEntryPoint:
 
         monkeypatch.setattr(RandomizedAdmissionControl, "process_compiled_range", refuse, raising=False)
         assert outcomes() == reference
+
+
+class TestWrapperCopies:
+    """A doubling wrapper survives copy, deepcopy and a pickle round trip."""
+
+    COPIES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda algo: pickle.loads(pickle.dumps(algo)),
+    }
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_copy_continues_like_the_original(self, backend, how):
+        from repro.workloads.admission_traffic import bursty_workload
+
+        instance = bursty_workload(num_edges=16, num_requests=200, capacity=3, random_state=7)
+        requests = list(instance.requests)
+
+        def run(split):
+            algo = DoublingAdmissionControl.for_instance(instance, random_state=5, backend=backend)
+            for request in requests[:split]:
+                algo.process(request)
+            if split < len(requests):
+                algo = self.COPIES[how](algo)
+                for request in requests[split:]:
+                    algo.process(request)
+            return (
+                [(d.request_id, str(d.kind), d.at_request) for d in algo.decisions()],
+                list(algo.schedule.phase_alphas),
+                algo.rejection_cost(),
+            )
+
+        reference = run(len(requests))
+        assert reference[1]  # the guess doubled, so the copy carries a live schedule
+        assert run(100) == reference

@@ -85,7 +85,7 @@ class TestRunSweepSpecs:
         assert len(set(cell.ratios())) == 1
 
     def test_streaming_baseline_fallback_still_works(self):
-        """``repro sweep --streaming`` streams baselines through the session fallback."""
+        """``repro sweep --streaming`` streams baselines through a session, like any key."""
         batch = small_sweep(["cheap_expensive"], ["reject-when-full"], num_trials=1, overrides=None)
         streamed = small_sweep(
             ["cheap_expensive"], ["reject-when-full"], num_trials=1, overrides=None,

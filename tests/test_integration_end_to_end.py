@@ -96,7 +96,7 @@ class TestSetCoverPipeline:
 
         bicriteria = BicriteriaOnlineSetCover(instance.system, eps=0.2)
         bic_result = run_setcover(bicriteria, instance)
-        bic_record = evaluate_setcover_run(instance, bic_result, bicriteria_bound=True)
+        bic_record = evaluate_setcover_run(instance, bic_result)
         assert bic_record.feasible  # bicriteria-satisfied counts as feasible
 
     def test_online_cost_at_least_offline(self):
