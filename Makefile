@@ -185,12 +185,14 @@ profile-replay:
 # `repro serve` builds (numpy, retain_log=False), fed perfbench's inputs
 # (seed 101): service_window's randomized session in batches of 8 at 12,000
 # and 48,000 arrivals, and session_doubling's doubling session in batches of
-# 64.  One line each, with the rejection cost (~20 s).  ROADMAP item 6's
-# bounded-state target is measured with it.
+# 64; then the state a numpy fractional whole-trace replay of replay_hotspot
+# (60,000 arrivals) keeps.  One line each, with the rejection or fractional
+# cost (~15 s).  ROADMAP item 7's bounded-state target is measured with it.
 profile-memory:
 	$(PYTHON) benchmarks/profile_memory.py --workload service_window --seed 101
 	$(PYTHON) benchmarks/profile_memory.py --workload service_window --scale 4 --seed 101
 	$(PYTHON) benchmarks/profile_memory.py --workload session_doubling --seed 101
+	$(PYTHON) benchmarks/profile_memory.py --workload replay_hotspot --seed 101
 
 # The import log of one `repro serve --listen` start-up (python -X importtime,
 # on the serve smoke's trace, randomized on numpy): the modules it loaded and

@@ -116,17 +116,16 @@ def _shard_pool(instance: AdmissionInstance, trial: _Trial):
 
     Its shard sessions run in-process when ``workers == 1``, else one worker
     process per shard; a shard's decisions do not depend on where it runs.
-    The sessions build from the registry key, which sees no instance, so a
-    ``fractional`` pool is handed the defaults its unsharded build takes
-    from the instance (unit costs run unweighted).
+    The sessions build from the registry key, which sees no instance, so
+    the pool is handed the defaults the unsharded ``fractional`` build takes
+    from the instance (unit costs run unweighted); ``RunSpec`` shards no
+    other key.
     """
     from repro.core.fractional import FractionalAdmissionControl
     from repro.engine.shards import INLINE, ProcessShardPool
 
     spec = trial.spec
-    kwargs = spec.algorithm_param_dict()
-    if spec.algorithm == "fractional":
-        kwargs = FractionalAdmissionControl.instance_kwargs(instance, kwargs)
+    kwargs = FractionalAdmissionControl.instance_kwargs(instance, spec.algorithm_param_dict())
     # The fractional mechanism is deterministic; the session seed is provenance
     # only, but derive it from the trial's seed pair so it stays reproducible.
     seed = int(as_generator(trial.algo_seed).integers(2**31 - 1))

@@ -323,6 +323,14 @@ class RunSpec:
                 f"from a streaming algorithm key ({_known(STREAMING_ALGORITHMS.keys())}); "
                 f"run it with shards=1, workers=1"
             )
+        if self.algorithm != "fractional":
+            raise RunSpecError(
+                f"algorithm {self.algorithm!r} cannot be sharded in a trial: a sharded "
+                f"trial is scored as a fractional one (the shards' summed fractional "
+                f"cost against the fractional bound), which only 'fractional' is; run "
+                f"it with shards=1, workers=1 (repro serve --shards shards any "
+                f"streaming key)"
+            )
         if self.probe is not None:
             raise RunSpecError(
                 "probe= is incompatible with sharded streaming (there is no single "

@@ -26,8 +26,9 @@ unweighted case and inside the guess-and-double wrapper of
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 import numpy as np
@@ -61,6 +62,11 @@ class CostClass:
 #: One-letter checkpoint code of each cost class, and its inverse.
 _CLASS_CODES = {CostClass.SMALL: "s", CostClass.BIG: "b", CostClass.NORMAL: "n", CostClass.FORCED: "f"}
 _CODE_CLASSES = {code: cls for cls, code in _CLASS_CODES.items()}
+#: The same letters as the ``uint8`` values of the class column, and back.
+_CLASS_BYTES = {cls: ord(code) for cls, code in _CLASS_CODES.items()}
+_BYTE_CLASSES = {byte: cls for cls, byte in _CLASS_BYTES.items()}
+_SMALL = _CLASS_BYTES[CostClass.SMALL]
+_NORMAL = _CLASS_BYTES[CostClass.NORMAL]
 
 
 @dataclass
@@ -71,8 +77,10 @@ class FractionalDecision:
     cost_class: str
     #: weight-mechanism activity triggered by this arrival; ``None`` for
     #: SMALL, and for every class unless the algorithm runs with
-    #: ``record=True``.  The randomized rounding's shadow is the one such
-    #: run, and the rounding drops each outcome once it has read it.
+    #: ``record=True`` (the randomized rounding's shadow).  Only the
+    #: decision :meth:`~FractionalAdmissionControl.process` returns carries
+    #: it: the algorithm keeps rows, not decisions, and the decision log
+    #: rebuilds decisions with ``outcome=None``.
     outcome: Optional[ArrivalOutcome]
     #: the request's own rejected fraction right after the arrival.
     fraction_rejected: float
@@ -129,18 +137,27 @@ class FractionalAdmissionControl:
         ``None`` for the scalar reference backend.
     record:
         Materialize each arrival's :class:`ArrivalOutcome` (deltas, kills,
-        step counts) on its decision.  Only the randomized rounding reads
-        them, so only its shadow passes ``True``.  With the default
-        ``False`` the decisions carry ``outcome=None`` and the weight
-        mechanism skips all delta materialization; fractions, costs and the
-        decision log are the same either way.
+        step counts) on the decision :meth:`process` returns.  Only the
+        randomized rounding reads them, so only its shadow passes ``True``.
+        With the default ``False`` the decisions carry ``outcome=None`` and
+        the weight mechanism skips all delta materialization; fractions,
+        costs and the decision log are the same either way.
+
+    The algorithm keeps one row per arrival, in arrival order, in typed
+    columns (:class:`array.array`, read in bulk through zero-copy NumPy
+    views): the id (``int64``), the cost class (its :data:`_CLASS_CODES`
+    letter as ``uint8``), the original cost and the fraction its decision
+    reported, plus one id -> row dict.  The checkpoint stores exactly these
+    columns.
     """
 
-    #: Construction-time configuration, deliberately outside the checkpoint
-    #: payload: restore_state() requires a wrapper rebuilt over the *same*
-    #: capacities, so exporting them would only duplicate the constructor
-    #: arguments (RPR004 allowlist).
-    _LINT_STATE_EXEMPT = frozenset({"_original_capacities"})
+    #: RPR004 allowlist.  ``_original_capacities`` is construction-time
+    #: configuration, deliberately outside the checkpoint payload:
+    #: restore_state() requires a wrapper rebuilt over the *same* capacities,
+    #: so exporting them would only duplicate the constructor arguments.
+    #: ``_normal_cost`` is derived from the class and cost columns, which
+    #: restore_state() rebuilds it from.
+    _LINT_STATE_EXEMPT = frozenset({"_original_capacities", "_normal_cost"})
 
     def __init__(
         self,
@@ -180,19 +197,19 @@ class FractionalAdmissionControl:
             backend, self._original_capacities, g=self.g, max_capacity=self.c
         )
 
-        # Bookkeeping in *original* cost units.
-        self._original_cost: Dict[int, float] = {}
-        self._class_of: Dict[int, str] = {}
+        # The row table, in *original* cost units: row r is the r-th arrival.
+        # array.array columns: an append costs one C call, half what a NumPy
+        # element write costs, and np.frombuffer reads them without a copy
+        # (no view may outlive the read: a column with a live view cannot grow).
+        self._row: Dict[int, int] = {}  # request id -> row
+        self._ids = array("q")
+        self._classes = array("B")
+        self._cost = array("d")
+        self._fraction = array("d")
         self._small_cost = 0.0
-        self._decisions: List[FractionalDecision] = []
-
-        # fractional_cost()'s cache, derived (not checkpointed) and filled
-        # lazily: the original costs of the NORMAL requests in the backend's
-        # registration order.  Its first ``_cost_cache_len`` slots cover the
-        # first ``_cost_cache_scanned`` entries of ``_class_of``.
-        self._cost_cache = np.empty(64, dtype=np.float64)
-        self._cost_cache_len = 0
-        self._cost_cache_scanned = 0
+        # The NORMAL rows' original costs, aligned with the weight backend's
+        # registration order (invariant 11): fractional_cost() reads both.
+        self._normal_cost = array("d")
 
         # Compiled-path alignment cache: translation from an edge interning's
         # dense indices to the backend's (``None`` when they already
@@ -242,9 +259,10 @@ class FractionalAdmissionControl:
     def check_arrival(self, request: Request) -> None:
         """Raise the ``ValueError`` :meth:`process` would raise for ``request``.
 
-        Read-only: it rejects a duplicate id, an edge outside the capacity
-        map and, in unweighted mode, a non-unit cost.  The guess-and-double
-        wrappers call it before their schedule counts the arrival.
+        Read-only: it rejects a duplicate id, an id the ``int64`` row table
+        cannot hold, an edge outside the capacity map and, in unweighted
+        mode, a non-unit cost.  The guess-and-double wrappers call it
+        before their schedule counts the arrival.
         """
         self._check_arrival(request.request_id, request.cost, request.tag, request.ordered_edges)
 
@@ -255,8 +273,10 @@ class FractionalAdmissionControl:
 
         Returns whether the arrival's tag forces its acceptance.
         """
-        if rid in self._class_of:
+        if rid in self._row:
             raise ValueError(f"request id {rid} was already processed")
+        if not -(2**63) <= rid < 2**63:
+            raise ValueError(f"request id {rid} does not fit an int64 id column")
         # Runs once per arrival: a known path builds no list.
         capacities = self._original_capacities
         for edge in edges:
@@ -343,30 +363,87 @@ class FractionalAdmissionControl:
         FORCED and BIG arrivals are accepted for good and reserve capacity on
         their edges, SMALL ones are rejected outright, and NORMAL ones go
         through the weight mechanism; ``edge_idxs`` are the backend's dense
-        indices of the arrival's path, in canonical order.
+        indices of the arrival's path, in canonical order.  The arrival's row
+        is booked once the weight mechanism is done with it.
         """
-        self._original_cost[rid] = cost
+        outcome = None
         if forced or (self.alpha is not None and cost > self.big_threshold):
             cost_class = CostClass.FORCED if forced else CostClass.BIG
-            self._class_of[rid] = cost_class
             outcome = self._weights.process_capacity_reduction_batch(
                 edge_idxs, rid, record=self.record
             )
-            decision = FractionalDecision(rid, cost_class, outcome, 0.0)
+            fraction = 0.0
         elif self.alpha is not None and cost < self.small_threshold:
-            self._class_of[rid] = CostClass.SMALL
-            self._small_cost += cost
-            decision = FractionalDecision(rid, CostClass.SMALL, None, 1.0)
+            cost_class = CostClass.SMALL
+            fraction = 1.0
         else:
-            self._class_of[rid] = CostClass.NORMAL
+            cost_class = CostClass.NORMAL
             normalized = self._normalized_cost(cost)
             outcome = self._weights.process_arrival_indexed(
                 rid, edge_idxs, normalized, record=self.record
             )
             fraction = min(self._weights.weight(rid), 1.0)
-            decision = FractionalDecision(rid, CostClass.NORMAL, outcome, fraction)
-        self._decisions.append(decision)
-        return decision
+        self._book_row(rid, _CLASS_BYTES[cost_class], cost, fraction)
+        return FractionalDecision(rid, cost_class, outcome, fraction)
+
+    # -- the row table -----------------------------------------------------------------
+    def _book_row(self, rid: int, code: int, cost: float, fraction: float) -> None:
+        """Append one decided arrival's row (``code`` is its class letter as a byte)."""
+        self._row[rid] = len(self._ids)
+        self._ids.append(rid)
+        self._classes.append(code)
+        self._cost.append(cost)
+        self._fraction.append(fraction)
+        if code == _NORMAL:
+            self._normal_cost.append(cost)
+        elif code == _SMALL:
+            self._small_cost += cost
+
+    def _book_block(
+        self,
+        rids: List[int],
+        small: np.ndarray,
+        costs: np.ndarray,
+        fractions: Optional[np.ndarray],
+    ) -> None:
+        """Append the rows of a run of arrivals the block executor decided, in arrival order.
+
+        Every arrival is NORMAL or SMALL (``small`` marks the latter), with
+        its original cost in ``costs``; ``fractions`` are the NORMAL
+        arrivals' fractions in order (``None`` when there are none).  The
+        R_small total adds the SMALL costs one by one, left to right, as
+        :meth:`_book_row` would.
+        """
+        n = len(self._ids)
+        normal = ~small
+        self._row.update(zip(rids, range(n, n + len(rids))))
+        self._ids.extend(rids)
+        self._classes.frombytes(np.where(small, _SMALL, _NORMAL).astype(np.uint8).tobytes())
+        self._cost.frombytes(costs.tobytes())
+        fraction = np.ones(len(rids), dtype=np.float64)
+        if fractions is not None:
+            fraction[normal] = fractions
+        self._fraction.frombytes(fraction.tobytes())
+        self._normal_cost.frombytes(costs[normal].tobytes())
+        small_costs = costs[small]
+        if small_costs.shape[0]:
+            # np.cumsum is a sequential sum: bit-identical to one += per arrival.
+            terms = np.concatenate(([self._small_cost], small_costs))
+            self._small_cost = float(np.cumsum(terms)[-1])
+
+    def _repeated_positions(self, rids: List[int]) -> List[int]:
+        """Positions in ``rids`` of ids already processed or repeated earlier in ``rids``."""
+        row = self._row
+        if len(set(rids)) == len(rids) and row.keys().isdisjoint(rids):
+            return []
+        seen = set()
+        repeated = []
+        for k, rid in enumerate(rids):
+            if rid in row or rid in seen:
+                repeated.append(k)
+            else:
+                seen.add(rid)
+        return repeated
 
     def process_compiled_range(
         self, compiled: CompiledInstance, lo: int, hi: int, *, vectorized: bool = True
@@ -399,20 +476,19 @@ class FractionalAdmissionControl:
     # -- results --------------------------------------------------------------------
     def fraction_rejected(self, request_id: int) -> float:
         """Current rejected fraction of a processed request (in ``[0, 1]``)."""
-        cls = self._class_of[request_id]
-        if cls == CostClass.SMALL:
+        code = self._classes[self._row[request_id]]
+        if code == _SMALL:
             return 1.0
-        if cls in (CostClass.BIG, CostClass.FORCED):
-            return 0.0
-        return min(self._weights.weight(request_id), 1.0)
+        if code == _NORMAL:
+            return min(self._weights.weight(request_id), 1.0)
+        return 0.0
 
     def fractions(self) -> Dict[int, float]:
         """Rejected fraction of every processed request."""
-        normal = self._weights.fractional_rejections()
-        return {
-            rid: normal[rid] if cls == CostClass.NORMAL else float(cls == CostClass.SMALL)
-            for rid, cls in self._class_of.items()
-        }
+        classes = np.frombuffer(self._classes, dtype=np.uint8)
+        fractions = (classes == _SMALL).astype(np.float64)
+        fractions[classes == _NORMAL] = np.minimum(self._weights.weight_array(), 1.0)
+        return dict(zip(self._ids.tolist(), fractions.tolist()))
 
     def fractional_cost(self) -> float:
         """The algorithm's objective: ``sum_i min(f_i, 1) p_i`` in original cost units.
@@ -429,7 +505,7 @@ class FractionalAdmissionControl:
         the drift.
         """
         weights = self._weights.weight_array()
-        costs = self._normal_costs()
+        costs = np.frombuffer(self._normal_cost, dtype=np.float64)
         if weights.shape[0] != costs.shape[0]:
             raise RuntimeError(
                 f"weight backend holds {weights.shape[0]} requests, "
@@ -440,32 +516,6 @@ class FractionalAdmissionControl:
         np.minimum(weights, 1.0, out=terms[1:])
         terms[1:] *= costs
         return float(np.cumsum(terms)[-1])
-
-    def _normal_costs(self) -> np.ndarray:
-        """Original costs of the NORMAL requests, aligned with the backend's weights.
-
-        The backend registers exactly the NORMAL requests, in arrival order,
-        and ``_class_of`` only ever grows at its end, so the requests
-        classified since the last call are its last entries.
-        """
-        new = len(self._class_of) - self._cost_cache_scanned
-        if new:
-            class_of = self._class_of
-            recent = list(islice(reversed(class_of), new))
-            recent.reverse()
-            costs = [
-                self._original_cost[rid] for rid in recent if class_of[rid] == CostClass.NORMAL
-            ]
-            lo = self._cost_cache_len
-            hi = lo + len(costs)
-            if hi > self._cost_cache.shape[0]:
-                grown = np.empty(2 * hi, dtype=np.float64)
-                grown[:lo] = self._cost_cache[:lo]
-                self._cost_cache = grown
-            self._cost_cache[lo:hi] = costs
-            self._cost_cache_len = hi
-            self._cost_cache_scanned += new
-        return self._cost_cache[: self._cost_cache_len]
 
     @property
     def num_augmentations(self) -> int:
@@ -479,19 +529,31 @@ class FractionalAdmissionControl:
 
     def cost_class(self, request_id: int) -> str:
         """Cost class assigned to a processed request."""
-        return self._class_of[request_id]
+        return _BYTE_CLASSES[self._classes[self._row[request_id]]]
 
     def was_processed(self, request_id: int) -> bool:
         """True if a request with this id has already arrived (read-only)."""
-        return request_id in self._class_of
+        return request_id in self._row
 
     def decisions(self) -> List[FractionalDecision]:
         """Chronological fractional decisions."""
-        return list(self._decisions)
+        return self.decisions_since(0)
 
     def decisions_since(self, start: int) -> List[FractionalDecision]:
-        """Decisions appended at or after index ``start`` (a cheap tail read)."""
-        return self._decisions[start:]
+        """Decisions of the rows at or after index ``start`` (a cheap tail read).
+
+        Built from the row columns, with ``outcome=None``: the algorithm
+        keeps no decision objects.
+        """
+        return list(
+            map(
+                FractionalDecision,
+                self._ids[start:].tolist(),
+                map(_CODE_CLASSES.__getitem__, self._classes[start:].tobytes().decode("ascii")),
+                repeat(None),
+                self._fraction[start:].tolist(),
+            )
+        )
 
     def check_invariants(self) -> List[str]:
         """Delegate to the weight mechanism's invariant checker."""
@@ -499,14 +561,15 @@ class FractionalAdmissionControl:
 
     def run_result(self) -> FractionalRunResult:
         """Snapshot of the run so far."""
-        classes = list(self._class_of.values())
+        counts = np.bincount(np.frombuffer(self._classes, dtype=np.uint8), minlength=256)
+        num = {cls: int(counts[byte]) for cls, byte in _CLASS_BYTES.items()}
         return FractionalRunResult(
             fractional_cost=self.fractional_cost(),
             fractions=self.fractions(),
             num_augmentations=self.num_augmentations,
-            num_small=classes.count(CostClass.SMALL),
-            num_big=classes.count(CostClass.BIG) + classes.count(CostClass.FORCED),
-            num_normal=classes.count(CostClass.NORMAL),
+            num_small=num[CostClass.SMALL],
+            num_big=num[CostClass.BIG] + num[CostClass.FORCED],
+            num_normal=num[CostClass.NORMAL],
             alpha=self.alpha,
             g=self.g,
         )
@@ -515,31 +578,27 @@ class FractionalAdmissionControl:
     def export_state(self) -> Dict[str, object]:
         """JSON-serialisable snapshot of the algorithm's durable state, as columns.
 
-        One row per arrival, in arrival order: ``ids``, ``classes`` (one
-        :data:`_CLASS_CODES` letter each), ``cost`` (the original cost) and
-        ``fraction`` (the rejected fraction its decision reported).
-        ``_original_cost``, ``_class_of`` and ``_decisions`` each gain one
-        entry per arrival, so one row holds all three.  Beside them: the
-        weight mechanism (:meth:`WeightBackend.export_state`), ``alpha`` and
-        the ``R_small`` total.  Per-arrival :class:`ArrivalOutcome`
-        diagnostics are *not* durable state: restored decisions carry
-        ``outcome=None``, exactly like a ``record=False`` run.
+        The row table's columns, one row per arrival, in arrival order:
+        ``ids``, ``classes`` (one :data:`_CLASS_CODES` letter each), ``cost``
+        (the original cost) and ``fraction`` (the rejected fraction its
+        decision reported).  Beside them: the weight mechanism
+        (:meth:`WeightBackend.export_state`), ``alpha`` and the ``R_small``
+        total.  Per-arrival :class:`ArrivalOutcome` diagnostics are *not*
+        durable state: the algorithm never keeps them.
         """
-        if not len(self._original_cost) == len(self._class_of) == len(self._decisions):
-            raise RuntimeError(
-                f"{len(self._original_cost)} costs, {len(self._class_of)} classes and "
-                f"{len(self._decisions)} decisions do not line up as one row per arrival"
-            )
+        n = len(self._ids)
+        if len(self._row) != n:
+            raise RuntimeError(f"{len(self._row)} ids index {n} rows; an id was booked twice")
         return {
             "kind": "fractional",
             "alpha": self.alpha,
             "g": float(self.g),
             "unweighted": self.unweighted,
             "small_cost": float(self._small_cost),
-            "ids": list(map(int, self._class_of)),
-            "classes": "".join(map(_CLASS_CODES.__getitem__, self._class_of.values())),
-            "cost": list(map(float, self._original_cost.values())),
-            "fraction": [float(d.fraction_rejected) for d in self._decisions],
+            "ids": self._ids.tolist(),
+            "classes": self._classes.tobytes().decode("ascii"),
+            "cost": self._cost.tolist(),
+            "fraction": self._fraction.tolist(),
             "weights": self._weights.export_state(),
         }
 
@@ -552,21 +611,24 @@ class FractionalAdmissionControl:
         """
         if state.get("kind") != "fractional":
             raise ValueError(f"not a fractional-algorithm state: kind={state.get('kind')!r}")
-        if self._class_of:
+        if self._ids:
             raise ValueError("restore_state requires a freshly constructed algorithm")
-        ids = [int(r) for r in state["ids"]]
-        classes = [_CODE_CLASSES[code] for code in state["classes"]]
-        costs = [float(c) for c in state["cost"]]
-        fractions = [float(f) for f in state["fraction"]]
-        if not len(ids) == len(classes) == len(costs) == len(fractions):
+        unknown = set(state["classes"]) - _CODE_CLASSES.keys()
+        if unknown:
+            raise ValueError(f"checkpoint holds unknown cost-class codes {sorted(unknown)!r}")
+        ids = array("q", state["ids"])
+        classes = array("B", state["classes"].encode("ascii"))
+        costs = array("d", state["cost"])
+        fractions = array("d", state["fraction"])
+        n = len(ids)
+        if not n == len(classes) == len(costs) == len(fractions):
             raise ValueError("checkpoint arrival columns disagree in length")
         self.alpha = None if state["alpha"] is None else float(state["alpha"])
         self._small_cost = float(state["small_cost"])
-        self._original_cost = dict(zip(ids, costs))
-        self._class_of = dict(zip(ids, classes))
-        self._decisions = [
-            FractionalDecision(rid, cls, None, f) for rid, cls, f in zip(ids, classes, fractions)
-        ]
+        self._ids, self._classes, self._cost, self._fraction = ids, classes, costs, fractions
+        self._row = dict(zip(ids.tolist(), range(n)))
+        normal = np.frombuffer(classes, dtype=np.uint8) == _NORMAL
+        self._normal_cost = array("d", np.frombuffer(costs, dtype=np.float64)[normal].tobytes())
         self._weights.restore_state(state["weights"])
 
     # -- conveniences ------------------------------------------------------------------

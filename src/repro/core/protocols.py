@@ -18,6 +18,7 @@ baselines makes every experiment a drop-in comparison.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set
 
@@ -35,6 +36,13 @@ __all__ = [
     "run_setcover",
     "InfeasibleArrivalError",
 ]
+
+
+#: One-letter code of each decision kind in the decision log (and the
+#: checkpoint), and its inverse.
+_KIND_CODES = {DecisionKind.ACCEPT: "a", DecisionKind.REJECT: "r", DecisionKind.PREEMPT: "p"}
+_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
+_KIND_BYTES = {kind: ord(code) for kind, code in _KIND_CODES.items()}
 
 
 class InfeasibleArrivalError(RuntimeError):
@@ -98,7 +106,11 @@ class OnlineAdmissionAlgorithm(ABC):
     Subclasses implement :meth:`process`.  The base class maintains the
     accepted/rejected/preempted bookkeeping, the per-edge load of currently
     accepted requests, and the decision log, through the protected helpers
-    ``_accept``, ``_reject`` and ``_preempt``.  It also supplies the compiled
+    ``_accept``, ``_reject`` and ``_preempt``.  The log is three columns,
+    one row per decision: the request ids (an ``int64`` :class:`array.array`),
+    the kinds (one :data:`_KIND_CODES` letter each, as ``uint8``) and a
+    sparse row -> triggering-arrival map; :meth:`decisions` builds the
+    :class:`Decision` objects it returns.  It also supplies the compiled
     entry points every caller uses for a compiled arrival,
     :meth:`process_indexed` and :meth:`process_compiled_range`; a subclass
     overrides them only to run the same decision on dense edge indices.
@@ -121,7 +133,9 @@ class OnlineAdmissionAlgorithm(ABC):
         self._accepted: Dict[int, Request] = {}
         self._rejected: Dict[int, Request] = {}
         self._preempted: Dict[int, Request] = {}
-        self._decisions: List[Decision] = []
+        self._decision_ids = array("q")
+        self._decision_kinds = array("B")
+        self._decision_at: Dict[int, int] = {}  # row -> id of the triggering arrival
         self._load: Dict[EdgeId, int] = {e: 0 for e in self._capacities}
         self._seen: Set[int] = set()
 
@@ -151,11 +165,15 @@ class OnlineAdmissionAlgorithm(ABC):
     def check_arrival(self, request: Request) -> None:
         """Raise ``ValueError`` for an arrival :meth:`process` must refuse.
 
-        Read-only: it rejects a duplicate id and an edge outside the
-        capacity map.  Subclasses add their own checks.
+        Read-only: it rejects a duplicate id, an id the ``int64`` decision
+        log cannot hold and an edge outside the capacity map.  Subclasses
+        add their own checks.
         """
-        if request.request_id in self._seen:
-            raise ValueError(f"request id {request.request_id} was already processed")
+        rid = request.request_id
+        if rid in self._seen:
+            raise ValueError(f"request id {rid} was already processed")
+        if not -(2**63) <= rid < 2**63:
+            raise ValueError(f"request id {rid} does not fit an int64 id column")
         # Runs once per arrival: a known path builds no list.
         capacities = self._capacities
         for edge in request.ordered_edges:
@@ -170,21 +188,25 @@ class OnlineAdmissionAlgorithm(ABC):
         self.check_arrival(request)
         self._seen.add(request.request_id)
 
+    def _log(self, request_id: int, kind: str, at_request: Optional[int] = None) -> Decision:
+        """Append one decision to the log columns and return it."""
+        if at_request is not None:
+            self._decision_at[len(self._decision_ids)] = at_request
+        self._decision_ids.append(request_id)
+        self._decision_kinds.append(_KIND_BYTES[kind])
+        return Decision(request_id, kind, at_request)
+
     def _accept(self, request: Request) -> Decision:
         """Accept ``request`` and add its load to every edge on its path."""
         self._accepted[request.request_id] = request
         for e in request.ordered_edges:
             self._load[e] += 1
-        decision = Decision(request.request_id, DecisionKind.ACCEPT)
-        self._decisions.append(decision)
-        return decision
+        return self._log(request.request_id, DecisionKind.ACCEPT)
 
     def _reject(self, request: Request) -> Decision:
         """Reject ``request`` on arrival."""
         self._rejected[request.request_id] = request
-        decision = Decision(request.request_id, DecisionKind.REJECT)
-        self._decisions.append(decision)
-        return decision
+        return self._log(request.request_id, DecisionKind.REJECT)
 
     def _preempt(self, request_id: int, at_request: Optional[int] = None) -> Decision:
         """Evict a previously accepted request (reject after acceptance)."""
@@ -192,9 +214,7 @@ class OnlineAdmissionAlgorithm(ABC):
         for e in request.ordered_edges:
             self._load[e] -= 1
         self._preempted[request_id] = request
-        decision = Decision(request_id, DecisionKind.PREEMPT, at_request=at_request)
-        self._decisions.append(decision)
-        return decision
+        return self._log(request_id, DecisionKind.PREEMPT, at_request)
 
     # -- state queries -----------------------------------------------------------
     def was_processed(self, request_id: int) -> bool:
@@ -231,16 +251,23 @@ class OnlineAdmissionAlgorithm(ABC):
 
     def decisions(self) -> List[Decision]:
         """Chronological decision log."""
-        return list(self._decisions)
+        return self.decisions_since(0)
 
     def decisions_since(self, start: int) -> List[Decision]:
         """Decisions appended at or after index ``start`` (a cheap tail read).
 
         Long-lived consumers (the streaming session) poll the log after every
-        micro-batch; copying only the tail keeps that O(batch) instead of
+        micro-batch; building only the tail keeps that O(batch) instead of
         O(run length).
         """
-        return self._decisions[start:]
+        rows = range(len(self._decision_ids))[start:]
+        lo, hi = rows.start, rows.stop
+        at = self._decision_at
+        kinds = self._decision_kinds[lo:hi].tobytes().decode("ascii")
+        return [
+            Decision(rid, _CODE_KINDS[code], at.get(row))
+            for row, rid, code in zip(rows, self._decision_ids[lo:hi].tolist(), kinds)
+        ]
 
     def rejection_cost(self) -> float:
         """Total cost of rejected plus preempted requests (the objective)."""

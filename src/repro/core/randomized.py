@@ -36,22 +36,20 @@ from __future__ import annotations
 from itertools import accumulate, chain
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
+from array import array
+
 from repro.core.fractional import CostClass, FractionalAdmissionControl, FractionalDecision
-from repro.core.protocols import OnlineAdmissionAlgorithm
+from repro.core.protocols import _CODE_KINDS, OnlineAdmissionAlgorithm
 from repro.engine.backends import BackendSpec
 from repro.engine.registry import ADMISSION_ALGORITHMS
 from repro.engine.sampling import bernoulli_batch
 from repro.instances.admission import AdmissionInstance
-from repro.instances.request import Decision, DecisionKind, EdgeId, Request
+from repro.instances.request import Decision, EdgeId, Request
 from repro.instances.serialize import decode_edge_id, encode_edge_id
 from repro.utils.mathx import log2_guarded
 from repro.utils.rng import RandomState, as_generator
 
 __all__ = ["RandomizedAdmissionControl"]
-
-#: One-letter checkpoint code of each decision kind, and its inverse.
-_KIND_CODES = {DecisionKind.ACCEPT: "a", DecisionKind.REJECT: "r", DecisionKind.PREEMPT: "p"}
-_CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 
 class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
@@ -130,8 +128,8 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
             unweighted=not self.weighted,
             backend=backend,
             # Step 3 rounds the shadow's per-arrival deltas, so this is the
-            # one caller that records them; _round_shadow_decision drops
-            # each outcome once it has been rounded.
+            # one caller that records them; the shadow keeps no outcome past
+            # the decision it returns.
             record=True,
         )
         self.backend = self._shadow.backend
@@ -208,8 +206,10 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         self._requests_by_id[request.request_id] = request
 
         # Optional Section-3 guard: edges with >= 4mc^2 requests get everything rejected.
-        if self.overload_guard and self._apply_overload_guard(request):
-            return self._decisions[-1]
+        if self.overload_guard:
+            rejected = self._apply_overload_guard(request)
+            if rejected is not None:
+                return rejected
 
         # Step 1: run the fractional shadow (weight augmentations).
         if compiled is None:
@@ -219,33 +219,28 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         return self._round_shadow_decision(request, frac)
 
     def _round_shadow_decision(self, request: Request, frac: FractionalDecision) -> Decision:
-        """Steps 2–4: round the shadow's decision into accept/reject/preempt.
-
-        The rounding is the outcome's only reader, so the outcome is dropped
-        once rounded: the shadow's decision keeps its fraction, not its deltas.
-        """
+        """Steps 2–4: round the shadow's decision into accept/reject/preempt."""
         if frac.cost_class == CostClass.SMALL:
             # R_small requests are rejected outright (cheap, paid in full).
             return self._reject(request)
-
         if frac.cost_class in (CostClass.BIG, CostClass.FORCED):
-            decision = self._process_permanent(request, frac)
-        else:
-            decision = self._process_normal(request, frac)
-        frac.outcome = None
-        return decision
+            return self._process_permanent(request, frac)
+        return self._process_normal(request, frac)
 
     # -- normal requests ----------------------------------------------------------------
     def _process_normal(self, request: Request, frac: FractionalDecision) -> Decision:
-        """Steps 2–4 for a request handled by the weight mechanism."""
+        """Steps 2–4 for a request handled by the weight mechanism.
+
+        Every request the rounding looks at here is NORMAL: the arrival
+        itself, and each one the shadow's deltas name, since the weight
+        backend registers NORMAL requests only (ARCHITECTURE invariant 11).
+        """
         arriving_id = request.request_id
         arriving_rejected = False
 
         touched = set(frac.outcome.deltas) | {arriving_id}
         # Step 2: reject every request whose weight reached the threshold.
         for rid in sorted(touched):
-            if self._shadow.cost_class(rid) != CostClass.NORMAL:
-                continue
             if self._shadow.weight_state.weight(rid) >= self.weight_threshold:
                 if rid == arriving_id:
                     arriving_rejected = True
@@ -281,8 +276,6 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         # and apply the step-2 threshold to the touched requests.
         if frac.outcome is not None:
             for rid in sorted(set(frac.outcome.deltas)):
-                if self._shadow.cost_class(rid) != CostClass.NORMAL:
-                    continue
                 heavy = self._shadow.weight_state.weight(rid) >= self.weight_threshold
                 if heavy and self._evict(rid, arriving_id):
                     self.num_threshold_rejections += 1
@@ -333,19 +326,17 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
     def _step3_coins(self, deltas: Mapping[int, float]):
         """The step-3 coin flips for one arrival's weight deltas, batched.
 
-        Yields ``(request_id, hit)`` for every NORMAL request whose rejection
-        probability is positive, in sorted-id order.  All coins come from one
+        Yields ``(request_id, hit)`` for every request whose rejection
+        probability is positive, in sorted-id order; the deltas name NORMAL
+        requests only, the weight backend's.  All coins come from one
         ``rng.random(k)`` call, which consumes the PCG64 stream exactly like
         ``k`` scalar draws — the trajectory is bit-identical to the
         per-request loop for the same seed (requests with zero probability
         are skipped before drawing, as the scalar loop did).
         """
-        shadow_class = self._shadow.cost_class
         rids = []
         probs = []
         for rid, delta in sorted(deltas.items()):
-            if shadow_class(rid) != CostClass.NORMAL:
-                continue
             probability = min(1.0, self.prob_factor * delta)
             if probability <= 0.0:
                 continue
@@ -364,28 +355,27 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
             return True
         return False
 
-    def _apply_overload_guard(self, request: Request) -> bool:
+    def _apply_overload_guard(self, request: Request) -> Optional[Decision]:
         """Bulk-reject requests on edges that have seen ``>= 4mc^2`` requests.
 
-        Returns True if the arriving request was rejected by the guard (in
+        Returns the arriving request's rejection if the guard rejected it (in
         which case it is *not* forwarded to the fractional shadow, matching the
-        paper's "the online algorithm can reject all the requests in REQ_e").
+        paper's "the online algorithm can reject all the requests in REQ_e"),
+        else ``None``.
         """
         triggered = False
         for edge in request.ordered_edges:
             if edge in self._guarded_edges:
                 triggered = True
                 continue
-            seen = len(self._shadow.weight_state.requests_on(edge)) + 1  # +1 for the arrival
+            seen = self._shadow.weight_state.request_count(edge) + 1  # +1 for the arrival
             if seen >= self.overload_limit:
                 self._guarded_edges.add(edge)
                 triggered = True
                 for rid in list(self._accepted):
                     if edge in self._accepted[rid].edges and rid not in self._permanent:
                         self._preempt(rid, at_request=request.request_id)
-        if triggered:
-            self._reject(request)
-        return triggered
+        return self._reject(request) if triggered else None
 
     # -- checkpoint state (used by the streaming layer) ----------------------------------------
     def export_state(self) -> Dict[str, object]:
@@ -403,9 +393,10 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         weight backend registered come from its columns; the paths of the
         other rows are ``requests.indptr``/``indices`` (CSR, edges numbered
         in the capacity mapping's order, as the backend numbers them).  Tags
-        are sparse ``[row, tag]`` pairs.  ``decisions`` holds ``ids``, one
-        :data:`_KIND_CODES` letter each, and ``[row, at_request]`` pairs
-        where a decision names its trigger.  ``Request.path`` (purely
+        are sparse ``[row, tag]`` pairs.  ``decisions`` is the decision
+        log's own columns: ``ids``, one kind letter each
+        (:data:`repro.core.protocols._KIND_CODES`), and ``[row, at_request]``
+        pairs where a decision names its trigger.  ``Request.path`` (purely
         informational) is not persisted.
         """
         shadow = self._shadow.export_state()
@@ -424,7 +415,6 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
         registered = set(shadow["weights"]["ids"])
         paths = [req.ordered_edges for req in requests if req.request_id not in registered]
         edge_index = {e: k for k, e in enumerate(self._capacities)}
-        decisions = self._decisions
         return {
             "kind": "randomized",
             "shadow": shadow,
@@ -439,13 +429,9 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
             "rejected": [int(r) for r in self._rejected],
             "preempted": [int(r) for r in self._preempted],
             "decisions": {
-                "ids": [int(d.request_id) for d in decisions],
-                "kinds": "".join([_KIND_CODES[d.kind] for d in decisions]),
-                "at": [
-                    [row, int(d.at_request)]
-                    for row, d in enumerate(decisions)
-                    if d.at_request is not None
-                ],
+                "ids": self._decision_ids.tolist(),
+                "kinds": self._decision_kinds.tobytes().decode("ascii"),
+                "at": [[row, int(at)] for row, at in self._decision_at.items()],
             },
             "permanent": sorted(int(r) for r in self._permanent),
             "guarded_edges": [encode_edge_id(e) for e in self._guarded_edges],
@@ -503,11 +489,13 @@ class RandomizedAdmissionControl(OnlineAdmissionAlgorithm):
                 self._load[e] += 1
 
         decisions = state["decisions"]
-        at = dict(decisions["at"])
-        self._decisions = [
-            Decision(rid, _CODE_KINDS[code], at.get(row))
-            for row, (rid, code) in enumerate(zip(decisions["ids"], decisions["kinds"]))
-        ]
+        kinds = decisions["kinds"]
+        decision_ids = array("q", decisions["ids"])
+        if len(decision_ids) != len(kinds) or not _CODE_KINDS.keys() >= set(kinds):
+            raise ValueError("checkpoint decision columns disagree in length or hold an unknown kind")
+        self._decision_ids = decision_ids
+        self._decision_kinds = array("B", kinds.encode("ascii"))
+        self._decision_at = dict(decisions["at"])
         self._permanent = {int(r) for r in state["permanent"]}
         self._guarded_edges = {decode_edge_id(e) for e in state["guarded_edges"]}
         counters = state["counters"]

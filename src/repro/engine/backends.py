@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, KeysView, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -94,6 +94,20 @@ EdgeIndices = Union[Sequence[int], np.ndarray]
 #: the decision identical whenever the sums agree to the repository's 1e-9
 #: equivalence tolerance.
 SUM_TOLERANCE = 1e-9
+
+
+def _with_room(column: np.ndarray, need: int) -> np.ndarray:
+    """``column`` if it holds ``need`` entries, else a zero-padded copy at least twice as long.
+
+    The numpy backend's slot columns and CSR paths grow through it, so an
+    append costs amortised O(1).
+    """
+    size = column.shape[0]
+    if need <= size:
+        return column
+    grown = np.zeros(max(need, 2 * size), dtype=column.dtype)
+    grown[:size] = column
+    return grown
 
 
 @dataclass
@@ -149,10 +163,6 @@ class WeightBackend:
     #: RPR004 allowlist.  ``_edge_index`` is the interning table, rebuilt by
     #: the constructor from the same capacity map restore_state() requires.
     _LINT_STATE_EXEMPT = frozenset({"_edge_index"})
-
-    #: Request id -> the dense edge indices it was registered with.  Every
-    #: backend fills it at registration, so its keys are the registered ids.
-    _edge_idxs_by_id: Dict[int, Tuple[int, ...]]
 
     def __init__(
         self,
@@ -226,12 +236,16 @@ class WeightBackend:
 
     def _edge_idxs_of_request(self, request_id: int) -> Tuple[int, ...]:
         """Dense edge indices the request was registered with."""
-        return self._edge_idxs_by_id[request_id]
+        raise NotImplementedError
+
+    def _registered_ids(self) -> KeysView[int]:
+        """The registered request ids (a view of the backend's id-keyed dict)."""
+        raise NotImplementedError
 
     def _check_new_ids(self, request_ids: Sequence[int]) -> None:
         """Refuse a run that holds a registered id or repeats one, before any state changes."""
-        known = self._edge_idxs_by_id
-        if len(set(request_ids)) != len(request_ids) or not known.keys().isdisjoint(request_ids):
+        known = self._registered_ids()
+        if len(set(request_ids)) != len(request_ids) or not known.isdisjoint(request_ids):
             seen: Set[int] = set()
             for rid in request_ids:
                 if rid in known or rid in seen:
@@ -251,6 +265,9 @@ class WeightBackend:
         raise NotImplementedError
 
     def _requests_on_indexed(self, eidx: int) -> Set[int]:
+        raise NotImplementedError
+
+    def _request_count_indexed(self, eidx: int) -> int:
         raise NotImplementedError
 
     def _alive_count_indexed(self, eidx: int) -> int:
@@ -300,6 +317,10 @@ class WeightBackend:
     def requests_on(self, edge: EdgeId) -> Set[int]:
         """``REQ_e`` — all registered request ids whose paths contain ``edge``."""
         return self._requests_on_indexed(self._edge_index[edge])
+
+    def request_count(self, edge: EdgeId) -> int:
+        """``|REQ_e|`` in O(1) (the Section-3 overload guard asks it per arrival)."""
+        return self._request_count_indexed(self._edge_index[edge])
 
     def alive_count(self, edge: EdgeId) -> int:
         """``|ALIVE_e|``."""
@@ -524,6 +545,16 @@ class WeightBackend:
         """Registered requests' costs in registration order (subclasses implement)."""
         raise NotImplementedError
 
+    def _path_columns(self, ids: List[int]) -> Tuple[List[int], List[int]]:
+        """The registered paths as CSR ``(indptr, indices)`` lists, rows in ``ids`` order."""
+        paths = list(map(self._edge_idxs_of_request, ids))
+        return [0, *accumulate(map(len, paths))], list(chain.from_iterable(paths))
+
+    def _dead_rows(self, ids: List[int]) -> List[int]:
+        """Positions in ``ids`` (registration order) of the dead requests."""
+        is_dead = self.is_dead
+        return [row for row, rid in enumerate(ids) if is_dead(rid)]
+
     def _load_weights(self, weights: np.ndarray) -> None:
         """Overwrite every weight at once: ``weights[r]`` is the ``r``-th registered request's."""
         raise NotImplementedError
@@ -548,8 +579,7 @@ class WeightBackend:
         order differs, which :data:`SUM_TOLERANCE` absorbs).
         """
         ids = self._request_ids_in_order()
-        paths = list(map(self._edge_idxs_of_request, ids))
-        is_dead = self.is_dead
+        indptr, indices = self._path_columns(ids)
         return {
             "backend": self.name,
             "g": float(self.g),
@@ -558,11 +588,11 @@ class WeightBackend:
             "capacities": [int(c) for c in self._cap],
             "total_augmentations": int(self.total_augmentations),
             "ids": list(map(int, ids)),
-            "indptr": [0, *accumulate(map(len, paths))],
-            "indices": list(chain.from_iterable(paths)),
+            "indptr": indptr,
+            "indices": indices,
             "cost": self._cost_column(),
             "weight": self.weight_array().tolist(),
-            "dead": [row for row, rid in enumerate(ids) if is_dead(rid)],
+            "dead": self._dead_rows(ids),
         }
 
     def restore_state(self, state: Mapping[str, object]) -> None:
@@ -691,6 +721,12 @@ class PythonWeightBackend(WeightBackend):
                 self._alive_on_edge[k].add(request_id)
 
     # -- queries -----------------------------------------------------------------
+    def _edge_idxs_of_request(self, request_id: int) -> Tuple[int, ...]:
+        return self._edge_idxs_by_id[request_id]
+
+    def _registered_ids(self) -> KeysView[int]:
+        return self._weights.keys()
+
     def weight(self, request_id: int) -> float:
         return self._weights[request_id]
 
@@ -713,6 +749,10 @@ class PythonWeightBackend(WeightBackend):
     def _requests_on_indexed(self, eidx: int) -> Set[int]:
         requests = self._requests_on_edge[eidx]
         return set(requests) if requests else set()
+
+    def _request_count_indexed(self, eidx: int) -> int:
+        requests = self._requests_on_edge[eidx]
+        return len(requests) if requests else 0
 
     def _alive_count_indexed(self, eidx: int) -> int:
         alive = self._alive_on_edge[eidx]
@@ -807,10 +847,15 @@ class PythonWeightBackend(WeightBackend):
 class NumpyWeightBackend(WeightBackend):
     """Vectorized backend: contiguous arrays, one NumPy kernel per paper step.
 
-    Storage layout: every registered request gets a dense *slot*; weights,
-    costs and the alive flag live in flat ``float64`` / ``bool`` arrays indexed
-    by slot, and every (interned) edge keeps a growable ``intp`` vector of the
-    slots registered on it.  One restore is a *fused* loop over augmentations:
+    Storage layout: every registered request gets a dense *slot*.  Its id,
+    weight, cost and alive flag live in flat ``int64`` / ``float64`` /
+    ``bool`` columns indexed by slot, and its path in a growable CSR pair
+    (``_indptr`` / ``_indices``), so a registered request costs no Python
+    object beyond its entry in ``_slot``, the one id-keyed dict.  Every
+    (interned) edge keeps a growable ``intp`` vector of the slots registered
+    on it, plus O(1) alive and registered counters; ``REQ_e`` itself is read
+    from the CSR when asked.  One restore is a *fused* loop over
+    augmentations:
 
     * a single gather of the alive slots and their weights on entry,
     * ``w[w == 0] = seed`` (step 2a — only possible on the first iteration),
@@ -836,38 +881,39 @@ class NumpyWeightBackend(WeightBackend):
         max_capacity: Optional[int] = None,
     ):
         super().__init__(capacities, g, max_capacity)
-        self._ids: List[int] = []  # slot -> request id
         self._slot: Dict[int, int] = {}  # request id -> slot
-        self._n = 0
+        self._n = 0  # slots in use
+        self._nnz = 0  # CSR path entries in use
         size = 64
+        self._ids = np.zeros(size, dtype=np.int64)  # slot -> request id
         self._w = np.zeros(size, dtype=np.float64)
         self._cost = np.ones(size, dtype=np.float64)
         self._alive = np.zeros(size, dtype=bool)
-        self._edge_idxs_by_id: Dict[int, Tuple[int, ...]] = {}
-        self._dead: Set[int] = set()
+        # Slot s uses the dense edges _indices[_indptr[s]:_indptr[s + 1]].
+        self._indptr = np.zeros(size + 1, dtype=np.intp)
+        self._indices = np.zeros(4 * size, dtype=np.intp)
 
         # Per-edge slot vectors (amortised append, lazily compacted) plus O(1)
-        # alive counters so excess checks never touch an array.  All indexed
-        # by dense edge index.
+        # alive and registered counters, so excess checks and the overload
+        # guard never touch an array.  All indexed by dense edge index.
         m = len(self._edge_order)
         self._edge_slots: List[Optional[np.ndarray]] = [None] * m
         self._edge_used: List[int] = [0] * m
         self._edge_alive: List[int] = [0] * m
-        self._edge_requests: List[Optional[List[int]]] = [None] * m
+        self._edge_registered: List[int] = [0] * m
 
     # -- storage helpers -----------------------------------------------------------
-    def _ensure_slot_capacity(self, extra: int = 1) -> None:
-        """Double the slot arrays until ``extra`` more slots fit."""
-        while self._w.shape[0] < self._n + extra:
-            size = 2 * self._w.shape[0]
-            for attr, fill in (("_w", 0.0), ("_cost", 1.0)):
-                old = getattr(self, attr)
-                grown = np.full(size, fill, dtype=np.float64)
-                grown[: old.shape[0]] = old
-                setattr(self, attr, grown)
-            alive = np.zeros(size, dtype=bool)
-            alive[: self._alive.shape[0]] = self._alive
-            self._alive = alive
+    def _ensure_room(self, rows: int, entries: int) -> None:
+        """Grow the slot columns and the CSR entries until ``rows`` more requests
+        with ``entries`` path entries between them fit."""
+        need = self._n + rows
+        if need > len(self._w):
+            self._ids = _with_room(self._ids, need)
+            self._w = _with_room(self._w, need)
+            self._cost = _with_room(self._cost, need)
+            self._alive = _with_room(self._alive, need)
+            self._indptr = _with_room(self._indptr, len(self._w) + 1)
+        self._indices = _with_room(self._indices, self._nnz + entries)
 
     def _edge_append(self, eidx: int, slot: int) -> None:
         arr = self._edge_slots[eidx]
@@ -901,29 +947,36 @@ class NumpyWeightBackend(WeightBackend):
             return compacted
         return idx
 
+    def _path_of_slot(self, slot: int) -> np.ndarray:
+        """The dense edge indices of slot ``slot``'s path (a view of the CSR)."""
+        return self._indices[self._indptr[slot] : self._indptr[slot + 1]]
+
     # -- registration -----------------------------------------------------------
     def _register_indexed(self, request_id: int, edge_idxs: Tuple[int, ...], cost: float) -> None:
         if request_id in self._slot:
             raise ValueError(f"request {request_id} already registered")
-        self._ensure_slot_capacity()
         slot = self._n
-        self._n += 1
-        self._ids.append(request_id)
+        lo = self._nnz
+        hi = lo + len(edge_idxs)
+        # len() rather than .shape: this runs once per arrival.
+        if slot == len(self._ids) or hi > len(self._indices):
+            self._ensure_room(1, hi - lo)
+        # The id first: one that overflows the int64 column changes nothing.
+        self._ids[slot] = request_id
+        self._n = slot + 1
+        self._nnz = hi
         self._slot[request_id] = slot
         self._w[slot] = 0.0
         self._cost[slot] = cost
         self._alive[slot] = True
-        self._edge_idxs_by_id[request_id] = edge_idxs
+        self._indices[lo:hi] = edge_idxs
+        self._indptr[slot + 1] = hi
         edge_alive = self._edge_alive
-        edge_requests = self._edge_requests
+        edge_registered = self._edge_registered
         for k in edge_idxs:
             self._edge_append(k, slot)
             edge_alive[k] += 1
-            requests = edge_requests[k]
-            if requests is None:
-                edge_requests[k] = [request_id]
-            else:
-                requests.append(request_id)
+            edge_registered[k] += 1
 
     def _edge_extend(self, eidx: int, slots: np.ndarray) -> None:
         """Append a run of slots to an edge's vector (amortised growth)."""
@@ -946,32 +999,33 @@ class NumpyWeightBackend(WeightBackend):
         flat_edge_idxs: np.ndarray,
         offsets: np.ndarray,
     ) -> int:
-        """Write a run of new requests' slot rows at once, in arrival order.
+        """Write a run of new requests' slot rows and CSR paths at once, in arrival order.
 
         Every id is checked first (:meth:`_check_new_ids`), so a refused run
         changes nothing.  The rows start at weight 0, alive; no edge vector is
-        touched.  Returns the run's first slot.
+        touched.  ``offsets`` starts at 0 and ``flat_edge_idxs`` holds exactly
+        the run's path entries, as every caller builds them.  Returns the
+        run's first slot.
         """
         self._check_new_ids(request_ids)
         k = len(request_ids)
-        self._ensure_slot_capacity(k)
+        entries = flat_edge_idxs.shape[0]
+        self._ensure_room(k, entries)
         base = self._n
         self._n = base + k
+        nnz = self._nnz
+        self._nnz = nnz + entries
+        self._ids[base : base + k] = request_ids
         self._w[base : base + k] = 0.0
         self._cost[base : base + k] = costs
         self._alive[base : base + k] = True
-        self._ids.extend(request_ids)
+        self._indices[nnz : nnz + entries] = flat_edge_idxs
+        self._indptr[base + 1 : base + k + 1] = offsets[1:] + nnz
         self._slot.update(zip(request_ids, range(base, base + k)))
-        fl = flat_edge_idxs.tolist()
-        offs = offsets.tolist()
-        self._edge_idxs_by_id.update(
-            zip(request_ids, [tuple(fl[a:b]) for a, b in zip(offs, offs[1:])])
-        )
         return base
 
     def _append_by_edge(
         self,
-        request_ids: Sequence[int],
         entry_edges: np.ndarray,
         entry_rows: np.ndarray,
         base: int,
@@ -993,15 +1047,13 @@ class NumpyWeightBackend(WeightBackend):
         keys = entry_edges.astype(np.uint16) if self.num_edges <= 1 << 16 else entry_edges
         order = np.argsort(keys, kind="stable")
         sorted_edges = entry_edges[order]
-        sorted_rows = entry_rows[order]
-        sorted_slots = sorted_rows + base
-        sorted_rids = [request_ids[r] for r in sorted_rows.tolist()]
+        sorted_slots = entry_rows[order] + base
         bounds = (np.flatnonzero(np.diff(sorted_edges)) + 1).tolist()
         starts = [0, *bounds]
         stops = [*bounds, sorted_edges.shape[0]]
         cap = self._cap
         edge_alive = self._edge_alive
-        edge_requests = self._edge_requests
+        edge_registered = self._edge_registered
         hot: List[np.ndarray] = []
         for eidx, lo, hi in zip(sorted_edges[starts].tolist(), starts, stops):
             if cold_only:
@@ -1013,11 +1065,7 @@ class NumpyWeightBackend(WeightBackend):
                         continue
             self._edge_extend(eidx, sorted_slots[lo:hi])
             edge_alive[eidx] += hi - lo
-            requests = edge_requests[eidx]
-            if requests is None:
-                edge_requests[eidx] = sorted_rids[lo:hi]
-            else:
-                requests.extend(sorted_rids[lo:hi])
+            edge_registered[eidx] += hi - lo
         if not hot:
             return np.empty(0, dtype=np.intp)
         return np.sort(np.concatenate(hot))
@@ -1034,9 +1082,15 @@ class NumpyWeightBackend(WeightBackend):
             return
         base = self._add_rows(request_ids, costs, flat_edge_idxs, offsets)
         rows = np.repeat(np.arange(k, dtype=np.intp), np.diff(offsets))
-        self._append_by_edge(request_ids, flat_edge_idxs, rows, base)
+        self._append_by_edge(flat_edge_idxs, rows, base)
 
     # -- queries -----------------------------------------------------------------
+    def _edge_idxs_of_request(self, request_id: int) -> Tuple[int, ...]:
+        return tuple(self._path_of_slot(self._slot[request_id]).tolist())
+
+    def _registered_ids(self) -> KeysView[int]:
+        return self._slot.keys()
+
     def weight(self, request_id: int) -> float:
         return float(self._w[self._slot[request_id]])
 
@@ -1044,22 +1098,27 @@ class NumpyWeightBackend(WeightBackend):
         return float(self._cost[self._slot[request_id]])
 
     def weights(self) -> Dict[int, float]:
-        w = self._w
-        return {rid: float(w[slot]) for slot, rid in enumerate(self._ids)}
+        n = self._n
+        return dict(zip(self._ids[:n].tolist(), self._w[:n].tolist()))
 
     def weight_array(self) -> np.ndarray:
         return self._w[: self._n]
 
     def is_dead(self, request_id: int) -> bool:
-        return request_id in self._dead
+        slot = self._slot.get(request_id)
+        return slot is not None and not self._alive[slot]
 
     def _alive_requests_indexed(self, eidx: int) -> Set[int]:
-        ids = self._ids
-        return {ids[slot] for slot in self._alive_slots(eidx).tolist()}
+        return set(self._ids[self._alive_slots(eidx)].tolist())
 
     def _requests_on_indexed(self, eidx: int) -> Set[int]:
-        requests = self._edge_requests[eidx]
-        return set(requests) if requests else set()
+        entries = np.flatnonzero(self._indices[: self._nnz] == eidx)
+        # Entry t belongs to the slot s with indptr[s] <= t < indptr[s + 1].
+        slots = np.searchsorted(self._indptr[1 : self._n + 1], entries, side="right")
+        return set(self._ids[slots].tolist())
+
+    def _request_count_indexed(self, eidx: int) -> int:
+        return self._edge_registered[eidx]
 
     def _alive_count_indexed(self, eidx: int) -> int:
         return self._edge_alive[eidx]
@@ -1068,7 +1127,7 @@ class NumpyWeightBackend(WeightBackend):
         return float(self._w[self._alive_slots(eidx)].sum())
 
     def _edges_seen_indexed(self) -> Iterable[int]:
-        return [k for k, requests in enumerate(self._edge_requests) if requests is not None]
+        return [k for k, count in enumerate(self._edge_registered) if count]
 
     def fractional_cost(self) -> float:
         n = self._n
@@ -1078,14 +1137,21 @@ class NumpyWeightBackend(WeightBackend):
         return float((np.minimum(w, 1.0) * self._cost[:n]).sum())
 
     def fractional_rejections(self) -> Dict[int, float]:
-        return dict(zip(self._ids, np.minimum(self._w[: self._n], 1.0).tolist()))
+        n = self._n
+        return dict(zip(self._ids[:n].tolist(), np.minimum(self._w[:n], 1.0).tolist()))
 
     # -- checkpoint primitives ------------------------------------------------------
     def _request_ids_in_order(self) -> List[int]:
-        return list(self._ids)
+        return self._ids[: self._n].tolist()
 
     def _cost_column(self) -> List[float]:
         return self._cost[: self._n].tolist()
+
+    def _path_columns(self, ids: List[int]) -> Tuple[List[int], List[int]]:
+        return self._indptr[: self._n + 1].tolist(), self._indices[: self._nnz].tolist()
+
+    def _dead_rows(self, ids: List[int]) -> List[int]:
+        return np.flatnonzero(~self._alive[: self._n]).tolist()
 
     def _load_weights(self, weights: np.ndarray) -> None:
         self._w[: self._n] = weights
@@ -1095,11 +1161,9 @@ class NumpyWeightBackend(WeightBackend):
 
     # -- the mechanism -------------------------------------------------------------
     def _kill_slot(self, slot: int) -> None:
-        request_id = self._ids[slot]
-        self._dead.add(request_id)
         self._alive[slot] = False
         edge_alive = self._edge_alive
-        for k in self._edge_idxs_by_id[request_id]:
+        for k in self._path_of_slot(slot).tolist():
             edge_alive[k] -= 1
 
     def _restore_edge_indexed(self, eidx: int, outcome: Optional[ArrivalOutcome]) -> None:
@@ -1121,12 +1185,11 @@ class NumpyWeightBackend(WeightBackend):
         outcome.num_augmentations += self.total_augmentations - augmentations
         ids = self._ids
         diff = self._w[idx] - before
-        changed = np.nonzero(diff > 0.0)[0]
+        changed = np.flatnonzero(diff > 0.0)
         deltas = outcome.deltas
-        for slot, delta in zip(idx[changed].tolist(), diff[changed].tolist()):
-            rid = ids[slot]
+        for rid, delta in zip(ids[idx[changed]].tolist(), diff[changed].tolist()):
             deltas[rid] = deltas.get(rid, 0.0) + delta
-        outcome.newly_dead.update(ids[slot] for slot in idx[~self._alive[idx]].tolist())
+        outcome.newly_dead.update(ids[idx[~self._alive[idx]]].tolist())
 
     # -- whole-trace block kernel (see repro.engine.vectorized) ------------------------
     def _restore_edge_norecord(self, eidx: int, cap: int) -> None:
@@ -1228,7 +1291,7 @@ class NumpyWeightBackend(WeightBackend):
             return fractions, outcomes
         base = self._add_rows(request_ids, costs, flat_edge_idxs, offsets)
         rows = np.repeat(np.arange(k, dtype=np.intp), np.diff(offsets))
-        hot = self._append_by_edge(request_ids, flat_edge_idxs, rows, base, cold_only=True)
+        hot = self._append_by_edge(flat_edge_idxs, rows, base, cold_only=True)
         if not hot.shape[0]:
             return fractions, outcomes
         hot_rows = rows[hot]
@@ -1239,19 +1302,14 @@ class NumpyWeightBackend(WeightBackend):
         w = self._w
         cap = self._cap
         edge_alive = self._edge_alive
-        edge_requests = self._edge_requests
+        edge_registered = self._edge_registered
         for r, lo, hi in zip(hot_rows[starts].tolist(), starts, stops):
             slot = base + r
-            rid = request_ids[r]
             path = hot_edges[lo:hi]
             for e in path:
                 self._edge_append(e, slot)
                 edge_alive[e] += 1
-                requests = edge_requests[e]
-                if requests is None:
-                    edge_requests[e] = [rid]
-                else:
-                    requests.append(rid)
+                edge_registered[e] += 1
             if outcomes is not None:
                 outcome = outcomes[r]
                 for e in path:

@@ -26,8 +26,9 @@ same order, as the per-arrival loop.
 duplicate ids (both must raise at the exact arrival position) — are
 classified up front and delegated one by one to ``process_indexed``, which
 reproduces the scalar behaviour including exceptions.  SMALL arrivals never
-reach the weight backend; the executor books them, and every block's
-decisions, in arrival order.
+reach the weight backend; the executor hands them, and every block's
+arrivals, to the fractional algorithm's row table in arrival order, as
+array slices (``_book_block``).
 
 The executor performs the same floating-point operations in the same order as
 the per-arrival loop, so results agree bit-for-bit, not just within the 1e-9
@@ -39,7 +40,6 @@ see ARCHITECTURE.md.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -95,16 +95,7 @@ def _classify(
         cls[np.abs(costs - 1.0) > 1e-9] = _SYNC
     # Duplicate ids must raise at their exact arrival position; route them
     # through the per-arrival path, which performs the authoritative check.
-    rids = compiled.request_ids[lo:hi].tolist()
-    class_of = algorithm._class_of
-    if len(set(rids)) == count and class_of.keys().isdisjoint(rids):
-        return cls
-    seen = set()
-    for k, rid in enumerate(rids):
-        if rid in class_of or rid in seen:
-            cls[k] = _SYNC
-        else:
-            seen.add(rid)
+    cls[algorithm._repeated_positions(compiled.request_ids[lo:hi].tolist())] = _SYNC
     return cls
 
 
@@ -132,8 +123,6 @@ def run_compiled_trace(
     — same decisions, fractions, weights, augmentation counts and exceptions
     — but with per-arrival Python dispatch only at synchronization points.
     """
-    from repro.core.fractional import CostClass, FractionalDecision
-
     n = compiled.num_requests
     if hi is None:
         hi = n
@@ -149,7 +138,6 @@ def run_compiled_trace(
     ids_sl = compiled.request_ids[lo:hi]
     rid_list = ids_sl.tolist()
     costs_sl = compiled.costs[lo:hi]
-    raw_list = costs_sl.tolist()
     norm = _normalized_costs(algorithm, costs_sl)
 
     # Backend-aligned CSR window: translate once, slice per block.
@@ -175,51 +163,7 @@ def run_compiled_trace(
         row_ptr = np.zeros(normal.shape[0] + 1, dtype=np.intp)
         np.cumsum(lengths[normal], out=row_ptr[1:])
     normal_pos = normal.tolist()
-
-    class_of = algorithm._class_of
-    original_cost = algorithm._original_cost
-    decisions = algorithm._decisions
-    NORMAL = CostClass.NORMAL
-    SMALL = CostClass.SMALL
-    small_pos = np.flatnonzero(cls == _SMALL).tolist()
-    small_pos.append(count)  # sentinel
-    next_small = 0
-
-    def book(s: int, e: int, fractions: "np.ndarray | None", outcomes) -> None:
-        # Class bookkeeping and decisions of window positions [s, e) in
-        # arrival order.  Its NORMAL arrivals are the last block's rows, in
-        # order; the rest are SMALL (SYNC positions are never booked here).
-        nonlocal next_small
-        fr = [] if fractions is None else fractions.tolist()
-        k = 0  # the block row of the next NORMAL arrival
-        pos = s
-        while pos < e:
-            run_end = min(small_pos[next_small], e)
-            if run_end > pos:
-                rids = rid_list[pos:run_end]
-                k_end = k + run_end - pos
-                class_of.update(zip(rids, repeat(NORMAL)))
-                original_cost.update(zip(rids, raw_list[pos:run_end]))
-                decisions.extend(
-                    map(
-                        FractionalDecision,
-                        rids,
-                        repeat(NORMAL),
-                        repeat(None) if outcomes is None else outcomes[k:k_end],
-                        fr[k:k_end],
-                    )
-                )
-                k = k_end
-                pos = run_end
-            if pos < e:
-                rid = rid_list[pos]
-                cost = raw_list[pos]
-                original_cost[rid] = cost
-                class_of[rid] = SMALL
-                algorithm._small_cost += cost
-                decisions.append(FractionalDecision(rid, SMALL, None, 1.0))
-                next_small += 1
-                pos += 1
+    is_small = cls == _SMALL
 
     sync_pos = np.flatnonzero(cls == _SYNC).tolist()
     sync_pos.append(count)  # sentinel
@@ -230,19 +174,26 @@ def run_compiled_trace(
         end = bisect_left(normal_pos, stop, lo=row)  # rows before the barrier
         while True:
             row_end = min(row + MAX_BLOCK, end)
-            fractions = outcomes = None
+            fractions = None
             if row_end > row:
                 base = row_ptr[row]
-                fractions, outcomes = backend.process_arrival_block_indexed(
+                # With ``record`` the kernel also returns the block's
+                # outcomes; the row table keeps no outcome, so they go.
+                fractions, _ = backend.process_arrival_block_indexed(
                     row_rids[row:row_end],
                     row_costs[row:row_end],
                     row_flat[base : row_ptr[row_end]],
                     row_ptr[row : row_end + 1] - base,
                     record,
                 )
-            # Book through the SMALL arrivals before the next block's first row.
+            # Book through the SMALL arrivals before the next block's first
+            # row: window positions [pos, upto) hold this block's rows, in
+            # order, and SMALL arrivals only.
             upto = normal_pos[row_end] if row_end < end else stop
-            book(pos, upto, fractions, outcomes)
+            if upto > pos:
+                algorithm._book_block(
+                    rid_list[pos:upto], is_small[pos:upto], costs_sl[pos:upto], fractions
+                )
             pos, row = upto, row_end
             if row_end == end:
                 break

@@ -9,8 +9,10 @@ catch it if a trial happens to populate the new field before the snapshot.
 
 For every class that defines *both* methods, the rule collects mutable-
 looking attributes assigned in ``__init__`` (list/dict/set displays and
-comprehensions, and calls to the stdlib container constructors) and requires
-each to appear in both method bodies — as a ``self.<name>`` access or as the
+comprehensions, calls to the stdlib container constructors, ``array.array``
+included, and the NumPy array constructors ``np.empty``/``zeros``/``ones``/
+``full``, since a growable column is per-arrival state as much as a list
+is) and requires each to appear in both method bodies — as a ``self.<name>`` access or as the
 string key ``"<name>"`` / ``"name"``-without-underscore (state dicts key by
 the public name).  Construction-time configuration that is deliberately not
 part of streamed state goes in a class-level allowlist::
@@ -37,9 +39,12 @@ __all__ = ["StateExportDriftRule"]
 _MUTABLE_CONSTRUCTORS = frozenset(
     {
         "list", "dict", "set", "defaultdict", "OrderedDict", "deque",
-        "Counter", "bytearray",
+        "Counter", "bytearray", "array",
     }
 )
+#: ``np.<name>(...)`` / ``numpy.<name>(...)`` calls that build a fresh array.
+_ARRAY_CONSTRUCTORS = frozenset({"empty", "zeros", "ones", "full"})
+_NUMPY_NAMES = frozenset({"np", "numpy"})
 _EXEMPT_ATTR = "_LINT_STATE_EXEMPT"
 _STATE_METHODS = ("export_state", "restore_state")
 
@@ -51,6 +56,12 @@ def _is_mutable_expr(node: ast.AST) -> bool:
         return True
     if isinstance(node, ast.Call):
         func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in _NUMPY_NAMES
+        ):
+            return func.attr in _ARRAY_CONSTRUCTORS
         name = func.id if isinstance(func, ast.Name) else (
             func.attr if isinstance(func, ast.Attribute) else None
         )

@@ -156,6 +156,19 @@ class TestStreamingConflicts:
             f"from a streaming algorithm key ({known}); run it with shards=1, workers=1"
         )
 
+    @pytest.mark.parametrize("scale_out", [{"shards": 2}, {"workers": 2}])
+    @pytest.mark.parametrize("key", ["randomized", "doubling"])
+    def test_integral_key_streams_unsharded_but_cannot_shard_exact_message(self, key, scale_out):
+        assert _spec(algorithm=key, mode="streaming").mode == "streaming"
+        with pytest.raises(RunSpecError) as err:
+            _spec(algorithm=key, mode="streaming", **scale_out)
+        assert str(err.value) == (
+            f"algorithm {key!r} cannot be sharded in a trial: a sharded trial is scored "
+            f"as a fractional one (the shards' summed fractional cost against the "
+            f"fractional bound), which only 'fractional' is; run it with shards=1, "
+            f"workers=1 (repro serve --shards shards any streaming key)"
+        )
+
     def test_setcover_cannot_stream_exact_message(self):
         with pytest.raises(RunSpecError) as err:
             _spec(problem="setcover", algorithm="reduction", mode="streaming")

@@ -139,13 +139,13 @@ class TestFractionalCompiledEquivalence:
         """The record-free mode changes diagnostics only, never the numbers."""
         instance = random_instance(3)
         on = FractionalAdmissionControl.for_instance(instance, backend=backend, record=True)
-        on.process_sequence(instance.requests)
+        on_decisions = [on.process(request) for request in instance.requests]
         off = FractionalAdmissionControl.for_instance(instance, backend=backend, record=False)
-        off.process_sequence(instance.requests)
+        off_decisions = [off.process(request) for request in instance.requests]
         assert_fractional_equal(on, off)
-        assert all(d.outcome is not None for d in on.decisions() if d.cost_class == "normal")
-        assert all(d.outcome is None for d in off.decisions())
-        steps = sum(d.outcome.num_augmentations for d in on.decisions() if d.outcome is not None)
+        assert all(d.outcome is not None for d in on_decisions if d.cost_class == "normal")
+        assert all(d.outcome is None for d in off_decisions)
+        steps = sum(d.outcome.num_augmentations for d in on_decisions if d.outcome is not None)
         assert steps == on.num_augmentations > 0
 
     @pytest.mark.parametrize("through", ["compiled", "session"])

@@ -197,6 +197,21 @@ class TestRefusedArrivalKeepsTheGuess:
         assert reference.alpha is not None
         assert algo.export_state() == reference.export_state()
 
+    @pytest.mark.parametrize("wrapper", [DoublingFractionalAdmissionControl, DoublingAdmissionControl])
+    def test_id_outside_int64_is_refused_before_any_state_changes(self, wrapper):
+        # Every layer keeps request ids in int64 columns (a compiled batch
+        # refuses such an id as it compiles, before reaching the algorithm).
+        costs = self.WEIGHTED_COSTS
+        stream = [Request(i, path, cost) for i, (path, cost) in enumerate(zip(self.PATHS, costs))]
+        algo = self._wrapper(wrapper, False)
+        reference = self._wrapper(wrapper, False)
+        with pytest.raises(ValueError, match="does not fit an int64 id column"):
+            algo.process(Request(2**63, {"a"}, 1.0))
+        assert not algo.was_processed(2**63)
+        for request in stream:
+            assert algo.process(request) == reference.process(request)
+        assert algo.export_state() == reference.export_state()
+
 
 class TestForeignInterningLeavesNoTrace:
     """A compiled arrival from an interning with an unknown edge leaves no trace.

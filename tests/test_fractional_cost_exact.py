@@ -18,13 +18,27 @@ from repro.instances.request import Request, RequestSequence
 BACKENDS = ["python", "numpy"]
 
 
-def reference_cost(algorithm: FractionalAdmissionControl) -> float:
-    """The scalar loop: R_small total, then min(f, 1) * p per NORMAL request."""
-    total = algorithm._small_cost
-    for rid, cls in algorithm._class_of.items():
-        if cls == CostClass.NORMAL:
-            total += min(algorithm._weights.weight(rid), 1.0) * algorithm._original_cost[rid]
+def reference_cost(algorithm: FractionalAdmissionControl, costs: dict) -> float:
+    """The scalar loop: R_small total, then min(f, 1) * p per NORMAL request.
+
+    ``costs`` maps each request id to its original cost; the classes and the
+    arrival order come from the algorithm's decision log.
+    """
+    decisions = algorithm.decisions()
+    total = 0.0
+    for d in decisions:
+        if d.cost_class == CostClass.SMALL:
+            total += costs[d.request_id]
+    weights = algorithm.weight_state
+    for d in decisions:
+        if d.cost_class == CostClass.NORMAL:
+            total += min(weights.weight(d.request_id), 1.0) * costs[d.request_id]
     return total
+
+
+def costs_of(instance: AdmissionInstance) -> dict:
+    """Request id -> original cost."""
+    return {request.request_id: request.cost for request in instance.requests}
 
 
 def mixed_instance(
@@ -70,21 +84,23 @@ class TestMatchesScalarLoop:
     @pytest.mark.parametrize("alpha", [None, 1.0, 4.0, 12.0])
     def test_after_every_arrival(self, backend, record, alpha):
         instance = mixed_instance(1)
+        costs = costs_of(instance)
         algorithm = _algorithm(instance, backend, record, alpha=alpha)
         for request in instance.requests:
             algorithm.process(request)
-            assert algorithm.fractional_cost() == reference_cost(algorithm)
+            assert algorithm.fractional_cost() == reference_cost(algorithm, costs)
         if alpha is not None:
-            classes = set(algorithm._class_of.values())
+            classes = {d.cost_class for d in algorithm.decisions()}
             assert classes == {CostClass.SMALL, CostClass.BIG, CostClass.NORMAL, CostClass.FORCED}
 
     def test_compiled_per_arrival(self, backend, record):
         instance = mixed_instance(2)
+        costs = costs_of(instance)
         compiled = compile_instance(instance)
         algorithm = _algorithm(instance, backend, record)
         for i in range(compiled.num_requests):
             algorithm.process_indexed(compiled, i)
-            assert algorithm.fractional_cost() == reference_cost(algorithm)
+            assert algorithm.fractional_cost() == reference_cost(algorithm, costs)
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_compiled_ranges(self, backend, record, vectorized, monkeypatch):
@@ -95,21 +111,22 @@ class TestMatchesScalarLoop:
         hot = mixed_instance(4, n=700, forced=0.01, first_id=200, **shape)
         requests = list(calm.requests) + list(hot.requests)
         instance = AdmissionInstance(calm.capacities, RequestSequence(requests))
+        costs = costs_of(instance)
         compiled = compile_instance(instance)
         algorithm = _algorithm(instance, backend, record, alpha=2.0)
         calls = {"register_batch_indexed": 0, "process_arrival_block_indexed": 0}
         for name in calls:
-            original = getattr(algorithm._weights, name)
+            original = getattr(algorithm.weight_state, name)
 
             def spy(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(algorithm._weights, name, spy)
+            monkeypatch.setattr(algorithm.weight_state, name, spy)
         for lo in range(0, compiled.num_requests, 150):
             hi = min(lo + 150, compiled.num_requests)
             algorithm.process_compiled_range(compiled, lo, hi, vectorized=vectorized)
-            assert algorithm.fractional_cost() == reference_cost(algorithm)
+            assert algorithm.fractional_cost() == reference_cost(algorithm, costs)
         if vectorized:
             assert calls["process_arrival_block_indexed"] > 0
         else:
@@ -117,26 +134,29 @@ class TestMatchesScalarLoop:
 
     def test_after_restore(self, backend, record):
         instance = mixed_instance(5)
+        costs = costs_of(instance)
         requests = list(instance.requests)
         original = _algorithm(instance, backend, record)
         for request in requests[:250]:
             original.process(request)
-        assert original.fractional_cost() == reference_cost(original)
+        assert original.fractional_cost() == reference_cost(original, costs)
         restored = _algorithm(instance, backend, record)
         restored.restore_state(original.export_state())
-        assert restored.fractional_cost() == reference_cost(restored)
+        assert restored.fractional_cost() == reference_cost(restored, costs)
         assert restored.fractional_cost() == original.fractional_cost()
         for request in requests[250:]:
             original.process(request)
             restored.process(request)
-            assert restored.fractional_cost() == reference_cost(restored)
+            assert restored.fractional_cost() == reference_cost(restored, costs)
             assert restored.fractional_cost() == original.fractional_cost()
 
     def test_fractions_unchanged(self, backend, record):
         instance = mixed_instance(6)
         algorithm = _algorithm(instance, backend, record)
         algorithm.process_sequence(instance.requests)
-        expected = {rid: algorithm.fraction_rejected(rid) for rid in algorithm._class_of}
+        expected = {
+            d.request_id: algorithm.fraction_rejected(d.request_id) for d in algorithm.decisions()
+        }
         fractions = algorithm.fractions()
         assert list(fractions.items()) == list(expected.items())
         assert all(type(f) is float for f in fractions.values())
@@ -145,10 +165,11 @@ class TestMatchesScalarLoop:
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_doubling_fractional_matches_scalar_loop(backend):
     instance = phased_instance()
+    costs = costs_of(instance)
     algorithm = DoublingFractionalAdmissionControl(instance.capacities, backend=backend)
     for request in instance.requests:
         algorithm.process(request)
-        assert algorithm.fractional_cost() == reference_cost(algorithm.inner)
+        assert algorithm.fractional_cost() == reference_cost(algorithm.inner, costs)
     assert algorithm.schedule.num_phases >= 3
 
 
@@ -162,7 +183,7 @@ def test_weight_array_is_registration_order(backend):
     assert array.dtype == np.float64
     assert array.tolist() == list(weights.weights().values())
     assert list(weights.weights()) == [
-        rid for rid, cls in algorithm._class_of.items() if cls == CostClass.NORMAL
+        d.request_id for d in algorithm.decisions() if d.cost_class == CostClass.NORMAL
     ]
 
 
@@ -182,7 +203,10 @@ def test_doubling_session_decisions_match_scalar_loop(backend, monkeypatch):
     instance = phased_instance()
     log, phases = _run_session(instance, backend)
     assert len(phases) >= 3
-    monkeypatch.setattr(FractionalAdmissionControl, "fractional_cost", reference_cost)
+    costs = costs_of(instance)
+    monkeypatch.setattr(
+        FractionalAdmissionControl, "fractional_cost", lambda self: reference_cost(self, costs)
+    )
     reference_log, reference_phases = _run_session(instance, backend)
     assert phases == reference_phases
     assert log == reference_log

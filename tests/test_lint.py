@@ -339,6 +339,26 @@ class TestRPR004:
         assert "restore_state" in result.violations[0].message
         assert "export_state" not in result.violations[0].message.split(" or ")
 
+    @pytest.mark.parametrize(
+        "constructor", ["np.empty(8)", "np.zeros(8)", "numpy.ones(8)", "np.full(8, 0.0)", "array('d')"]
+    )
+    def test_fires_on_numpy_column_missing_from_state(self, tmp_path, constructor):
+        source = (
+            "from array import array\n"
+            "import numpy as np\n"
+            "class Algo:\n"
+            "    def __init__(self):\n"
+            "        self._weights = {}\n"
+            f"        self._column = {constructor}\n"
+            "    def export_state(self):\n"
+            "        return {'weights': dict(self._weights)}\n"
+            "    def restore_state(self, state):\n"
+            "        self._weights = dict(state['weights'])\n"
+        )
+        result = lint_tree(tmp_path, {"m.py": source}, rules=["RPR004"])
+        assert rule_ids(result) == ["RPR004"]
+        assert "_column" in result.violations[0].message
+
     def test_fires_on_one_sided_state_protocol(self, tmp_path):
         source = (
             "class Algo:\n"
